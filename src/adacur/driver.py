@@ -19,7 +19,11 @@ from .errors import InvalidInput, ZeroMatrixSketch
 from .linalg import cpqr, eps_rank_from_rdiag, srrqr, stable_cur_eval
 from .normest import estimate_cur_error
 from .oversample import oversample_rows_multi
-from .pivoting import IndexSelection, rand_pivot_rankest
+from .pivoting import IndexSelection
+# Bound under the public name, the module attribute that per-module
+# tracing (bench/tracing.py) wraps; unlike the public function it also
+# returns the column block A[:, J] it read.
+from .pivoting import _rand_pivot_rankest_block as rand_pivot_rankest
 from .problems import true_relative_error
 from .sketch import SketchPack, derive_seed
 
@@ -62,6 +66,9 @@ class AdaCurConfig:
             raise InvalidInput("oversample must be >= 0")
         if not (0.0 < self.rank_safety <= 1.0):
             raise InvalidInput("rank_safety must be in (0, 1]")
+        if not 1.0 <= self.srrqr_f < np.inf:
+            raise InvalidInput(
+                f"srrqr_f must be finite and >= 1, got {self.srrqr_f}")
 
 
 @dataclass
@@ -112,33 +119,38 @@ def _rank_tol(cfg, n):
     return cfg.rank_safety * cfg.tol / np.sqrt(n)
 
 
-def _scratch_selection(oracle, cfg, seed):
-    """Indices from scratch: sketched rank estimate, pivots, extra rows."""
-    sel = rand_pivot_rankest(oracle, _rank_tol(cfg, oracle.ncols), seed)
+def _scratch_factors(oracle, cfg, seed):
+    """Factors from scratch: sketched rank estimate, pivots, extra rows.
+
+    The column block A[:, J] read for the row pivots serves the
+    oversampling rounds and becomes C, so each such step reads it once.
+    It lives only inside this call and the factors it returns.
+    """
+    sel, c = rand_pivot_rankest(oracle, _rank_tol(cfg, oracle.ncols), seed)
     p = min(cfg.oversample, oracle.nrows - sel.rows.size)
     if p > 0 and not sel.is_empty:
-        extra = oversample_rows_multi(oracle, sel.rows, sel.cols, p)
+        extra = oversample_rows_multi(oracle, sel.rows, sel.cols, p,
+                                      col_block=c)
         sel = IndexSelection(sel.rows, sel.cols, extra)
-    return sel
+    return _extract_factors(oracle, sel, c)
 
 
-def _extract_factors(oracle, sel, keep=True):
+def _extract_factors(oracle, sel, col_block=None):
     """Fetch C and R for ``sel`` and slice U out of the shared entries.
 
     U is taken from the fetched row block and written back into the
     column block so the factor cross-consistency is exact even when an
     oracle's row and column fetches round intermediate products
-    differently.
+    differently. ``col_block`` is ``A[:, sel.cols]`` if the caller
+    already fetched it; it becomes C and is overwritten in place.
     """
-    if not keep:
-        return CURFactors(None, None, None, sel)
     m, n = oracle.shape
     if sel.is_empty:
         return CURFactors(np.zeros((m, 0)), np.zeros((0, 0)),
                           np.zeros((0, n)), sel)
     rows = sel.all_rows
     rfac = oracle.row_block(rows)
-    c = oracle.col_block(sel.cols)
+    c = oracle.col_block(sel.cols) if col_block is None else col_block
     u = rfac[:, sel.cols].copy()
     c[rows, :] = u
     return CURFactors(c, u, rfac, sel)
@@ -239,8 +251,8 @@ def adacur_run(seq, cfg):
             scratch_seed = derive_seed(cfg.seed, j, 0x5C)
 
             if j == 0:
-                sel = _scratch_selection(oracle, cfg, scratch_seed)
-                fac = _extract_factors(oracle, sel)
+                fac = _scratch_factors(oracle, cfg, scratch_seed)
+                sel = fac.selection
                 action = "RECOMPUTE"
                 try:
                     est_val = estimate_cur_error(
@@ -287,9 +299,9 @@ def adacur_run(seq, cfg):
                             est_val = est_new.rel_error
                             fac = _extract_factors(oracle, sel)
                         else:
-                            sel = _scratch_selection(oracle, cfg,
-                                                     scratch_seed)
-                            fac = _extract_factors(oracle, sel)
+                            fac = _scratch_factors(oracle, cfg,
+                                                   scratch_seed)
+                            sel = fac.selection
                             action = "RECOMPUTE"
                             h2 += 1
                             try:
@@ -333,9 +345,8 @@ def recompute_baseline_run(seq, cfg):
             oracle = seq.oracle(j)
             mark = _counters_mark(oracle)
             t0 = time.perf_counter()
-            sel = _scratch_selection(oracle, cfg,
-                                     derive_seed(cfg.seed, j, 0x5C))
-            fac = _extract_factors(oracle, sel)
+            fac = _scratch_factors(oracle, cfg,
+                                   derive_seed(cfg.seed, j, 0x5C))
             try:
                 est_val = estimate_cur_error(
                     oracle, s=cfg.err_samples,
@@ -356,7 +367,7 @@ def recompute_baseline_run(seq, cfg):
                               matvecs=matvecs, wall_ms=wall_ms,
                               entries_read=entries)
             if not cfg.store_factors:
-                fac = CURFactors(None, None, None, sel)
+                fac = CURFactors(None, None, None, fac.selection)
             results.append((fac, trace))
     except Exception as exc:
         exc.partial_trace = [tr for _, tr in results]

@@ -20,7 +20,11 @@ from .driver import (CURFactors, StepTrace, _counters_delta, _counters_mark,
 from .errors import InvalidInput
 from .linalg import eps_rank_from_rdiag, srrqr
 from .oversample import oversample_rows, oversample_rows_multi
-from .pivoting import IndexSelection, rand_pivot_rankest
+from .pivoting import IndexSelection
+# Bound under the public name, the module attribute that per-module
+# tracing (bench/tracing.py) wraps; unlike the public function it also
+# returns the column block A[:, J] it read.
+from .pivoting import _rand_pivot_rankest_block as rand_pivot_rankest
 from .sketch import derive_seed
 
 __all__ = ["FastConfig", "fastadacur_run"]
@@ -52,6 +56,11 @@ class FastConfig:
             raise InvalidInput(f"tol must be in (0, 1), got {self.tol}")
         if self.buffer < 0 or self.oversample < 0:
             raise InvalidInput("buffer and oversample must be >= 0")
+        if not (0.0 < self.rank_safety <= 1.0):
+            raise InvalidInput("rank_safety must be in (0, 1]")
+        if not 1.0 <= self.srrqr_f < np.inf:
+            raise InvalidInput(
+                f"srrqr_f must be finite and >= 1, got {self.srrqr_f}")
 
 
 def _factor_selection(i_idx, j_idx, r, p):
@@ -65,6 +74,36 @@ def _slice_factors(c, rfac, i_lead, j_lead, sel):
     c = c.copy()
     c[i_lead, :] = u
     return CURFactors(c, u, rfac, sel)
+
+
+def _scratch_cross(oracle, cfg):
+    """Tracked indices, rank and factors of the first step, from scratch.
+
+    Keeps rank+buffer columns and rank+buffer+oversample rows. The
+    column block A[:, J] read for the row pivots serves the row
+    oversampling and becomes C, so it is read once; it lives only
+    inside this call and the factors it returns.
+    """
+    m, n = oracle.shape
+    b, p = cfg.buffer, cfg.oversample
+    sel, c = rand_pivot_rankest(oracle,
+                                cfg.rank_safety * cfg.tol / np.sqrt(n),
+                                derive_seed(cfg.seed, 0xFA))
+    r = int(sel.cols.size)
+    i_idx, j_idx = sel.rows, sel.cols
+    extra_rows = min(p + b, m - r)
+    extra_cols = min(b, n - r)
+    if r > 0 and extra_rows > 0:
+        i_new = oversample_rows_multi(oracle, i_idx, j_idx, extra_rows,
+                                      col_block=c)
+        i_idx = np.concatenate([i_idx, i_new])
+    if r > 0 and extra_cols > 0:
+        j_new = oversample_rows_multi(oracle.T, j_idx, sel.rows, extra_cols)
+        j_idx = np.concatenate([j_idx, j_new])
+    fac_sel = _factor_selection(i_idx, j_idx, r, min(p, i_idx.size - r))
+    fac = (_extract_factors(oracle, fac_sel, c) if cfg.store_factors
+           else CURFactors(None, None, None, fac_sel))
+    return i_idx, j_idx, r, fac
 
 
 def fastadacur_run(seq, cfg):
@@ -94,27 +133,8 @@ def fastadacur_run(seq, cfg):
             t0 = time.perf_counter()
 
             if j == 0:
-                sel = rand_pivot_rankest(
-                    oracle, cfg.rank_safety * cfg.tol / np.sqrt(n),
-                    derive_seed(cfg.seed, 0xFA))
-                r = int(sel.cols.size)
-                i_idx, j_idx = sel.rows, sel.cols
-                extra_rows = min(p + b, m - r)
-                extra_cols = min(b, n - r)
-                if r > 0 and extra_rows > 0:
-                    i_new = oversample_rows_multi(oracle, i_idx, j_idx,
-                                                  extra_rows)
-                    i_idx = np.concatenate([i_idx, i_new])
-                if r > 0 and extra_cols > 0:
-                    j_new = oversample_rows_multi(oracle.T, j_idx,
-                                                  sel.rows, extra_cols)
-                    j_idx = np.concatenate([j_idx, j_new])
+                i_idx, j_idx, r, fac = _scratch_cross(oracle, cfg)
                 action = "RECOMPUTE"
-                r0 = r
-                fac_sel = _factor_selection(i_idx, j_idx, r0,
-                                            min(p, i_idx.size - r0))
-                fac = (_extract_factors(oracle, fac_sel) if cfg.store_factors
-                       else CURFactors(None, None, None, fac_sel))
             else:
                 if i_idx.size == 0 or j_idx.size == 0:
                     r0 = 0

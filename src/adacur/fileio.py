@@ -22,7 +22,7 @@ __all__ = ["read_matrix_market", "write_matrix_market",
            "CSV_HEADER"]
 
 CSV_HEADER = ("step,t,rank,est_rel_err,true_rel_err,action,"
-              "h1_cum,h2_cum,matvecs,wall_ms")
+              "h1_cum,h2_cum,matvecs,wall_ms,entries_read")
 
 
 # -- Matrix Market -------------------------------------------------------
@@ -250,7 +250,7 @@ def write_trace_csv(traces, path):
                              _fmt_opt(tr.est_rel_err),
                              _fmt_opt(tr.true_rel_err), tr.action,
                              tr.h1_cum, tr.h2_cum, tr.matvecs,
-                             _fmt_opt(tr.wall_ms)])
+                             _fmt_opt(tr.wall_ms), tr.entries_read])
 
 
 def read_trace_csv(path):
@@ -266,16 +266,18 @@ def read_trace_csv(path):
                              line=1)
         traces = []
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != 10:
-                raise ParseError(f"expected 10 fields, got {len(row)}",
-                                 line=lineno)
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} fields, got {len(row)}",
+                    line=lineno)
             try:
                 traces.append(StepTrace(
                     step=int(row[0]), t=float(row[1]), rank=int(row[2]),
                     est_rel_err=None if row[3] == "" else float(row[3]),
                     true_rel_err=None if row[4] == "" else float(row[4]),
                     action=row[5], h1_cum=int(row[6]), h2_cum=int(row[7]),
-                    matvecs=int(row[8]), wall_ms=float(row[9])))
+                    matvecs=int(row[8]), wall_ms=float(row[9]),
+                    entries_read=int(row[10])))
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
     return traces

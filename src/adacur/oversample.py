@@ -77,7 +77,8 @@ def oversample_rows(oracle, rows, cols, p, col_block=None, exclude=None):
     return unchosen[piv]
 
 
-def oversample_rows_multi(oracle, rows, cols, p, exclude=None):
+def oversample_rows_multi(oracle, rows, cols, p, col_block=None,
+                          exclude=None):
     """Oversample p rows in rounds of at most len(cols) each.
 
     The single-shot routine caps p at the column count; when more rows
@@ -85,6 +86,10 @@ def oversample_rows_multi(oracle, rows, cols, p, exclude=None):
     repeated rounds, re-basing the exclusion set on what was already
     picked. Returns fewer than p indices only when the matrix runs out
     of candidate rows, with a warning.
+
+    ``col_block`` is ``A[:, cols]`` if the caller already fetched it.
+    The columns stay fixed across rounds, so every round uses it and
+    none reads the block again; when omitted, each round reads it.
     """
     import warnings
 
@@ -103,7 +108,7 @@ def oversample_rows_multi(oracle, rows, cols, p, exclude=None):
                 f"{picked.size} of {p}", RuntimeWarning, stacklevel=2)
             break
         base = np.concatenate([rows, picked])
-        got = oversample_rows(oracle, base, cols, q,
+        got = oversample_rows(oracle, base, cols, q, col_block=col_block,
                               exclude=np.concatenate([excl, picked]))
         picked = np.concatenate([picked, got])
         remaining -= q

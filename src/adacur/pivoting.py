@@ -81,12 +81,21 @@ def rand_pivot(oracle, r, seed, presketch=None):
         no new sketch of A is computed unless it has fewer than r rows,
         in which case freshly drawn rows pad it.
     """
+    return _rand_pivot_block(oracle, r, seed, presketch)[0]
+
+
+def _rand_pivot_block(oracle, r, seed, presketch=None):
+    """:func:`rand_pivot`, also returning the column block ``A[:, cols]``.
+
+    The block is the one read for the row pivots, handed on so that
+    from-scratch callers need not read it again; it is None when r is 0.
+    """
     m, n = oracle.shape
     r = int(r)
     if r < 0 or r > min(m, n):
         raise InvalidInput(f"r must lie in [0, {min(m, n)}], got {r}")
     if r == 0:
-        return IndexSelection.empty()
+        return IndexSelection.empty(), None
     if presketch is None:
         s = min(2 * r, n)
         emb = GaussianEmbedding(s, m, derive_seed(seed, 0xF2E5),
@@ -104,7 +113,7 @@ def rand_pivot(oracle, r, seed, presketch=None):
     cols = cpqr(x).pivots[:r]
     c = oracle.col_block(cols)
     rows = cpqr(c.T).pivots[:r]
-    return IndexSelection(rows=rows, cols=cols)
+    return IndexSelection(rows=rows, cols=cols), c
 
 
 def rand_pivot_rankest(oracle, abs_tol, seed):
@@ -116,6 +125,16 @@ def rand_pivot_rankest(oracle, abs_tol, seed):
     its sketch cap, a warning is issued and the partial estimate is
     used. A zero-rank estimate yields an empty selection.
     """
+    return _rand_pivot_rankest_block(oracle, abs_tol, seed)[0]
+
+
+def _rand_pivot_rankest_block(oracle, abs_tol, seed):
+    """:func:`rand_pivot_rankest`, also returning ``A[:, cols]``.
+
+    Returns ``(selection, col_block)``; the block is None for an empty
+    selection. From-scratch steps pass it on to oversampling and factor
+    extraction, so each step reads its column block once.
+    """
     try:
         est = estimate_rank(oracle, abs_tol, derive_seed(seed, 0x11E5))
     except RankTolNotResolved as exc:
@@ -124,6 +143,6 @@ def rand_pivot_rankest(oracle, abs_tol, seed):
             f"{exc.estimate.rank}: {exc}", RuntimeWarning, stacklevel=2)
         est = exc.estimate
     if est.rank == 0:
-        return IndexSelection.empty()
-    return rand_pivot(oracle, est.rank, derive_seed(seed, 0x9B1D),
-                      presketch=est.row_sketch)
+        return IndexSelection.empty(), None
+    return _rand_pivot_block(oracle, est.rank, derive_seed(seed, 0x9B1D),
+                             presketch=est.row_sketch)

@@ -90,6 +90,7 @@ def estimate_rank(oracle, abs_tol, seed, s_init=8, s_max=None):
     emb = None
     x_raw = None      # unscaled Gaussian row sketch, grown by appending
     a_rows = None     # cached exact rows once the left side saturates
+    g2 = None         # right embedding, grown by appending
 
     while True:
         left_exact = 2 * s >= m
@@ -111,7 +112,10 @@ def estimate_rank(oracle, abs_tol, seed, s_init=8, s_max=None):
         if right_exact:
             y = x
         else:
-            g2 = GaussianEmbedding(2 * s, n, seed_right, scale=1.0)
+            if g2 is None:
+                g2 = GaussianEmbedding(2 * s, n, seed_right, scale=1.0)
+            elif g2.sketch_rows < 2 * s:
+                g2 = g2.grown(2 * s)
             y = x @ (g2.raw.T / np.sqrt(2 * s))
         sig = np.linalg.svd(y, compute_uv=False)
         smin = sig[-1]

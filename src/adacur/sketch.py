@@ -3,8 +3,10 @@
 Embeddings are generated with numpy's Philox counter-based bit
 generator, so the same (rows, dim, seed) triple reproduces the same
 entries bit for bit, and a taller embedding drawn from the same seed
-extends a shorter one row for row. That prefix property is what lets
-the rank estimator grow its sketch by appending instead of redrawing.
+extends a shorter one row for row. An embedding keeps the generator
+state reached after its last row, so growing it draws only the new
+rows and appends them; the result equals a fresh draw of the taller
+embedding.
 """
 
 from dataclasses import dataclass, field
@@ -42,6 +44,7 @@ class GaussianEmbedding:
     seed: int
     scale: float = 1.0
     _raw: np.ndarray = field(default=None, repr=False, compare=False)
+    _state: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sketch_rows <= 0 or self.dim <= 0:
@@ -49,6 +52,7 @@ class GaussianEmbedding:
         if self._raw is None:
             gen = np.random.Generator(np.random.Philox(self.seed))
             self._raw = gen.standard_normal((self.sketch_rows, self.dim))
+            self._state = gen.bit_generator.state
 
     @property
     def raw(self):
@@ -63,8 +67,11 @@ class GaussianEmbedding:
     def grown(self, rows, scale=None):
         """Same-seed embedding with more rows; old rows are unchanged.
 
-        Regenerates from the seed, which by the Philox prefix property
-        reproduces the existing rows exactly and appends fresh ones.
+        Resumes the Philox stream where this embedding's draw stopped,
+        draws only the ``rows - sketch_rows`` new rows and stacks them
+        under the existing ones, which equals a fresh draw of ``rows``
+        rows bit for bit. This embedding is left unchanged, so growing
+        it (or a copy) again yields the same rows.
         """
         if rows < self.sketch_rows:
             raise InvalidInput("grown() cannot shrink an embedding")
@@ -72,10 +79,14 @@ class GaussianEmbedding:
             scale = self.scale
         if rows == self.sketch_rows:
             return GaussianEmbedding(rows, self.dim, self.seed, scale,
-                                     _raw=self._raw)
-        gen = np.random.Generator(np.random.Philox(self.seed))
-        raw = gen.standard_normal((rows, self.dim))
-        return GaussianEmbedding(rows, self.dim, self.seed, scale, _raw=raw)
+                                     _raw=self._raw, _state=self._state)
+        bitgen = np.random.Philox(self.seed)
+        bitgen.state = self._state
+        gen = np.random.Generator(bitgen)
+        fresh = gen.standard_normal((rows - self.sketch_rows, self.dim))
+        return GaussianEmbedding(rows, self.dim, self.seed, scale,
+                                 _raw=np.vstack([self._raw, fresh]),
+                                 _state=bitgen.state)
 
 
 def draw_gaussian(sketch_rows, dim, seed, normalized=True):

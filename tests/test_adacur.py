@@ -41,6 +41,47 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             AdaCurConfig(tol=1e-6, rank_safety=0.0)
 
+    @pytest.mark.parametrize("f", [0.5, float("nan"), float("inf")])
+    def test_srrqr_f_rejected(self, f):
+        with pytest.raises(InvalidInput):
+            AdaCurConfig(tol=1e-6, srrqr_f=f)
+
+
+class ColumnCountingOracle(DenseOracle):
+    """Dense oracle that counts its column-block fetches."""
+
+    def __init__(self, a):
+        super().__init__(a)
+        self.col_fetches = 0
+
+    def _cols(self, idx):
+        self.col_fetches += 1
+        return super()._cols(idx)
+
+
+class TestScratchReads:
+    def test_baseline_reads_column_block_once_per_step(self):
+        rng = np.random.default_rng(4)
+        m, n, r = 400, 120, 10
+        u = rng.standard_normal((m, r))
+        v = rng.standard_normal((r, n))
+        oracles = []
+
+        def provider(j):
+            oracles.append(ColumnCountingOracle(
+                u @ (v + 0.01 * j * rng.standard_normal((r, n)))))
+            return oracles[-1]
+
+        seq = ParamMatrixSequence(np.arange(4.0), provider, (m, n))
+        res = recompute_baseline_run(
+            seq, AdaCurConfig(tol=1e-6, oversample=3, store_factors=False))
+        for orc, (fac, tr) in zip(oracles, res):
+            sel = fac.selection
+            assert sel.cols.size == r and sel.extra_rows.size == 3
+            assert orc.col_fetches == 1
+            assert tr.entries_read == (m * sel.cols.size
+                                       + sel.all_rows.size * n)
+
 
 class TestConstantSequence:
     def test_reuse_throughout(self):

@@ -26,6 +26,16 @@ class TestFastConfig:
         with pytest.raises(InvalidInput):
             FastConfig(tol=2.0)
 
+    @pytest.mark.parametrize("rank_safety", [0.0, 7.0])
+    def test_rank_safety_range(self, rank_safety):
+        with pytest.raises(InvalidInput):
+            FastConfig(tol=1e-6, rank_safety=rank_safety)
+
+    @pytest.mark.parametrize("f", [0.5, float("nan"), float("inf")])
+    def test_srrqr_f_rejected(self, f):
+        with pytest.raises(InvalidInput):
+            FastConfig(tol=1e-6, srrqr_f=f)
+
     def test_negative_buffer_rejected(self):
         with pytest.raises(InvalidInput):
             FastConfig(tol=1e-6, buffer=-1)

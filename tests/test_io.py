@@ -1,5 +1,7 @@
 """Tests for matrix file reading/writing and trace CSV round trips."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -201,6 +203,17 @@ class TestTraceCsv:
             assert a.h1_cum == b.h1_cum and a.h2_cum == b.h2_cum
             assert a.matvecs == b.matvecs
             assert a.wall_ms == b.wall_ms
+
+    def test_every_field_but_wall_time_round_trips(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        orig = [dataclasses.replace(tr, entries_read=1000 * k + 7)
+                for k, tr in enumerate(self.traces())]
+        write_trace_csv(orig, path)
+        back = read_trace_csv(path)
+        names = [f.name for f in dataclasses.fields(StepTrace)
+                 if f.name != "wall_ms"]
+        assert [[getattr(tr, k) for k in names] for tr in back] == \
+            [[getattr(tr, k) for k in names] for tr in orig]
 
     def test_none_serialized_as_empty_field(self, tmp_path):
         path = str(tmp_path / "t.csv")

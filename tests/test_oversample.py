@@ -157,6 +157,17 @@ class TestOversampleRowsMulti:
         assert len(np.unique(extra)) == 12
         assert len(np.intersect1d(extra, sel.rows)) == 0
 
+    def test_prefetched_block_serves_every_round(self, rng):
+        a = tube_matrix(rng, 80, 30, 5)
+        orc = DenseOracle(a)
+        sel = rand_pivot(orc, 5, seed=7)
+        fetched = oversample_rows_multi(orc, sel.rows, sel.cols, 12)
+        before = orc.counters.entries_read
+        given = oversample_rows_multi(orc, sel.rows, sel.cols, 12,
+                                      col_block=a[:, sel.cols])
+        np.testing.assert_array_equal(given, fetched)
+        assert orc.counters.entries_read == before
+
     def test_exhaustion_warns_and_returns_short(self, rng):
         a = tube_matrix(rng, 8, 6, 3)
         orc = DenseOracle(a)

@@ -6,6 +6,7 @@ import pytest
 from adacur.errors import RankTolNotResolved
 from adacur.oracles import DenseOracle
 from adacur.rankest import estimate_rank
+from adacur.sketch import GaussianEmbedding, derive_seed
 
 
 def diag_oracle(diag, m, n):
@@ -13,6 +14,64 @@ def diag_oracle(diag, m, n):
     d = np.asarray(diag, dtype=float)
     a[:len(d), :len(d)] = np.diag(d)
     return DenseOracle(a)
+
+
+def redrawn_estimate(oracle, abs_tol, seed, s_init=8, s_max=None):
+    """Reference loop: both embeddings redrawn from their seeds each round.
+
+    Returns the final (row_sketch, singular values) pair.
+    """
+    m, n = oracle.shape
+    s_max = min(m, n) if s_max is None else s_max
+    seed_left = derive_seed(seed, 0x1EF7)
+    seed_right = derive_seed(seed, 0x516B)
+    s = min(s_init, s_max)
+    x_raw = None
+    while True:
+        if 2 * s >= m:
+            x = oracle.row_block(np.arange(m))
+        else:
+            g1 = GaussianEmbedding(s, m, seed_left).raw
+            if x_raw is None:
+                x_raw = oracle.rmatmat(g1.T).T
+            elif x_raw.shape[0] < s:
+                fresh = g1[x_raw.shape[0]:]
+                x_raw = np.vstack([x_raw, oracle.rmatmat(fresh.T).T])
+            x = x_raw / np.sqrt(s)
+        if 4 * s >= n:
+            y = x
+        else:
+            g2 = GaussianEmbedding(2 * s, n, seed_right).raw
+            y = x @ (g2.T / np.sqrt(2 * s))
+        sig = np.linalg.svd(y, compute_uv=False)
+        if sig[-1] < abs_tol or s >= s_max:
+            return x, sig
+        s = min(2 * s, s_max)
+
+
+class TestGrownEmbeddings:
+    @pytest.mark.parametrize("m,n,r", [(400, 300, 20), (300, 200, 40),
+                                       (500, 90, 12), (120, 400, 25)])
+    def test_matches_redrawn_reference(self, m, n, r):
+        gen = np.random.default_rng(m + n + r)
+        a = gen.standard_normal((m, r)) @ gen.standard_normal((r, n))
+        for seed in (0, 7):
+            est = estimate_rank(DenseOracle(a), 1e-6, seed=seed)
+            x, sig = redrawn_estimate(DenseOracle(a), 1e-6, seed)
+            np.testing.assert_array_equal(est.row_sketch, x)
+            np.testing.assert_array_equal(est.sketch_singular_values, sig)
+            assert est.sketch_size == x.shape[0]
+            assert est.rank == np.count_nonzero(sig > 1e-6) == r
+
+    def test_unresolved_matches_redrawn_reference(self):
+        gen = np.random.default_rng(3)
+        a = gen.standard_normal((400, 300))
+        with pytest.raises(RankTolNotResolved) as info:
+            estimate_rank(DenseOracle(a), 1e-6, seed=1, s_max=40)
+        x, sig = redrawn_estimate(DenseOracle(a), 1e-6, 1, s_max=40)
+        np.testing.assert_array_equal(info.value.estimate.row_sketch, x)
+        np.testing.assert_array_equal(
+            info.value.estimate.sketch_singular_values, sig)
 
 
 class TestEstimateRank:

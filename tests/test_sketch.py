@@ -1,5 +1,7 @@
 """Tests for Gaussian sketching and the growable embedding."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,22 @@ class TestGaussianEmbedding:
         g = e.grown(16)
         f = GaussianEmbedding(16, 50, seed=5)
         np.testing.assert_array_equal(g.raw, f.raw)
+
+    def test_grown_chain_matches_fresh(self):
+        # each growth draws only the new rows; the chain still equals a
+        # fresh draw, and growing the same embedding twice or growing a
+        # copy of it gives the same rows again
+        fresh = GaussianEmbedding(128, 50, seed=5).raw
+        e = GaussianEmbedding(8, 50, seed=5)
+        for rows in (16, 32, 64, 128):
+            first, second = e.grown(rows), e.grown(rows)
+            np.testing.assert_array_equal(first.raw, fresh[:rows])
+            np.testing.assert_array_equal(second.raw, fresh[:rows])
+            np.testing.assert_array_equal(copy.copy(e).grown(rows).raw,
+                                          fresh[:rows])
+            np.testing.assert_array_equal(e.raw, fresh[:e.sketch_rows])
+            e = first
+        np.testing.assert_array_equal(e.grown(128).raw, fresh)
 
     def test_grown_must_not_shrink(self):
         e = GaussianEmbedding(8, 50, seed=5)
