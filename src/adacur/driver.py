@@ -11,7 +11,7 @@ often the two repair paths fire after the first step.
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +29,14 @@ from .sketch import SketchPack, derive_seed
 
 __all__ = ["AdaCurConfig", "StepTrace", "CURFactors", "adacur_run",
            "refine_indices", "recompute_baseline_run"]
+
+
+def _check_integers(cfg, *names):
+    """Reject config fields that are not integers (numpy ints pass)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not isinstance(value, (int, np.integer)):
+            raise InvalidInput(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -58,6 +66,7 @@ class AdaCurConfig:
     store_factors: bool = True
 
     def __post_init__(self):
+        _check_integers(self, "err_samples", "oversample", "seed")
         if not (0.0 < self.tol < 1.0):
             raise InvalidInput(f"tol must be in (0, 1), got {self.tol}")
         if self.err_samples < 1:
@@ -135,21 +144,22 @@ def _scratch_factors(oracle, cfg, seed):
     return _extract_factors(oracle, sel, c)
 
 
-def _extract_factors(oracle, sel, col_block=None):
+def _extract_factors(oracle, sel, col_block=None, row_block=None):
     """Fetch C and R for ``sel`` and slice U out of the shared entries.
 
     U is taken from the fetched row block and written back into the
     column block so the factor cross-consistency is exact even when an
     oracle's row and column fetches round intermediate products
-    differently. ``col_block`` is ``A[:, sel.cols]`` if the caller
-    already fetched it; it becomes C and is overwritten in place.
+    differently. ``col_block`` is ``A[:, sel.cols]`` and ``row_block``
+    is ``A[sel.all_rows, :]`` if the caller already fetched them; they
+    become C and R, and C is overwritten in place.
     """
     m, n = oracle.shape
     if sel.is_empty:
         return CURFactors(np.zeros((m, 0)), np.zeros((0, 0)),
                           np.zeros((0, n)), sel)
     rows = sel.all_rows
-    rfac = oracle.row_block(rows)
+    rfac = oracle.row_block(rows) if row_block is None else row_block
     c = oracle.col_block(sel.cols) if col_block is None else col_block
     u = rfac[:, sel.cols].copy()
     c[rows, :] = u
@@ -218,14 +228,97 @@ def _grow_pack(oracle, pack, new_rows, operator):
     return SketchPack(embedding=emb, row_sketch=xs, residual_sketch=es)
 
 
-def _counters_mark(oracle):
-    c = oracle.counters
-    return c.matvecs + c.rmatvecs, c.entries_read
+_H1_ACTIONS = ("MINOR_MOD", "TRUNCATE")
+_H2_ACTIONS = ("RECOMPUTE", "EXPAND")
 
 
-def _counters_delta(oracle, mark):
-    c = oracle.counters
-    return c.matvecs + c.rmatvecs - mark[0], c.entries_read - mark[1]
+def _track(seq, cfg, step):
+    """The step loop the drivers share; ``step`` is the per-step policy.
+
+    ``step(j, oracle)`` returns ``(factors, action, est_rel_err)``. This
+    loop meters each step's oracle reads and wall time, tallies h1
+    (MINOR_MOD, TRUNCATE) and h2 (RECOMPUTE, EXPAND) from step 2 on,
+    records exact errors when ``cfg.true_error`` asks for them, drops
+    the factor arrays unless ``cfg.store_factors`` keeps them, and
+    attaches the traces made so far to any escaping exception as
+    ``partial_trace``.
+    """
+    if len(seq) == 0:
+        raise InvalidInput("sequence is empty")
+    results = []
+    h1 = h2 = 0
+    try:
+        for j in range(len(seq)):
+            oracle = seq.oracle(j)
+            counters = oracle.counters
+            mark = counters.total_matvecs, counters.entries_read
+            t0 = time.perf_counter()
+            fac, action, est_val = step(j, oracle)
+            matvecs = counters.total_matvecs - mark[0]
+            entries = counters.entries_read - mark[1]
+            wall_ms = 1e3 * (time.perf_counter() - t0)
+            if j > 0:
+                h1 += action in _H1_ACTIONS
+                h2 += action in _H2_ACTIONS
+            true_val = None
+            if getattr(cfg, "true_error", False):
+                true_val = true_relative_error(oracle, fac.operator())
+            trace = StepTrace(step=j, t=float(seq.params[j]), rank=fac.rank,
+                              est_rel_err=est_val, true_rel_err=true_val,
+                              action=action, h1_cum=h1, h2_cum=h2,
+                              matvecs=matvecs, wall_ms=wall_ms,
+                              entries_read=entries)
+            if not cfg.store_factors:
+                fac = CURFactors(None, None, None, fac.selection)
+            results.append((fac, trace))
+    except Exception as exc:
+        exc.partial_trace = [tr for _, tr in results]
+        raise
+    return results
+
+
+def _estimate(oracle, cfg, j, fac, reuse=None):
+    """Sketched relative error of ``fac``; None if the matrix sketch is zero."""
+    try:
+        return estimate_cur_error(oracle, s=cfg.err_samples,
+                                  seed=derive_seed(cfg.seed, j, 0xE5),
+                                  reuse=reuse, operator=fac.operator())
+    except ZeroMatrixSketch:
+        return None
+
+
+def _scratch_step(oracle, cfg, j, reuse=None):
+    """Recompute the indices from scratch and estimate the error."""
+    fac = _scratch_factors(oracle, cfg, derive_seed(cfg.seed, j, 0x5C))
+    est = _estimate(oracle, cfg, j, fac, reuse)
+    return fac, "RECOMPUTE", 0.0 if est is None else est.rel_error
+
+
+def _adaptive_step(oracle, cfg, j, sel):
+    """Reuse ``sel``, else refine it (with escalation), else recompute."""
+    fac = _extract_factors(oracle, sel)
+    est = _estimate(oracle, cfg, j, fac)
+    if est is None:
+        # a zero matrix is exact with no indices; dropping a non-empty
+        # selection counts as a recomputation
+        action = "REUSE" if sel.is_empty else "RECOMPUTE"
+        return _extract_factors(oracle, IndexSelection.empty()), action, 0.0
+    if est.rel_error <= cfg.tol:
+        return fac, "REUSE", est.rel_error
+    sel_new, est_new, ok = refine_indices(oracle, sel, est.pack, cfg)
+    if not ok and cfg.escalate_s:
+        pack = est.pack
+        op = fac.operator()
+        for _ in range(4):
+            pack = _grow_pack(oracle, pack, 2 * pack.embedding.sketch_rows,
+                              op)
+            sel_new, est_new, ok = refine_indices(oracle, sel, pack, cfg)
+            if ok:
+                break
+    if ok:
+        return (_extract_factors(oracle, sel_new), "MINOR_MOD",
+                est_new.rel_error)
+    return _scratch_step(oracle, cfg, j, reuse=est.pack)
 
 
 def adacur_run(seq, cfg):
@@ -237,97 +330,16 @@ def adacur_run(seq, cfg):
     If an exception escapes mid-run the traces produced so far are
     attached to it as ``partial_trace``.
     """
-    if len(seq) == 0:
-        raise InvalidInput("sequence is empty")
-    results = []
-    h1 = h2 = 0
     sel = IndexSelection.empty()
-    try:
-        for j in range(len(seq)):
-            oracle = seq.oracle(j)
-            mark = _counters_mark(oracle)
-            t0 = time.perf_counter()
-            est_seed = derive_seed(cfg.seed, j, 0xE5)
-            scratch_seed = derive_seed(cfg.seed, j, 0x5C)
 
-            if j == 0:
-                fac = _scratch_factors(oracle, cfg, scratch_seed)
-                sel = fac.selection
-                action = "RECOMPUTE"
-                try:
-                    est_val = estimate_cur_error(
-                        oracle, s=cfg.err_samples, seed=est_seed,
-                        operator=fac.operator()).rel_error
-                except ZeroMatrixSketch:
-                    est_val = 0.0
-            else:
-                fac = _extract_factors(oracle, sel)
-                try:
-                    est = estimate_cur_error(
-                        oracle, s=cfg.err_samples, seed=est_seed,
-                        operator=fac.operator())
-                except ZeroMatrixSketch:
-                    was_empty = sel.is_empty
-                    sel = IndexSelection.empty()
-                    fac = _extract_factors(oracle, sel)
-                    est_val = 0.0
-                    action = "REUSE" if was_empty else "RECOMPUTE"
-                    if action == "RECOMPUTE":
-                        h2 += 1
-                else:
-                    if est.rel_error <= cfg.tol:
-                        action = "REUSE"
-                        est_val = est.rel_error
-                    else:
-                        sel_new, est_new, ok = refine_indices(
-                            oracle, sel, est.pack, cfg)
-                        if not ok and cfg.escalate_s:
-                            pack = est.pack
-                            op = fac.operator()
-                            for _ in range(4):
-                                pack = _grow_pack(
-                                    oracle, pack,
-                                    2 * pack.embedding.sketch_rows, op)
-                                sel_new, est_new, ok = refine_indices(
-                                    oracle, sel, pack, cfg)
-                                if ok:
-                                    break
-                        if ok:
-                            sel = sel_new
-                            action = "MINOR_MOD"
-                            h1 += 1
-                            est_val = est_new.rel_error
-                            fac = _extract_factors(oracle, sel)
-                        else:
-                            fac = _scratch_factors(oracle, cfg,
-                                                   scratch_seed)
-                            sel = fac.selection
-                            action = "RECOMPUTE"
-                            h2 += 1
-                            try:
-                                est_val = estimate_cur_error(
-                                    oracle, reuse=est.pack,
-                                    operator=fac.operator()).rel_error
-                            except ZeroMatrixSketch:
-                                est_val = 0.0
+    def step(j, oracle):
+        nonlocal sel
+        out = (_scratch_step(oracle, cfg, j) if j == 0
+               else _adaptive_step(oracle, cfg, j, sel))
+        sel = out[0].selection
+        return out
 
-            matvecs, entries = _counters_delta(oracle, mark)
-            wall_ms = 1e3 * (time.perf_counter() - t0)
-            true_val = None
-            if cfg.true_error:
-                true_val = true_relative_error(oracle, fac.operator())
-            trace = StepTrace(step=j, t=float(seq.params[j]), rank=fac.rank,
-                              est_rel_err=est_val, true_rel_err=true_val,
-                              action=action, h1_cum=h1, h2_cum=h2,
-                              matvecs=matvecs, wall_ms=wall_ms,
-                              entries_read=entries)
-            if not cfg.store_factors:
-                fac = CURFactors(None, None, None, sel)
-            results.append((fac, trace))
-    except Exception as exc:
-        exc.partial_trace = [tr for _, tr in results]
-        raise
-    return results
+    return _track(seq, cfg, step)
 
 
 def recompute_baseline_run(seq, cfg):
@@ -336,40 +348,4 @@ def recompute_baseline_run(seq, cfg):
     Every step behaves like the adaptive driver's first step; h2 counts
     the recomputations from step 2 on (h1 stays zero).
     """
-    if len(seq) == 0:
-        raise InvalidInput("sequence is empty")
-    results = []
-    h2 = 0
-    try:
-        for j in range(len(seq)):
-            oracle = seq.oracle(j)
-            mark = _counters_mark(oracle)
-            t0 = time.perf_counter()
-            fac = _scratch_factors(oracle, cfg,
-                                   derive_seed(cfg.seed, j, 0x5C))
-            try:
-                est_val = estimate_cur_error(
-                    oracle, s=cfg.err_samples,
-                    seed=derive_seed(cfg.seed, j, 0xE5),
-                    operator=fac.operator()).rel_error
-            except ZeroMatrixSketch:
-                est_val = 0.0
-            if j > 0:
-                h2 += 1
-            matvecs, entries = _counters_delta(oracle, mark)
-            wall_ms = 1e3 * (time.perf_counter() - t0)
-            true_val = None
-            if cfg.true_error:
-                true_val = true_relative_error(oracle, fac.operator())
-            trace = StepTrace(step=j, t=float(seq.params[j]), rank=fac.rank,
-                              est_rel_err=est_val, true_rel_err=true_val,
-                              action="RECOMPUTE", h1_cum=0, h2_cum=h2,
-                              matvecs=matvecs, wall_ms=wall_ms,
-                              entries_read=entries)
-            if not cfg.store_factors:
-                fac = CURFactors(None, None, None, fac.selection)
-            results.append((fac, trace))
-    except Exception as exc:
-        exc.partial_trace = [tr for _, tr in results]
-        raise
-    return results
+    return _track(seq, cfg, lambda j, oracle: _scratch_step(oracle, cfg, j))

@@ -74,15 +74,6 @@ def cpqr(a):
     return PivotedQR(q=q, r=r, pivots=piv.astype(np.intp), swaps=0)
 
 
-def _numerical_rank(r):
-    """Rank guess from a CPQR triangular factor's diagonal."""
-    d = np.abs(np.diag(r))
-    if d.size == 0 or d[0] == 0.0:
-        return 0
-    tol = _EPS * max(r.shape) * d[0]
-    return int(np.count_nonzero(d > tol))
-
-
 def srrqr(a, f=2.0, k=None):
     """Strong rank-revealing QR in the style of Gu and Eisenstat.
 
@@ -116,7 +107,7 @@ def srrqr(a, f=2.0, k=None):
     m, n = a.shape
     base = cpqr(a)
     if k is None:
-        k = _numerical_rank(base.r)
+        k = eps_rank_from_rdiag(base.r, _EPS * max(base.r.shape))
     else:
         k = int(k)
         if not 1 <= k <= min(m, n):
@@ -196,17 +187,13 @@ class LowRankOperator:
     def rank(self):
         return self.left.shape[1]
 
-    def matvec(self, x):
-        return self.left @ (self.right @ x)
-
-    def rmatvec(self, y):
-        return self.right.T @ (self.left.T @ y)
-
     def matmat(self, x):
         return self.left @ (self.right @ x)
 
     def rmatmat(self, y):
         return self.right.T @ (self.left.T @ y)
+
+    matvec, rmatvec = matmat, rmatmat
 
     def row_block(self, idx):
         idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))

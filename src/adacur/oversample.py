@@ -11,6 +11,8 @@ only stabilize the core inversion.
 Column oversampling is the same operation on the transposed oracle.
 """
 
+import warnings
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -91,8 +93,6 @@ def oversample_rows_multi(oracle, rows, cols, p, col_block=None,
     The columns stay fixed across rounds, so every round uses it and
     none reads the block again; when omitted, each round reads it.
     """
-    import warnings
-
     m = oracle.shape[0]
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)

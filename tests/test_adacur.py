@@ -1,5 +1,7 @@
 """Tests for the certified adaptive CUR driver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from adacur.driver import (
     recompute_baseline_run,
 )
 from adacur.errors import InvalidInput
+from adacur.fast import FastConfig, fastadacur_run
 from adacur.oracles import DenseOracle, ParamMatrixSequence
 from adacur.problems import (
     make_adversarial,
@@ -45,6 +48,19 @@ class TestConfig:
     def test_srrqr_f_rejected(self, f):
         with pytest.raises(InvalidInput):
             AdaCurConfig(tol=1e-6, srrqr_f=f)
+
+    @pytest.mark.parametrize("name,value", [
+        ("err_samples", 2.5), ("oversample", 2.5), ("seed", 1.5),
+        ("oversample", "3")])
+    def test_non_integer_fields_rejected(self, name, value):
+        with pytest.raises(InvalidInput, match=name):
+            AdaCurConfig(tol=1e-8, **{name: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = AdaCurConfig(tol=1e-8, err_samples=np.int64(4),
+                           oversample=np.int32(2), seed=np.uint8(3))
+        seq = make_synthetic_expm(n=40, q=3, seed=2)
+        assert len(adacur_run(seq, cfg)) == 3
 
 
 class ColumnCountingOracle(DenseOracle):
@@ -193,6 +209,34 @@ class TestAdaptivity:
         assert tr_base[-1].h2_cum == 1 and tr_base[-1].h1_cum == 0
         assert tr_esc[-1].h2_cum == 0 and tr_esc[-1].h1_cum == 1
 
+    @pytest.mark.parametrize("run,cfg,actions,ranks,h1,h2", [
+        (adacur_run, AdaCurConfig(tol=1e-8, seed=0),
+         ["RECOMPUTE", "RECOMPUTE", "REUSE", "RECOMPUTE", "REUSE",
+          "RECOMPUTE", "RECOMPUTE"], [6, 0, 0, 6, 6, 0, 6],
+         [0] * 7, [0, 1, 1, 2, 2, 3, 4]),
+        (recompute_baseline_run, AdaCurConfig(tol=1e-8, seed=0),
+         ["RECOMPUTE"] * 7, [6, 0, 0, 6, 6, 0, 6], [0] * 7, list(range(7))),
+        (fastadacur_run, FastConfig(tol=1e-8, seed=0),
+         ["RECOMPUTE", "TRUNCATE", "TRUNCATE", "EXPAND", "EXPAND",
+          "TRUNCATE", "EXPAND"], [6, 0, 0, 5, 6, 0, 5],
+         [0, 1, 2, 2, 2, 3, 3], [0, 0, 0, 1, 2, 2, 3]),
+    ], ids=["adacur", "baseline", "fastadacur"])
+    def test_zero_and_nonzero_steps(self, run, cfg, actions, ranks, h1, h2):
+        # a zero sketch on a non-empty selection drops it: RECOMPUTE
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((60, 6)) @ rng.standard_normal((6, 45))
+        z = np.zeros_like(a)
+        mats = [a, z, z, a, 2 * a, z, a]
+        seq = ParamMatrixSequence(np.arange(7.0),
+                                  lambda j: DenseOracle(mats[j]), (60, 45))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            traces = [t for _, t in run(seq, cfg)]
+        assert [t.action for t in traces] == actions
+        assert [t.rank for t in traces] == ranks
+        assert [t.h1_cum for t in traces] == h1
+        assert [t.h2_cum for t in traces] == h2
+
     def test_zero_steps_then_growth(self):
         rng = np.random.default_rng(0)
         a3 = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 30))
@@ -227,7 +271,9 @@ class TestBookkeeping:
             assert tr.entries_read > 0
             assert tr.wall_ms >= 0.0
 
-    def test_partial_trace_on_failure(self):
+    @pytest.mark.parametrize("run", [adacur_run, recompute_baseline_run],
+                             ids=["adacur", "baseline"])
+    def test_partial_trace_on_failure(self, run):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((30, 5)) @ rng.standard_normal((5, 25))
 
@@ -239,7 +285,7 @@ class TestBookkeeping:
         seq = ParamMatrixSequence(np.arange(6, dtype=float), provider,
                                   (30, 25))
         with pytest.raises(RuntimeError) as info:
-            adacur_run(seq, AdaCurConfig(tol=1e-6, seed=0))
+            run(seq, AdaCurConfig(tol=1e-6, seed=0))
         assert len(info.value.partial_trace) == 3
         assert [t.step for t in info.value.partial_trace] == [0, 1, 2]
 

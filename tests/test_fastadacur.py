@@ -40,6 +40,12 @@ class TestFastConfig:
         with pytest.raises(InvalidInput):
             FastConfig(tol=1e-6, buffer=-1)
 
+    @pytest.mark.parametrize("name,value", [
+        ("buffer", 2.5), ("oversample", 1.5), ("seed", 0.5)])
+    def test_non_integer_fields_rejected(self, name, value):
+        with pytest.raises(InvalidInput, match=name):
+            FastConfig(tol=1e-8, **{name: value})
+
 
 class TestTracking:
     def test_constant_sequence_stays_put(self):
@@ -99,6 +105,20 @@ class TestTracking:
         assert traces[-1].h1_cum == n_trunc
         assert traces[-1].h2_cum == n_expand
         assert n_expand >= 1
+
+    def test_clamp_warning_names_caller(self):
+        # rank 2 -> 7 on a 12x10 matrix: rank + buffer exceeds n
+        rng = np.random.default_rng(3)
+        mats = [rng.standard_normal((12, r)) @ rng.standard_normal((r, 10))
+                for r in (2, 7)]
+        seq = ParamMatrixSequence([0.0, 1.0],
+                                  lambda j: DenseOracle(mats[j]), (12, 10))
+        with pytest.warns(UserWarning, match="clamped") as rec:
+            res = fastadacur_run(seq, FastConfig(tol=1e-8, buffer=5,
+                                                 seed=0))
+        assert res[1][1].action == "EXPAND"
+        clamped = [w for w in rec if "clamped" in str(w.message)]
+        assert [w.filename for w in clamped] == [__file__]
 
     def test_blind_to_off_index_growth(self):
         # the adversarial ramp appears in rows and columns the tracked

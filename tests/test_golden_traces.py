@@ -1,0 +1,99 @@
+"""Golden-trace guard: refactors must leave every driver's trace as is.
+
+``tests/data/golden_traces.json`` holds every ``StepTrace`` field but
+``wall_ms`` for the three drivers on small instances of the built-in
+problems at driver seeds 0 and 3. Strings and integers must match
+exactly and floats to a relative 1e-12. A change that means to alter
+traces regenerates the file and says why in CHANGES.md:
+
+    PYTHONPATH=src python tests/test_golden_traces.py --write
+"""
+
+import json
+import math
+import sys
+from dataclasses import asdict
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+import conftest  # noqa: F401  pins BLAS to one thread, also for --write
+from adacur.driver import AdaCurConfig, adacur_run, recompute_baseline_run
+from adacur.fast import FastConfig, fastadacur_run
+from adacur.problems import (make_adversarial, make_schrodinger,
+                             make_speed_problem, make_synthetic_expm)
+
+GOLDEN = Path(__file__).parent / "data" / "golden_traces.json"
+
+# problem -> (sequence builder, tol, escalate_s)
+PROBLEMS = {
+    "synthetic": (lambda: make_synthetic_expm(n=60, q=11, seed=0), 1e-8,
+                  False),
+    "schrodinger": (lambda: make_schrodinger(n=32, q=11, seed=0), 1e-10,
+                    True),
+    "adversarial": (lambda: make_adversarial(seed=0, q=21), 1e-4, False),
+    "speed": (lambda: make_speed_problem(m=600, n=200, r=20, q=6, seed=0),
+              1e-6, False),
+}
+DRIVERS = ("adacur", "baseline", "fastadacur")
+SEEDS = (0, 3)
+CASES = [f"{p}/{d}/{s}" for p in PROBLEMS for d in DRIVERS for s in SEEDS]
+
+
+@cache
+def _sequence(problem):
+    return PROBLEMS[problem][0]()
+
+
+def run_case(case):
+    """Trace of one ``problem/driver/seed`` case, without ``wall_ms``."""
+    problem, driver, seed = case.split("/")
+    _, tol, escalate = PROBLEMS[problem]
+    if driver == "fastadacur":
+        cfg = FastConfig(tol=tol, buffer=4, oversample=2, seed=int(seed))
+        run = fastadacur_run
+    else:
+        cfg = AdaCurConfig(tol=tol, oversample=3, seed=int(seed),
+                           escalate_s=escalate, true_error=True)
+        run = adacur_run if driver == "adacur" else recompute_baseline_run
+    traces = []
+    for _, tr in run(_sequence(problem), cfg):
+        row = asdict(tr)
+        del row["wall_ms"]
+        traces.append(row)
+    return traces
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_file_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_trace_matches_golden(golden, case):
+    want = golden[case]
+    got = run_case(case)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for key, value in w.items():
+            if isinstance(value, float):
+                assert math.isclose(g[key], value, rel_tol=1e-12), (
+                    f"step {w['step']} {key}: {g[key]!r} != {value!r}")
+            else:
+                assert g[key] == value, (
+                    f"step {w['step']} {key}: {g[key]!r} != {value!r}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {sys.argv[0]} --write")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({c: run_case(c) for c in CASES}, indent=1)
+                      + "\n")
+    print(f"wrote {len(CASES)} traces to {GOLDEN}")
