@@ -10,19 +10,18 @@ often the two repair paths fire after the first step.
 """
 
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, ZeroMatrixSketch
+from .errors import InvalidInput, ZeroMatrixSketch, warn_caller
 from .linalg import cpqr, eps_rank_from_rdiag, srrqr, stable_cur_eval
 from .normest import estimate_cur_error
 from .oversample import oversample_rows_multi
 from .pivoting import IndexSelection
 # Bound under the public name, the module attribute that per-module
 # tracing (bench/tracing.py) wraps; unlike the public function it also
-# returns the column block A[:, J] it read.
+# returns the column block A[:, J] it read and that block's row ID.
 from .pivoting import _rand_pivot_rankest_block as rand_pivot_rankest
 from .problems import true_relative_error
 from .sketch import SketchPack, derive_seed
@@ -131,15 +130,17 @@ def _rank_tol(cfg, n):
 def _scratch_factors(oracle, cfg, seed):
     """Factors from scratch: sketched rank estimate, pivots, extra rows.
 
-    The column block A[:, J] read for the row pivots serves the
-    oversampling rounds and becomes C, so each such step reads it once.
-    It lives only inside this call and the factors it returns.
+    The column block A[:, J] read for the row pivots becomes C, and the
+    row ID its pivots came from gives the oversampling basis, so each
+    such step reads the block once and factors it once. Both live only
+    inside this call; the block also in the factors it returns.
     """
-    sel, c = rand_pivot_rankest(oracle, _rank_tol(cfg, oracle.ncols), seed)
+    sel, c, interp = rand_pivot_rankest(oracle, _rank_tol(cfg, oracle.ncols),
+                                        seed)
     p = min(cfg.oversample, oracle.nrows - sel.rows.size)
     if p > 0 and not sel.is_empty:
         extra = oversample_rows_multi(oracle, sel.rows, sel.cols, p,
-                                      col_block=c)
+                                      interp=interp)
         sel = IndexSelection(sel.rows, sel.cols, extra)
     return _extract_factors(oracle, sel, c)
 
@@ -175,8 +176,10 @@ def refine_indices(oracle, sel, pack, cfg):
     rank (keeping ``oversample`` extra rows), and re-estimates the
     error reusing the pack's matrix sketch.
 
-    Returns the refined selection, the new error estimate, and whether
-    the estimate meets the tolerance.
+    Returns the refined selection, the new error estimate, whether the
+    estimate meets the tolerance, and the refined selection's
+    :class:`CURFactors`. The estimate is taken of those factors, so a
+    caller that keeps them reads C and R once.
     """
     if pack.residual_sketch is None:
         raise InvalidInput("pack must carry a residual sketch")
@@ -207,15 +210,15 @@ def refine_indices(oracle, sel, pack, cfg):
     p_eff = cfg.oversample
     if r_new + p_eff > rows2.size:
         p_eff = rows2.size - r_new
-        warnings.warn(
+        warn_caller(
             f"refinement has only {rows2.size} candidate rows; "
-            f"shrinking oversampling to {p_eff} for this step",
-            stacklevel=2)
+            f"shrinking oversampling to {p_eff} for this step")
     sel_new = IndexSelection(rows2[row_qr.pivots[:r_new]],
                              cols2[col_qr.pivots[:r_new]],
                              rows2[row_qr.pivots[r_new:r_new + p_eff]])
-    est = estimate_cur_error(oracle, sel_new, reuse=pack)
-    return sel_new, est, est.rel_error <= cfg.tol
+    fac = _extract_factors(oracle, sel_new)
+    est = estimate_cur_error(oracle, reuse=pack, operator=fac.operator())
+    return sel_new, est, est.rel_error <= cfg.tol, fac
 
 
 def _grow_pack(oracle, pack, new_rows, operator):
@@ -305,19 +308,18 @@ def _adaptive_step(oracle, cfg, j, sel):
         return _extract_factors(oracle, IndexSelection.empty()), action, 0.0
     if est.rel_error <= cfg.tol:
         return fac, "REUSE", est.rel_error
-    sel_new, est_new, ok = refine_indices(oracle, sel, est.pack, cfg)
+    _, est_new, ok, fac_new = refine_indices(oracle, sel, est.pack, cfg)
     if not ok and cfg.escalate_s:
         pack = est.pack
         op = fac.operator()
         for _ in range(4):
             pack = _grow_pack(oracle, pack, 2 * pack.embedding.sketch_rows,
                               op)
-            sel_new, est_new, ok = refine_indices(oracle, sel, pack, cfg)
+            _, est_new, ok, fac_new = refine_indices(oracle, sel, pack, cfg)
             if ok:
                 break
     if ok:
-        return (_extract_factors(oracle, sel_new), "MINOR_MOD",
-                est_new.rel_error)
+        return fac_new, "MINOR_MOD", est_new.rel_error
     return _scratch_step(oracle, cfg, j, reuse=est.pack)
 
 

@@ -1,4 +1,24 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its warning helper."""
+
+import os
+import sys
+import warnings
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def warn_caller(message, category=UserWarning):
+    """Issue a warning attributed to the first frame outside this package.
+
+    A warning raised deep inside a driver then names the line of the
+    user's code that called into the package, however many package
+    frames lie in between.
+    """
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_code.co_filename.startswith(
+            _PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 class InvalidInput(ValueError):

@@ -9,20 +9,19 @@ never sketching the full matrix, at the price of missing changes that
 happen entirely outside the tracked cross.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .driver import (CURFactors, _check_integers, _extract_factors,
                      _rank_tol, _track)
-from .errors import InvalidInput
+from .errors import InvalidInput, warn_caller
 from .linalg import eps_rank_from_rdiag, srrqr
 from .oversample import oversample_rows, oversample_rows_multi
 from .pivoting import IndexSelection
 # Bound under the public name, the module attribute that per-module
 # tracing (bench/tracing.py) wraps; unlike the public function it also
-# returns the column block A[:, J] it read.
+# returns the column block A[:, J] it read and that block's row ID.
 from .pivoting import _rand_pivot_rankest_block as rand_pivot_rankest
 from .sketch import derive_seed
 
@@ -72,20 +71,22 @@ def _scratch_cross(oracle, cfg):
     """Tracked indices and rank of the first step, from scratch.
 
     Keeps rank+buffer columns and rank+buffer+oversample rows. Also
-    returns the column block A[:, J] read for the row pivots: it serves
-    the row oversampling and becomes C, so it is read once.
+    returns the column block A[:, J] read for the row pivots; it becomes
+    C, so it is read once. The row oversampling takes its basis from the
+    row ID those pivots came from; the column oversampling has no such
+    factor and takes the QR of A[rows, :].T.
     """
     m, n = oracle.shape
     b, p = cfg.buffer, cfg.oversample
-    sel, c = rand_pivot_rankest(oracle, _rank_tol(cfg, n),
-                                derive_seed(cfg.seed, 0xFA))
+    sel, c, interp = rand_pivot_rankest(oracle, _rank_tol(cfg, n),
+                                        derive_seed(cfg.seed, 0xFA))
     r = int(sel.cols.size)
     i_idx, j_idx = sel.rows, sel.cols
     extra_rows = min(p + b, m - r)
     extra_cols = min(b, n - r)
     if r > 0 and extra_rows > 0:
         i_new = oversample_rows_multi(oracle, i_idx, j_idx, extra_rows,
-                                      col_block=c)
+                                      interp=interp)
         i_idx = np.concatenate([i_idx, i_new])
     if r > 0 and extra_cols > 0:
         j_new = oversample_rows_multi(oracle.T, j_idx, sel.rows, extra_cols)
@@ -137,10 +138,8 @@ def fastadacur_run(seq, cfg):
                 need_rows = min(r0 + b + p, m) - i_perm.size
                 need_cols = min(r0 + b, n) - j_perm.size
                 if r0 + b + p > m or r0 + b > n:
-                    # stacklevel skips this step and the shared loop
-                    warnings.warn(
-                        "tracked index sets clamped to the matrix "
-                        "dimensions", stacklevel=4)
+                    warn_caller("tracked index sets clamped to the matrix "
+                                "dimensions")
                 p_eff = min(p, i_perm.size - r0)
                 i_lead = i_perm[:r0 + p_eff]
                 j_lead = j_perm[:r0]

@@ -8,22 +8,123 @@ and takes greedy pivots there. Appending rows never decreases the
 smallest singular value of the restricted basis, so oversampling can
 only stabilize the core inversion.
 
+The basis comes from one of two places. A caller that holds the
+interpolative decomposition of C = A[:, J] from its row pivoting
+(:func:`adacur.linalg.interp_decomp` of C transposed) passes it as
+``interp``: with B the m-by-k matrix holding identity rows at the k
+pivot rows and the rows of T.T elsewhere, and L L.T = I + T T.T,
+Q = B inv(L).T is orthonormal and spans range(C). T is well scaled
+by construction, so I + T T.T is well conditioned, and only the few
+rows of Q the selection needs are ever formed. Otherwise Q is the
+Householder QR factor of C.
+
 Column oversampling is the same operation on the transposed oracle.
 """
-
-import warnings
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import InvalidInput
+from .errors import InvalidInput, warn_caller
 from .linalg import cpqr
 
 __all__ = ["oversample_rows", "oversample_rows_multi",
            "oversample_selection"]
 
 
-def oversample_rows(oracle, rows, cols, p, col_block=None, exclude=None):
+class _HouseholderBasis:
+    """Q from the economic QR of the column block C (m, k)."""
+
+    def __init__(self, c):
+        self.q = sla.qr(c, mode="economic")[0]
+
+    def rows(self, idx):
+        """Q[idx]."""
+        return self.q[idx, :]
+
+    def project(self, idx, v):
+        """Q[idx] @ v."""
+        return self.q[idx, :] @ v
+
+
+class _InterpBasis:
+    """Q = B inv(L).T from the row interpolative decomposition of C."""
+
+    def __init__(self, interp):
+        t = interp.t
+        k = t.shape[0]
+        self.t = t
+        self.pos = np.empty_like(interp.pivots)
+        self.pos[interp.pivots] = np.arange(interp.pivots.size)
+        gram = t @ t.T
+        gram[np.diag_indices(k)] += 1.0
+        self.lt = sla.cholesky(gram)               # L.T, upper triangular
+
+    def rows(self, idx):
+        """Q[idx] = B[idx] inv(L).T."""
+        k = self.lt.shape[0]
+        pos = self.pos[idx]
+        lead = pos < k
+        bt = np.zeros((k, idx.size))              # B[idx].T
+        bt[pos[lead], np.flatnonzero(lead)] = 1.0
+        bt[:, ~lead] = self.t[:, pos[~lead] - k]
+        return sla.solve_triangular(self.lt, bt, trans="T").T
+
+    def project(self, idx, v):
+        """Q[idx] @ v, as B[idx] @ (inv(L).T v) without forming B[idx]."""
+        k = self.lt.shape[0]
+        w = sla.solve_triangular(self.lt, v)       # (k, p)
+        pos = self.pos[idx]
+        lead = pos < k
+        out = np.empty((idx.size, w.shape[1]))
+        out[lead] = w[pos[lead]]
+        out[~lead] = (w.T @ self.t)[:, pos[~lead] - k].T
+        return out
+
+
+def _column_basis(oracle, cols, col_block, interp):
+    """Orthonormal basis of A[:, cols], read once and factored once."""
+    if interp is not None:
+        if interp.t.shape[0] != cols.size or interp.pivots.size != oracle.nrows:
+            raise InvalidInput("interp does not match (m, len(cols))")
+        return _InterpBasis(interp)
+    c = oracle.col_block(cols) if col_block is None else np.asarray(col_block,
+                                                                    dtype=float)
+    if c.shape != (oracle.nrows, cols.size):
+        raise InvalidInput("col_block shape does not match (m, len(cols))")
+    return _HouseholderBasis(c)
+
+
+def _unchosen(m, rows, cols, p, exclude):
+    """Candidate rows for p extras, after checking the request."""
+    if p < 0:
+        raise InvalidInput(f"p must be non-negative, got {p}")
+    if rows.size == 0 or cols.size == 0:
+        raise InvalidInput("oversampling requires a non-empty base selection")
+    if p > cols.size:
+        raise InvalidInput(
+            f"p={p} exceeds the selected column count {cols.size}")
+    excl = rows if exclude is None else np.union1d(
+        rows, np.asarray(exclude, np.intp).reshape(-1))
+    unchosen = np.setdiff1d(np.arange(m), excl, assume_unique=False)
+    if p > unchosen.size:
+        raise InvalidInput(
+            f"p={p} exceeds the {unchosen.size} rows left to choose from")
+    return unchosen
+
+
+def _pick(basis, rows, unchosen, p):
+    """Greedy pivots of the unchosen basis rows on the trailing directions."""
+    # Trailing right singular directions of the chosen-row block are the
+    # directions the current rows capture worst.
+    _, _, vt = np.linalg.svd(basis.rows(rows), full_matrices=True)
+    v_trail = vt[-p:, :].T                        # (k, p)
+    q_rest = basis.project(unchosen, v_trail)     # (len(unchosen), p)
+    piv = cpqr(q_rest.T).pivots[:p]
+    return unchosen[piv]
+
+
+def oversample_rows(oracle, rows, cols, p, col_block=None, exclude=None,
+                    interp=None):
     """Select p extra row indices, disjoint from ``exclude``.
 
     Parameters
@@ -39,48 +140,28 @@ def oversample_rows(oracle, rows, cols, p, col_block=None, exclude=None):
     exclude : array_like, optional
         Row indices barred from selection. Defaults to ``rows``.
         Supersets of ``rows`` are allowed.
+    interp : InterpDecomp, optional
+        ``interp_decomp(A[:, cols].T)``, if the caller already has it
+        from its row pivoting. The basis is then built from it, with no
+        QR of the column block and no read; ``col_block`` is not used.
 
     Returns
     -------
     ndarray
         p distinct row indices in greedy-importance order.
     """
-    m, n = oracle.shape
-    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
-    cols = np.asarray(cols, dtype=np.intp).reshape(-1)
     p = int(p)
     if p == 0:
         return np.empty(0, np.intp)
-    if p < 0:
-        raise InvalidInput(f"p must be non-negative, got {p}")
-    if rows.size == 0 or cols.size == 0:
-        raise InvalidInput("oversampling requires a non-empty base selection")
-    if p > cols.size:
-        raise InvalidInput(
-            f"p={p} exceeds the selected column count {cols.size}")
-    excl = rows if exclude is None else np.union1d(
-        rows, np.asarray(exclude, np.intp).reshape(-1))
-    unchosen = np.setdiff1d(np.arange(m), excl, assume_unique=False)
-    if p > unchosen.size:
-        raise InvalidInput(
-            f"p={p} exceeds the {unchosen.size} rows left to choose from")
-
-    c = oracle.col_block(cols) if col_block is None else np.asarray(col_block,
-                                                                    dtype=float)
-    if c.shape != (m, cols.size):
-        raise InvalidInput("col_block shape does not match (m, len(cols))")
-    qc = sla.qr(c, mode="economic")[0]           # (m, k) orthonormal basis
-    # Trailing right singular directions of the chosen-row block are the
-    # directions the current rows capture worst.
-    _, _, vt = np.linalg.svd(qc[rows, :], full_matrices=True)
-    v_trail = vt[-p:, :].T                        # (k, p)
-    q_rest = qc[unchosen, :] @ v_trail            # (m - |excl|, p)
-    piv = cpqr(q_rest.T).pivots[:p]
-    return unchosen[piv]
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+    cols = np.asarray(cols, dtype=np.intp).reshape(-1)
+    unchosen = _unchosen(oracle.nrows, rows, cols, p, exclude)
+    return _pick(_column_basis(oracle, cols, col_block, interp), rows,
+                 unchosen, p)
 
 
 def oversample_rows_multi(oracle, rows, cols, p, col_block=None,
-                          exclude=None):
+                          exclude=None, interp=None):
     """Oversample p rows in rounds of at most len(cols) each.
 
     The single-shot routine caps p at the column count; when more rows
@@ -89,28 +170,30 @@ def oversample_rows_multi(oracle, rows, cols, p, col_block=None,
     picked. Returns fewer than p indices only when the matrix runs out
     of candidate rows, with a warning.
 
-    ``col_block`` is ``A[:, cols]`` if the caller already fetched it.
-    The columns stay fixed across rounds, so every round uses it and
-    none reads the block again; when omitted, each round reads it.
+    ``col_block`` and ``interp`` are as for :func:`oversample_rows`.
+    The columns stay fixed across rounds, so the basis of A[:, cols] is
+    read and factored once per call and serves every round.
     """
-    m = oracle.shape[0]
+    m = oracle.nrows
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
     excl = rows if exclude is None else np.asarray(exclude, np.intp).reshape(-1)
     picked = np.empty(0, np.intp)
+    basis = None
     remaining = int(p)
     while remaining > 0:
         budget = m - excl.size - picked.size
         q = min(remaining, cols.size, budget)
         if q <= 0:
-            warnings.warn(
+            warn_caller(
                 f"oversampling exhausted candidate rows; returning "
-                f"{picked.size} of {p}", RuntimeWarning, stacklevel=2)
+                f"{picked.size} of {p}", RuntimeWarning)
             break
         base = np.concatenate([rows, picked])
-        got = oversample_rows(oracle, base, cols, q, col_block=col_block,
-                              exclude=np.concatenate([excl, picked]))
-        picked = np.concatenate([picked, got])
+        unchosen = _unchosen(m, base, cols, q, np.concatenate([excl, picked]))
+        if basis is None:
+            basis = _column_basis(oracle, cols, col_block, interp)
+        picked = np.concatenate([picked, _pick(basis, base, unchosen, q)])
         remaining -= q
     return picked
 

@@ -7,13 +7,12 @@ reuses its accumulated sketch, so the matvecs spent on rank detection
 double as the pivoting sketch.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, RankTolNotResolved
-from .linalg import cpqr
+from .errors import InvalidInput, RankTolNotResolved, warn_caller
+from .linalg import cpqr, interp_decomp
 from .rankest import estimate_rank
 from .sketch import GaussianEmbedding, derive_seed, row_sketch
 
@@ -85,17 +84,21 @@ def rand_pivot(oracle, r, seed, presketch=None):
 
 
 def _rand_pivot_block(oracle, r, seed, presketch=None):
-    """:func:`rand_pivot`, also returning the column block ``A[:, cols]``.
+    """:func:`rand_pivot`, also returning ``A[:, cols]`` and its row ID.
 
-    The block is the one read for the row pivots, handed on so that
-    from-scratch callers need not read it again; it is None when r is 0.
+    Returns ``(selection, col_block, interp)``. The block is the one
+    read for the row pivots, and ``interp`` is
+    ``interp_decomp(col_block.T)``, the factorization those pivots come
+    from. Both are handed on so that from-scratch callers neither read
+    the block again nor factor it again for oversampling; both are None
+    when r is 0.
     """
     m, n = oracle.shape
     r = int(r)
     if r < 0 or r > min(m, n):
         raise InvalidInput(f"r must lie in [0, {min(m, n)}], got {r}")
     if r == 0:
-        return IndexSelection.empty(), None
+        return IndexSelection.empty(), None, None
     if presketch is None:
         s = min(2 * r, n)
         emb = GaussianEmbedding(s, m, derive_seed(seed, 0xF2E5),
@@ -112,8 +115,8 @@ def _rand_pivot_block(oracle, r, seed, presketch=None):
             x = np.vstack([x, row_sketch(emb, oracle)])
     cols = cpqr(x).pivots[:r]
     c = oracle.col_block(cols)
-    rows = cpqr(c.T).pivots[:r]
-    return IndexSelection(rows=rows, cols=cols), c
+    interp = interp_decomp(c.T)
+    return IndexSelection(rows=interp.pivots[:r], cols=cols), c, interp
 
 
 def rand_pivot_rankest(oracle, abs_tol, seed):
@@ -129,20 +132,22 @@ def rand_pivot_rankest(oracle, abs_tol, seed):
 
 
 def _rand_pivot_rankest_block(oracle, abs_tol, seed):
-    """:func:`rand_pivot_rankest`, also returning ``A[:, cols]``.
+    """:func:`rand_pivot_rankest`, also returning ``A[:, cols]`` and its row ID.
 
-    Returns ``(selection, col_block)``; the block is None for an empty
-    selection. From-scratch steps pass it on to oversampling and factor
-    extraction, so each step reads its column block once.
+    Returns ``(selection, col_block, interp)`` as
+    :func:`_rand_pivot_block` does; both are None for an empty
+    selection. From-scratch steps pass the block on to factor
+    extraction and ``interp`` to oversampling, so each step reads its
+    column block once and factors it once.
     """
     try:
         est = estimate_rank(oracle, abs_tol, derive_seed(seed, 0x11E5))
     except RankTolNotResolved as exc:
-        warnings.warn(
+        warn_caller(
             f"rank tolerance unresolved, proceeding with rank "
-            f"{exc.estimate.rank}: {exc}", RuntimeWarning, stacklevel=2)
+            f"{exc.estimate.rank}: {exc}", RuntimeWarning)
         est = exc.estimate
     if est.rank == 0:
-        return IndexSelection.empty(), None
+        return IndexSelection.empty(), None, None
     return _rand_pivot_block(oracle, est.rank, derive_seed(seed, 0x9B1D),
                              presketch=est.row_sketch)

@@ -15,6 +15,7 @@ from adacur.fast import FastConfig, fastadacur_run
 from adacur.oracles import DenseOracle, ParamMatrixSequence
 from adacur.problems import (
     make_adversarial,
+    make_schrodinger,
     make_synthetic_expm,
     true_relative_error,
 )
@@ -63,16 +64,21 @@ class TestConfig:
         assert len(adacur_run(seq, cfg)) == 3
 
 
-class ColumnCountingOracle(DenseOracle):
-    """Dense oracle that counts its column-block fetches."""
+class FetchCountingOracle(DenseOracle):
+    """Dense oracle that counts its column- and row-block fetches."""
 
     def __init__(self, a):
         super().__init__(a)
         self.col_fetches = 0
+        self.row_fetches = 0
 
     def _cols(self, idx):
         self.col_fetches += 1
         return super()._cols(idx)
+
+    def _rows(self, idx):
+        self.row_fetches += 1
+        return super()._rows(idx)
 
 
 class TestScratchReads:
@@ -84,7 +90,7 @@ class TestScratchReads:
         oracles = []
 
         def provider(j):
-            oracles.append(ColumnCountingOracle(
+            oracles.append(FetchCountingOracle(
                 u @ (v + 0.01 * j * rng.standard_normal((r, n)))))
             return oracles[-1]
 
@@ -97,6 +103,24 @@ class TestScratchReads:
             assert orc.col_fetches == 1
             assert tr.entries_read == (m * sel.cols.size
                                        + sel.all_rows.size * n)
+
+
+    def test_minor_mod_reads_c_and_r_once_more(self):
+        # the refined selection's factors are fetched once, for the
+        # estimate, and handed back: one C and one R read on top of the
+        # reused selection's, as on a REUSE step plus one
+        base = make_synthetic_expm(n=60, q=11, seed=0)
+        oracles = []
+
+        def provider(j):
+            oracles.append(FetchCountingOracle(base.oracle(j).array))
+            return oracles[-1]
+
+        seq = ParamMatrixSequence(base.params, provider, base.shape)
+        res = adacur_run(seq, AdaCurConfig(tol=1e-8, oversample=3, seed=0))
+        fetches = {(tr.action, orc.col_fetches, orc.row_fetches)
+                   for orc, (_, tr) in zip(oracles[1:], res[1:])}
+        assert fetches == {("REUSE", 1, 1), ("MINOR_MOD", 2, 2)}
 
 
 class TestConstantSequence:
@@ -249,6 +273,35 @@ class TestAdaptivity:
         assert [t.rank for t in traces] == [0, 0, 3]
         assert traces[1].action == "REUSE"
         assert traces[2].true_rel_err <= 1e-8
+
+
+class TestWarningsNameCaller:
+    """Package warnings point at the caller's line, not inside adacur."""
+
+    def test_shrinking_oversampling(self):
+        seq = make_schrodinger(n=32, q=11, seed=0)
+        cfg = AdaCurConfig(tol=1e-10, oversample=3, seed=0, escalate_s=True)
+        with pytest.warns(UserWarning, match="shrinking oversampling") as rec:
+            adacur_run(seq, cfg)
+        shrunk = [w for w in rec if "shrinking" in str(w.message)]
+        assert {w.filename for w in shrunk} == {__file__}
+
+    @pytest.mark.parametrize("run, cfg", [
+        (adacur_run, AdaCurConfig(tol=1e-8, oversample=5)),
+        (recompute_baseline_run, AdaCurConfig(tol=1e-8, oversample=5)),
+        (fastadacur_run, FastConfig(tol=1e-8, oversample=5)),
+    ], ids=["adacur", "baseline", "fastadacur"])
+    def test_rank_tolerance_unresolved(self, run, cfg):
+        # a 1e12-scaled rank-5 matrix: rounding noise sits far above the
+        # absolute rank tolerance, so the sketch cap is reached
+        rng = np.random.default_rng(0)
+        a = 1e12 * (rng.standard_normal((300, 5))
+                    @ rng.standard_normal((5, 100)))
+        seq = ParamMatrixSequence([0.0], lambda j: DenseOracle(a), a.shape)
+        with pytest.warns(RuntimeWarning, match="unresolved") as rec:
+            run(seq, cfg)
+        assert {w.filename for w in rec
+                if "unresolved" in str(w.message)} == {__file__}
 
 
 class TestBookkeeping:

@@ -4,8 +4,11 @@
 ``wall_ms`` for the three drivers on small instances of the built-in
 problems at driver seeds 0 and 3. Strings and integers must match
 exactly and floats to a relative 1e-12. A change that means to alter
-traces regenerates the file and says why in CHANGES.md:
+traces first lists what moved, per case the first step that differs
+and the fields that differ (exit status 1 if any case does), then
+regenerates the file and says why in CHANGES.md:
 
+    PYTHONPATH=src python tests/test_golden_traces.py --diff
     PYTHONPATH=src python tests/test_golden_traces.py --write
 """
 
@@ -65,6 +68,37 @@ def run_case(case):
     return traces
 
 
+def differences(got, want):
+    """``(step, field, got, want)`` for every field that does not match."""
+    if len(got) != len(want):
+        return [(None, "steps", len(got), len(want))]
+    out = []
+    for g, w in zip(got, want):
+        for key, value in w.items():
+            same = (math.isclose(g.get(key), value, rel_tol=1e-12)
+                    if isinstance(value, float) else g.get(key) == value)
+            if not same:
+                out.append((w["step"], key, g.get(key), value))
+    return out
+
+
+def diff_report(golden):
+    """Print what differs from ``golden`` per case; the count of cases."""
+    changed = 0
+    for case in CASES:
+        diffs = differences(run_case(case), golden[case])
+        if not diffs:
+            continue
+        changed += 1
+        step, key, g, w = diffs[0]
+        fields = sorted({d[1] for d in diffs})
+        steps = len({d[0] for d in diffs})
+        print(f"{case}: from step {step} ({key} {g!r} != {w!r}); "
+              f"{', '.join(fields)} differ in {steps} step(s)")
+    print(f"{changed} of {len(CASES)} cases differ from {GOLDEN.name}")
+    return changed
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -76,23 +110,17 @@ def test_golden_file_covers_every_case(golden):
 
 @pytest.mark.parametrize("case", CASES)
 def test_trace_matches_golden(golden, case):
-    want = golden[case]
     got = run_case(case)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.keys() == w.keys()
-        for key, value in w.items():
-            if isinstance(value, float):
-                assert math.isclose(g[key], value, rel_tol=1e-12), (
-                    f"step {w['step']} {key}: {g[key]!r} != {value!r}")
-            else:
-                assert g[key] == value, (
-                    f"step {w['step']} {key}: {g[key]!r} != {value!r}")
+    assert all(g.keys() == w.keys() for g, w in zip(got, golden[case]))
+    diffs = differences(got, golden[case])
+    assert not diffs, "step {} {}: {!r} != {!r}".format(*diffs[0])
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--diff"]:
+        sys.exit(1 if diff_report(json.loads(GOLDEN.read_text())) else 0)
     if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: {sys.argv[0]} --write")
+        sys.exit(f"usage: {sys.argv[0]} --diff | --write")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({c: run_case(c) for c in CASES}, indent=1)
                       + "\n")

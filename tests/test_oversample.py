@@ -1,18 +1,25 @@
 """Tests for stabilizing row oversampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from adacur import oversample
+from adacur.driver import AdaCurConfig, _rank_tol, recompute_baseline_run
 from adacur.errors import InvalidInput
-from adacur.linalg import stable_cur_eval
-from adacur.oracles import DenseOracle
+from adacur.linalg import interp_decomp, stable_cur_eval
+from adacur.oracles import DenseOracle, ParamMatrixSequence
 from adacur.oversample import (
     oversample_rows,
     oversample_rows_multi,
     oversample_selection,
 )
-from adacur.pivoting import IndexSelection, rand_pivot
+from adacur.pivoting import (IndexSelection, _rand_pivot_rankest_block,
+                             rand_pivot)
+from adacur.problems import (make_adversarial, make_schrodinger,
+                             make_speed_problem, make_synthetic_expm)
 
 
 def tube_matrix(rng, m, n, r):
@@ -168,6 +175,41 @@ class TestOversampleRowsMulti:
         np.testing.assert_array_equal(given, fetched)
         assert orc.counters.entries_read == before
 
+    def test_one_read_and_one_factorization_for_all_rounds(self, rng,
+                                                           monkeypatch):
+        # p = 12 > |cols| = 5 takes three rounds; the reference is the
+        # round loop over single-shot calls, each reading and factoring
+        a = tube_matrix(rng, 80, 30, 5)
+        orc = DenseOracle(a)
+        sel = rand_pivot(orc, 5, seed=7)
+        want, picked = [], np.empty(0, np.intp)
+        for q in (5, 5, 2):
+            got = oversample_rows(orc, np.concatenate([sel.rows, picked]),
+                                  sel.cols, q,
+                                  exclude=np.concatenate([sel.rows, picked]))
+            picked = np.concatenate([picked, got])
+        factored = []
+
+        class Counting(oversample._HouseholderBasis):
+            def __init__(self, c):
+                factored.append(c.shape)
+                super().__init__(c)
+
+        monkeypatch.setattr(oversample, "_HouseholderBasis", Counting)
+        before = orc.counters.entries_read
+        got = oversample_rows_multi(orc, sel.rows, sel.cols, 12)
+        np.testing.assert_array_equal(got, picked)
+        assert orc.counters.entries_read - before == 80 * 5
+        assert factored == [(80, 5)]
+
+    def test_exhaustion_warning_names_caller(self, rng):
+        a = tube_matrix(rng, 8, 6, 3)
+        orc = DenseOracle(a)
+        sel = rand_pivot(orc, 3, seed=8)
+        with pytest.warns(RuntimeWarning, match="exhausted") as rec:
+            oversample_rows_multi(orc, sel.rows, sel.cols, 10)
+        assert [w.filename for w in rec] == [__file__]
+
     def test_exhaustion_warns_and_returns_short(self, rng):
         a = tube_matrix(rng, 8, 6, 3)
         orc = DenseOracle(a)
@@ -175,3 +217,96 @@ class TestOversampleRowsMulti:
         with pytest.warns(RuntimeWarning):
             extra = oversample_rows_multi(orc, sel.rows, sel.cols, 10)
         assert len(extra) == 8 - 3
+
+
+# name -> (sequence, tol, driver seed): the first step's column block
+BLOCKS = {
+    "speed": (lambda: make_speed_problem(seed=0), 1e-6, 1),
+    "synthetic": (lambda: make_synthetic_expm(n=60, q=11, seed=0), 1e-8, 0),
+    "schrodinger": (lambda: make_schrodinger(n=128, q=2, seed=0), 1e-10, 0),
+    "adversarial": (lambda: make_adversarial(seed=0, q=21), 1e-4, 0),
+}
+
+
+def scratch_block(name):
+    """A[:, J] and its row ID, as a from-scratch driver step makes them."""
+    make, tol, seed = BLOCKS[name]
+    orc = make().oracle(0)
+    sel, c, interp = _rand_pivot_rankest_block(
+        orc, _rank_tol(AdaCurConfig(tol=tol), orc.ncols), seed)
+    return orc, sel, c, interp
+
+
+class TestInterpolativeBasis:
+    """Oversampling from the row ID of the pivoting step, not a second QR."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCKS))
+    def test_basis_orthonormal_and_spans_block(self, name):
+        _, _, c, interp = scratch_block(name)
+        m, k = c.shape
+        q = oversample._InterpBasis(interp).rows(np.arange(m))
+        assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-12
+        assert (np.linalg.norm(c - q @ (q.T @ c))
+                <= 1e-13 * np.linalg.norm(c))
+
+    def test_picks_match_householder_on_gaussian(self):
+        for seed in range(5):
+            a = np.random.default_rng(seed).standard_normal((120, 30))
+            orc = DenseOracle(a)
+            sel = rand_pivot(orc, 20, seed=seed)
+            interp = interp_decomp(a[:, sel.cols].T)
+            np.testing.assert_array_equal(interp.pivots[:20], sel.rows)
+            for p in (5, 20):
+                np.testing.assert_array_equal(
+                    oversample_rows(orc, sel.rows, sel.cols, p,
+                                    interp=interp),
+                    oversample_rows(orc, sel.rows, sel.cols, p))
+            np.testing.assert_array_equal(
+                oversample_rows_multi(orc, sel.rows, sel.cols, 45,
+                                      interp=interp),
+                oversample_rows_multi(orc, sel.rows, sel.cols, 45))
+
+    def test_interp_route_reads_nothing(self):
+        orc, sel, _, interp = scratch_block("adversarial")
+        before = orc.counters.entries_read
+        extra = oversample_rows_multi(orc, sel.rows, sel.cols, 30,
+                                      interp=interp)
+        assert orc.counters.entries_read == before
+        assert np.unique(extra).size == 30
+        assert np.intersect1d(extra, sel.rows).size == 0
+
+    def test_mismatched_interp_rejected(self, rng):
+        a = tube_matrix(rng, 40, 30, 5)
+        orc = DenseOracle(a)
+        sel = rand_pivot(orc, 5, seed=0)
+        interp = interp_decomp(a[:, sel.cols[:4]].T)
+        with pytest.raises(InvalidInput):
+            oversample_rows(orc, sel.rows, sel.cols, 2, interp=interp)
+
+    @pytest.mark.parametrize("m, n, r, warned", [
+        (50, 40, 2, set()),
+        (300, 100, 5, {"rank tolerance unresolved"}),
+    ])
+    def test_numerically_singular_r11(self, m, n, r, warned):
+        # 1e12 scaling puts rounding noise far above the absolute rank
+        # tolerance: the rank estimate reaches n, so R11 of the pivoting
+        # factor is numerically singular; a repeated column on top
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        a[:, 1] = a[:, 0]
+        a *= 1e12
+        seq = ParamMatrixSequence([0.0, 1.0], lambda j: DenseOracle(a),
+                                  (m, n))
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            res = recompute_baseline_run(
+                seq, AdaCurConfig(tol=1e-8, oversample=5, true_error=True))
+        assert {str(w.message).split(",")[0] for w in rec} == warned
+        for fac, tr in res:
+            sel = fac.selection
+            assert tr.rank >= n - 1
+            assert sel.extra_rows.size == 5
+            assert np.unique(sel.extra_rows).size == 5
+            assert np.intersect1d(sel.rows, sel.extra_rows).size == 0
+            assert np.isfinite(fac.c).all() and np.isfinite(fac.r).all()
+            assert tr.true_rel_err <= 1e-14
