@@ -135,12 +135,12 @@ def _scratch_factors(oracle, cfg, seed):
     such step reads the block once and factors it once. Both live only
     inside this call; the block also in the factors it returns.
     """
-    sel, c, interp = rand_pivot_rankest(oracle, _rank_tol(cfg, oracle.ncols),
+    sel, c, row_id = rand_pivot_rankest(oracle, _rank_tol(cfg, oracle.ncols),
                                         seed)
     p = min(cfg.oversample, oracle.nrows - sel.rows.size)
     if p > 0 and not sel.is_empty:
         extra = oversample_rows_multi(oracle, sel.rows, sel.cols, p,
-                                      interp=interp)
+                                      row_id=row_id)
         sel = IndexSelection(sel.rows, sel.cols, extra)
     return _extract_factors(oracle, sel, c)
 
@@ -176,10 +176,10 @@ def refine_indices(oracle, sel, pack, cfg):
     rank (keeping ``oversample`` extra rows), and re-estimates the
     error reusing the pack's matrix sketch.
 
-    Returns the refined selection, the new error estimate, whether the
-    estimate meets the tolerance, and the refined selection's
-    :class:`CURFactors`. The estimate is taken of those factors, so a
-    caller that keeps them reads C and R once.
+    Returns the refined selection's :class:`CURFactors`, the new error
+    estimate, and whether the estimate meets the tolerance. The
+    estimate is taken of those factors, so a caller that keeps them
+    reads C and R once; ``factors.selection`` is the refined selection.
     """
     if pack.residual_sketch is None:
         raise InvalidInput("pack must carry a residual sketch")
@@ -218,7 +218,7 @@ def refine_indices(oracle, sel, pack, cfg):
                              rows2[row_qr.pivots[r_new:r_new + p_eff]])
     fac = _extract_factors(oracle, sel_new)
     est = estimate_cur_error(oracle, reuse=pack, operator=fac.operator())
-    return sel_new, est, est.rel_error <= cfg.tol, fac
+    return fac, est, est.rel_error <= cfg.tol
 
 
 def _grow_pack(oracle, pack, new_rows, operator):
@@ -308,14 +308,14 @@ def _adaptive_step(oracle, cfg, j, sel):
         return _extract_factors(oracle, IndexSelection.empty()), action, 0.0
     if est.rel_error <= cfg.tol:
         return fac, "REUSE", est.rel_error
-    _, est_new, ok, fac_new = refine_indices(oracle, sel, est.pack, cfg)
+    fac_new, est_new, ok = refine_indices(oracle, sel, est.pack, cfg)
     if not ok and cfg.escalate_s:
         pack = est.pack
         op = fac.operator()
         for _ in range(4):
             pack = _grow_pack(oracle, pack, 2 * pack.embedding.sketch_rows,
                               op)
-            _, est_new, ok, fac_new = refine_indices(oracle, sel, pack, cfg)
+            fac_new, est_new, ok = refine_indices(oracle, sel, pack, cfg)
             if ok:
                 break
     if ok:

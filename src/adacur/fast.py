@@ -78,7 +78,7 @@ def _scratch_cross(oracle, cfg):
     """
     m, n = oracle.shape
     b, p = cfg.buffer, cfg.oversample
-    sel, c, interp = rand_pivot_rankest(oracle, _rank_tol(cfg, n),
+    sel, c, row_id = rand_pivot_rankest(oracle, _rank_tol(cfg, n),
                                         derive_seed(cfg.seed, 0xFA))
     r = int(sel.cols.size)
     i_idx, j_idx = sel.rows, sel.cols
@@ -86,7 +86,7 @@ def _scratch_cross(oracle, cfg):
     extra_cols = min(b, n - r)
     if r > 0 and extra_rows > 0:
         i_new = oversample_rows_multi(oracle, i_idx, j_idx, extra_rows,
-                                      interp=interp)
+                                      row_id=row_id)
         i_idx = np.concatenate([i_idx, i_new])
     if r > 0 and extra_cols > 0:
         j_new = oversample_rows_multi(oracle.T, j_idx, sel.rows, extra_cols)

@@ -16,8 +16,6 @@ from .errors import InvalidInput, NonConvergence
 __all__ = [
     "PivotedQR",
     "cpqr",
-    "InterpDecomp",
-    "interp_decomp",
     "srrqr",
     "eps_rank_from_rdiag",
     "LowRankOperator",
@@ -73,60 +71,11 @@ def cpqr(a):
     """
     a = _validate_matrix(a)
     q, r, piv = sla.qr(a, mode="economic", pivoting=True)
+    if q.base is not None:
+        # for wide a, q is an (m, m) view of the (m, n) work array; a
+        # copy lets a caller keep the factor without keeping that array
+        q = q.copy()
     return PivotedQR(q=q, r=r, pivots=piv.astype(np.intp), swaps=0)
-
-
-@dataclass
-class InterpDecomp:
-    """Column interpolative decomposition ``a[:, pivots[k:]] = a[:, pivots[:k]] @ t``.
-
-    ``pivots`` is a permutation of range(n) for a (k, n) matrix with
-    k <= n, and ``t = inv(R11) @ R12`` (k, n - k) comes from its greedy
-    pivoted QR ``a[:, pivots] = Q [R11 R12]``. The identity is exact
-    when R11 is nonsingular; applied to the transpose of a column
-    block C it is a row decomposition C[pivots[k:]] = t.T C[pivots[:k]].
-    """
-
-    pivots: np.ndarray
-    t: np.ndarray
-
-
-def interp_decomp(a):
-    """Greedy pivoted QR of a wide matrix, kept as an :class:`InterpDecomp`.
-
-    Runs the LAPACK dgeqp3 call of :func:`cpqr` at its optimal
-    workspace, so ``pivots`` equals ``cpqr(a).pivots`` bit for bit.
-    Q is never formed: t is solved in place over R12 of the factored
-    copy, the only (k, n) array allocated. Where an R11 diagonal entry
-    is exactly zero the trailing rows of R are zero as well; the rows of
-    t from there on are set to zero, the decomposition of the leading
-    nonsingular part.
-
-    Parameters
-    ----------
-    a : ndarray
-        Matrix with finite entries, shape (k, n), k <= n.
-
-    Returns
-    -------
-    InterpDecomp
-    """
-    a = _validate_matrix(a)
-    k, n = a.shape
-    if k > n:
-        raise InvalidInput(f"interp_decomp needs k <= n, got shape {a.shape}")
-    qr = np.array(a, order="F")
-    geqp3, trtrs = sla.get_lapack_funcs(("geqp3", "trtrs"), (qr,))
-    lwork = int(geqp3(qr, lwork=-1)[-2][0])
-    qr, jpvt, _, _, _ = geqp3(qr, lwork=lwork, overwrite_a=True)
-    r11, r12 = qr[:, :k], qr[:, k:]
-    zero = np.flatnonzero(np.diag(r11) == 0.0)
-    if zero.size:
-        lead = zero[0]
-        r12[lead:] = 0.0
-        r11[lead:, lead:] = np.eye(k - lead)
-    t, _ = trtrs(r11, r12, overwrite_b=True)
-    return InterpDecomp(pivots=(jpvt - 1).astype(np.intp), t=t)
 
 
 def srrqr(a, f=2.0, k=None):

@@ -8,10 +8,10 @@ and takes greedy pivots there. Appending rows never decreases the
 smallest singular value of the restricted basis, so oversampling can
 only stabilize the core inversion.
 
-The basis comes from one of two places. A caller that holds the
-interpolative decomposition of C = A[:, J] from its row pivoting
-(:func:`adacur.linalg.interp_decomp` of C transposed) passes it as
-``interp``: with B the m-by-k matrix holding identity rows at the k
+The basis comes from one of two places. A caller that picked its rows
+with the pivoted QR C.T[:, P] = Q' [R11 R12] of C = A[:, J] passes
+the interpolative decomposition (P, T), T = inv(R11) R12, as
+``row_id``: with B the m-by-k matrix holding identity rows at the k
 pivot rows and the rows of T.T elsewhere, and L L.T = I + T T.T,
 Q = B inv(L).T is orthonormal and spans range(C). T is well scaled
 by construction, so I + T T.T is well conditioned, and only the few
@@ -49,12 +49,12 @@ class _HouseholderBasis:
 class _InterpBasis:
     """Q = B inv(L).T from the row interpolative decomposition of C."""
 
-    def __init__(self, interp):
-        t = interp.t
+    def __init__(self, row_id):
+        pivots, t = row_id
         k = t.shape[0]
         self.t = t
-        self.pos = np.empty_like(interp.pivots)
-        self.pos[interp.pivots] = np.arange(interp.pivots.size)
+        self.pos = np.empty_like(pivots)
+        self.pos[pivots] = np.arange(pivots.size)
         gram = t @ t.T
         gram[np.diag_indices(k)] += 1.0
         self.lt = sla.cholesky(gram)               # L.T, upper triangular
@@ -81,12 +81,16 @@ class _InterpBasis:
         return out
 
 
-def _column_basis(oracle, cols, col_block, interp):
+def _column_basis(oracle, cols, col_block, row_id):
     """Orthonormal basis of A[:, cols], read once and factored once."""
-    if interp is not None:
-        if interp.t.shape[0] != cols.size or interp.pivots.size != oracle.nrows:
-            raise InvalidInput("interp does not match (m, len(cols))")
-        return _InterpBasis(interp)
+    if row_id is not None:
+        if col_block is not None:
+            raise InvalidInput("pass col_block or row_id, not both")
+        pivots, t = row_id
+        m, k = oracle.nrows, cols.size
+        if pivots.shape != (m,) or t.shape != (k, m - k):
+            raise InvalidInput("row_id does not match (m, len(cols))")
+        return _InterpBasis(row_id)
     c = oracle.col_block(cols) if col_block is None else np.asarray(col_block,
                                                                     dtype=float)
     if c.shape != (oracle.nrows, cols.size):
@@ -124,7 +128,7 @@ def _pick(basis, rows, unchosen, p):
 
 
 def oversample_rows(oracle, rows, cols, p, col_block=None, exclude=None,
-                    interp=None):
+                    row_id=None):
     """Select p extra row indices, disjoint from ``exclude``.
 
     Parameters
@@ -140,10 +144,12 @@ def oversample_rows(oracle, rows, cols, p, col_block=None, exclude=None,
     exclude : array_like, optional
         Row indices barred from selection. Defaults to ``rows``.
         Supersets of ``rows`` are allowed.
-    interp : InterpDecomp, optional
-        ``interp_decomp(A[:, cols].T)``, if the caller already has it
-        from its row pivoting. The basis is then built from it, with no
-        QR of the column block and no read; ``col_block`` is not used.
+    row_id : tuple of ndarray, optional
+        ``(pivots, t)``, the row interpolative decomposition
+        ``C[pivots[k:]] = t.T @ C[pivots[:k]]`` of C = A[:, cols] that
+        the caller's row pivoting computed (k = len(cols)). The basis
+        is then built from it, with no QR of the column block and no
+        read. Exclusive with ``col_block``.
 
     Returns
     -------
@@ -156,12 +162,12 @@ def oversample_rows(oracle, rows, cols, p, col_block=None, exclude=None,
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
     unchosen = _unchosen(oracle.nrows, rows, cols, p, exclude)
-    return _pick(_column_basis(oracle, cols, col_block, interp), rows,
+    return _pick(_column_basis(oracle, cols, col_block, row_id), rows,
                  unchosen, p)
 
 
 def oversample_rows_multi(oracle, rows, cols, p, col_block=None,
-                          exclude=None, interp=None):
+                          exclude=None, row_id=None):
     """Oversample p rows in rounds of at most len(cols) each.
 
     The single-shot routine caps p at the column count; when more rows
@@ -170,7 +176,7 @@ def oversample_rows_multi(oracle, rows, cols, p, col_block=None,
     picked. Returns fewer than p indices only when the matrix runs out
     of candidate rows, with a warning.
 
-    ``col_block`` and ``interp`` are as for :func:`oversample_rows`.
+    ``col_block`` and ``row_id`` are as for :func:`oversample_rows`.
     The columns stay fixed across rounds, so the basis of A[:, cols] is
     read and factored once per call and serves every round.
     """
@@ -192,7 +198,7 @@ def oversample_rows_multi(oracle, rows, cols, p, col_block=None,
         base = np.concatenate([rows, picked])
         unchosen = _unchosen(m, base, cols, q, np.concatenate([excl, picked]))
         if basis is None:
-            basis = _column_basis(oracle, cols, col_block, interp)
+            basis = _column_basis(oracle, cols, col_block, row_id)
         picked = np.concatenate([picked, _pick(basis, base, unchosen, q)])
         remaining -= q
     return picked

@@ -10,9 +10,10 @@ double as the pivoting sketch.
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import InvalidInput, RankTolNotResolved, warn_caller
-from .linalg import cpqr, interp_decomp
+from .linalg import cpqr
 from .rankest import estimate_rank
 from .sketch import GaussianEmbedding, derive_seed, row_sketch
 
@@ -86,12 +87,12 @@ def rand_pivot(oracle, r, seed, presketch=None):
 def _rand_pivot_block(oracle, r, seed, presketch=None):
     """:func:`rand_pivot`, also returning ``A[:, cols]`` and its row ID.
 
-    Returns ``(selection, col_block, interp)``. The block is the one
-    read for the row pivots, and ``interp`` is
-    ``interp_decomp(col_block.T)``, the factorization those pivots come
-    from. Both are handed on so that from-scratch callers neither read
-    the block again nor factor it again for oversampling; both are None
-    when r is 0.
+    Returns ``(selection, col_block, row_id)``. The block is the one
+    read for the row pivots, and ``row_id`` is the interpolative
+    decomposition (:func:`_row_id`) of the ``cpqr(col_block.T)`` those
+    pivots come from. Both are handed on so that from-scratch callers
+    neither read the block again nor factor it again for oversampling;
+    both are None when r is 0.
     """
     m, n = oracle.shape
     r = int(r)
@@ -115,8 +116,32 @@ def _rand_pivot_block(oracle, r, seed, presketch=None):
             x = np.vstack([x, row_sketch(emb, oracle)])
     cols = cpqr(x).pivots[:r]
     c = oracle.col_block(cols)
-    interp = interp_decomp(c.T)
-    return IndexSelection(rows=interp.pivots[:r], cols=cols), c, interp
+    row_qr = cpqr(c.T)
+    rows = row_qr.pivots[:r]
+    return IndexSelection(rows=rows, cols=cols), c, _row_id(row_qr)
+
+
+def _row_id(qr):
+    """Row interpolative decomposition of C from ``qr = cpqr(C.T)``.
+
+    Returns ``(pivots, t)`` with ``C[pivots[k:]] = t.T @ C[pivots[:k]]``
+    for C of shape (m, k), k <= m, and ``t = inv(R11) @ R12`` (k, m - k),
+    exact when R11 is nonsingular. dgeqp3 stops at the first exactly
+    zero pivot: R's rows vanish from there on, and t keeps the leading
+    nonsingular part, with zero rows below it. Only t is allocated, so
+    a caller that drops ``qr`` holds one (k, m) array, not two.
+    """
+    r = qr.r
+    k = r.shape[0]
+    zero = np.flatnonzero(np.diag(r) == 0.0)
+    lead = zero[0] if zero.size else k
+    # cpqr checked C for non-finite entries; the scan of the strided R12
+    # view would cost more than the solve at small k
+    t = sla.solve_triangular(r[:lead, :lead], r[:lead, k:],
+                             check_finite=False)
+    if lead < k:
+        t = np.vstack([t, np.zeros((k - lead, t.shape[1]))])
+    return qr.pivots, t
 
 
 def rand_pivot_rankest(oracle, abs_tol, seed):
@@ -134,10 +159,10 @@ def rand_pivot_rankest(oracle, abs_tol, seed):
 def _rand_pivot_rankest_block(oracle, abs_tol, seed):
     """:func:`rand_pivot_rankest`, also returning ``A[:, cols]`` and its row ID.
 
-    Returns ``(selection, col_block, interp)`` as
+    Returns ``(selection, col_block, row_id)`` as
     :func:`_rand_pivot_block` does; both are None for an empty
     selection. From-scratch steps pass the block on to factor
-    extraction and ``interp`` to oversampling, so each step reads its
+    extraction and ``row_id`` to oversampling, so each step reads its
     column block once and factors it once.
     """
     try:

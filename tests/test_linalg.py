@@ -7,7 +7,6 @@ from adacur.errors import InvalidInput
 from adacur.linalg import (
     LowRankOperator,
     cpqr,
-    interp_decomp,
     eps_rank_from_rdiag,
     srrqr,
     stable_cur_eval,
@@ -54,37 +53,10 @@ class TestCpqr:
             err = np.linalg.norm(a[:, fac.pivots] - fac.q @ fac.r)
             assert err <= 1e-12 * np.linalg.norm(a)
 
-
-class TestInterpDecomp:
-    def test_pivots_bitwise_equal_to_cpqr(self, rng):
-        for k, n in [(1, 1), (5, 5), (7, 300), (30, 40)]:
-            a = rng.standard_normal((k, n)) * np.logspace(0, -12, n)
-            np.testing.assert_array_equal(interp_decomp(a).pivots,
-                                          cpqr(a).pivots)
-
-    def test_interpolation_identity(self, rng):
-        a = rng.standard_normal((8, 50))
-        dec = interp_decomp(a)
-        assert dec.t.shape == (8, 42)
-        np.testing.assert_allclose(a[:, dec.pivots[8:]],
-                                   a[:, dec.pivots[:8]] @ dec.t, atol=1e-12)
-
-    def test_exactly_singular_leading_block(self):
-        # rank 1 with an exact zero row: R's second row is exactly zero,
-        # so t keeps the leading nonsingular part and zeros the rest
-        a = np.vstack([np.arange(1.0, 7.0), np.zeros(6)])
-        dec = interp_decomp(a)
-        assert np.isfinite(dec.t).all()
-        np.testing.assert_array_equal(dec.t[1], 0.0)
-        np.testing.assert_allclose(a[:, dec.pivots[2:]],
-                                   a[:, dec.pivots[:2]] @ dec.t,
-                                   atol=1e-14)
-
-    def test_rejects_tall_and_non_finite(self):
-        with pytest.raises(InvalidInput):
-            interp_decomp(np.ones((3, 2)))
-        with pytest.raises(InvalidInput):
-            interp_decomp(np.array([[1.0, np.nan, 2.0]]))
+    def test_wide_q_holds_no_work_array(self, rng):
+        fac = cpqr(rng.standard_normal((10, 400)))
+        assert fac.q.shape == (10, 10)
+        assert fac.q.base is None or fac.q.base.size == fac.q.size
 
 
 class TestSrrqr:

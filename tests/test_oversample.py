@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from adacur import oversample
 from adacur.driver import AdaCurConfig, _rank_tol, recompute_baseline_run
 from adacur.errors import InvalidInput
-from adacur.linalg import interp_decomp, stable_cur_eval
+from adacur.linalg import cpqr, stable_cur_eval
 from adacur.oracles import DenseOracle, ParamMatrixSequence
 from adacur.oversample import (
     oversample_rows,
@@ -17,7 +17,7 @@ from adacur.oversample import (
     oversample_selection,
 )
 from adacur.pivoting import (IndexSelection, _rand_pivot_rankest_block,
-                             rand_pivot)
+                             _row_id, rand_pivot)
 from adacur.problems import (make_adversarial, make_schrodinger,
                              make_speed_problem, make_synthetic_expm)
 
@@ -232,9 +232,9 @@ def scratch_block(name):
     """A[:, J] and its row ID, as a from-scratch driver step makes them."""
     make, tol, seed = BLOCKS[name]
     orc = make().oracle(0)
-    sel, c, interp = _rand_pivot_rankest_block(
+    sel, c, row_id = _rand_pivot_rankest_block(
         orc, _rank_tol(AdaCurConfig(tol=tol), orc.ncols), seed)
-    return orc, sel, c, interp
+    return orc, sel, c, row_id
 
 
 class TestInterpolativeBasis:
@@ -242,9 +242,9 @@ class TestInterpolativeBasis:
 
     @pytest.mark.parametrize("name", sorted(BLOCKS))
     def test_basis_orthonormal_and_spans_block(self, name):
-        _, _, c, interp = scratch_block(name)
+        _, _, c, row_id = scratch_block(name)
         m, k = c.shape
-        q = oversample._InterpBasis(interp).rows(np.arange(m))
+        q = oversample._InterpBasis(row_id).rows(np.arange(m))
         assert np.linalg.norm(q.T @ q - np.eye(k)) <= 1e-12
         assert (np.linalg.norm(c - q @ (q.T @ c))
                 <= 1e-13 * np.linalg.norm(c))
@@ -254,34 +254,51 @@ class TestInterpolativeBasis:
             a = np.random.default_rng(seed).standard_normal((120, 30))
             orc = DenseOracle(a)
             sel = rand_pivot(orc, 20, seed=seed)
-            interp = interp_decomp(a[:, sel.cols].T)
-            np.testing.assert_array_equal(interp.pivots[:20], sel.rows)
+            row_id = _row_id(cpqr(a[:, sel.cols].T))
+            np.testing.assert_array_equal(row_id[0][:20], sel.rows)
             for p in (5, 20):
                 np.testing.assert_array_equal(
                     oversample_rows(orc, sel.rows, sel.cols, p,
-                                    interp=interp),
+                                    row_id=row_id),
                     oversample_rows(orc, sel.rows, sel.cols, p))
             np.testing.assert_array_equal(
                 oversample_rows_multi(orc, sel.rows, sel.cols, 45,
-                                      interp=interp),
+                                      row_id=row_id),
                 oversample_rows_multi(orc, sel.rows, sel.cols, 45))
 
-    def test_interp_route_reads_nothing(self):
-        orc, sel, _, interp = scratch_block("adversarial")
+    def test_row_id_route_reads_nothing(self):
+        orc, sel, _, row_id = scratch_block("adversarial")
         before = orc.counters.entries_read
         extra = oversample_rows_multi(orc, sel.rows, sel.cols, 30,
-                                      interp=interp)
+                                      row_id=row_id)
         assert orc.counters.entries_read == before
         assert np.unique(extra).size == 30
         assert np.intersect1d(extra, sel.rows).size == 0
 
-    def test_mismatched_interp_rejected(self, rng):
+    def test_mismatched_or_doubled_input_rejected(self, rng):
         a = tube_matrix(rng, 40, 30, 5)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 5, seed=0)
-        interp = interp_decomp(a[:, sel.cols[:4]].T)
         with pytest.raises(InvalidInput):
-            oversample_rows(orc, sel.rows, sel.cols, 2, interp=interp)
+            oversample_rows(orc, sel.rows, sel.cols, 2,
+                            row_id=_row_id(cpqr(a[:, sel.cols[:4]].T)))
+        with pytest.raises(InvalidInput):
+            oversample_rows_multi(orc, sel.rows, sel.cols, 2,
+                                  col_block=a[:, sel.cols],
+                                  row_id=_row_id(cpqr(a[:, sel.cols].T)))
+
+    def test_exactly_singular_leading_block(self):
+        # rank 1 with an exact zero column: R's second row is exactly
+        # zero, so T keeps the leading nonsingular part and zeros the rest
+        c = np.column_stack([np.arange(1.0, 7.0), np.zeros(6)])
+        qr = cpqr(c.T)
+        assert qr.r[1, 1] == 0.0
+        piv, t = _row_id(qr)
+        assert np.isfinite(t).all()
+        np.testing.assert_array_equal(t[1], 0.0)
+        np.testing.assert_allclose(c[piv[2:]], t.T @ c[piv[:2]], atol=1e-14)
+        q = oversample._InterpBasis((piv, t)).rows(np.arange(6))
+        np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-14)
 
     @pytest.mark.parametrize("m, n, r, warned", [
         (50, 40, 2, set()),
