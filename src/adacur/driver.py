@@ -38,6 +38,26 @@ def _check_integers(cfg, *names):
             raise InvalidInput(f"{name} must be an integer, got {value!r}")
 
 
+def _check_config(cfg, **least):
+    """Validate the fields the driver configs share, at construction.
+
+    ``least`` maps each integer count field to its smallest allowed
+    value; ``seed`` must be an integer too. ``tol`` must lie in (0, 1),
+    ``rank_safety`` in (0, 1] and ``srrqr_f`` in [1, inf).
+    """
+    _check_integers(cfg, *least, "seed")
+    if not (0.0 < cfg.tol < 1.0):
+        raise InvalidInput(f"tol must be in (0, 1), got {cfg.tol}")
+    for name, low in least.items():
+        if getattr(cfg, name) < low:
+            raise InvalidInput(f"{name} must be >= {low}")
+    if not (0.0 < cfg.rank_safety <= 1.0):
+        raise InvalidInput("rank_safety must be in (0, 1]")
+    if not 1.0 <= cfg.srrqr_f < np.inf:
+        raise InvalidInput(
+            f"srrqr_f must be finite and >= 1, got {cfg.srrqr_f}")
+
+
 @dataclass
 class AdaCurConfig:
     """Settings for the certified adaptive driver.
@@ -65,18 +85,7 @@ class AdaCurConfig:
     store_factors: bool = True
 
     def __post_init__(self):
-        _check_integers(self, "err_samples", "oversample", "seed")
-        if not (0.0 < self.tol < 1.0):
-            raise InvalidInput(f"tol must be in (0, 1), got {self.tol}")
-        if self.err_samples < 1:
-            raise InvalidInput("err_samples must be >= 1")
-        if self.oversample < 0:
-            raise InvalidInput("oversample must be >= 0")
-        if not (0.0 < self.rank_safety <= 1.0):
-            raise InvalidInput("rank_safety must be in (0, 1]")
-        if not 1.0 <= self.srrqr_f < np.inf:
-            raise InvalidInput(
-                f"srrqr_f must be finite and >= 1, got {self.srrqr_f}")
+        _check_config(self, err_samples=1, oversample=0)
 
 
 @dataclass
@@ -110,7 +119,6 @@ class CURFactors:
     u: np.ndarray | None
     r: np.ndarray | None
     selection: IndexSelection
-    trunc_tol: float | None = None
 
     @property
     def rank(self):
@@ -120,7 +128,7 @@ class CURFactors:
         """Stable factored evaluation of C pinv(U) R."""
         if self.c is None:
             raise InvalidInput("factors were not stored for this step")
-        return stable_cur_eval(self.c, self.u, self.r, self.trunc_tol)
+        return stable_cur_eval(self.c, self.u, self.r)
 
 
 def _rank_tol(cfg, n):

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import (CURFactors, _check_integers, _extract_factors,
-                     _rank_tol, _track)
-from .errors import InvalidInput, warn_caller
+from .driver import (CURFactors, _check_config, _extract_factors, _rank_tol,
+                     _track)
+from .errors import warn_caller
 from .linalg import eps_rank_from_rdiag, srrqr
 from .oversample import oversample_rows, oversample_rows_multi
 from .pivoting import IndexSelection
@@ -50,21 +50,7 @@ class FastConfig:
     store_factors: bool = True
 
     def __post_init__(self):
-        _check_integers(self, "buffer", "oversample", "seed")
-        if not (0.0 < self.tol < 1.0):
-            raise InvalidInput(f"tol must be in (0, 1), got {self.tol}")
-        if self.buffer < 0 or self.oversample < 0:
-            raise InvalidInput("buffer and oversample must be >= 0")
-        if not (0.0 < self.rank_safety <= 1.0):
-            raise InvalidInput("rank_safety must be in (0, 1]")
-        if not 1.0 <= self.srrqr_f < np.inf:
-            raise InvalidInput(
-                f"srrqr_f must be finite and >= 1, got {self.srrqr_f}")
-
-
-def _factor_selection(i_idx, j_idx, r, p):
-    """Selection of the leading r (+p) factor indices from tracked sets."""
-    return IndexSelection(i_idx[:r], j_idx[:r], i_idx[r:r + p])
+        _check_config(self, buffer=0, oversample=0)
 
 
 def _scratch_cross(oracle, cfg):
@@ -161,7 +147,7 @@ def fastadacur_run(seq, cfg):
                     j_idx = np.concatenate([j_perm, j_new])
             r = r0
 
-        fac_sel = _factor_selection(i_idx, j_idx, r, p_eff)
+        fac_sel = IndexSelection(i_idx[:r], j_idx[:r], i_idx[r:r + p_eff])
         fac = (_extract_factors(oracle, fac_sel, cblk, rblk)
                if cfg.store_factors
                else CURFactors(None, None, None, fac_sel))

@@ -38,15 +38,15 @@ def _validate_matrix(a, what="matrix"):
 
 @dataclass
 class PivotedQR:
-    """Economic pivoted factorization ``A[:, pivots] = q @ r``.
+    """R factor and pivots of ``A[:, pivots] = Q @ r``; Q is never formed.
 
-    q has orthonormal columns (m, k) with k = min(m, n); r is (k, n)
-    upper triangular. ``pivots`` is a permutation of range(n), most
-    important column first. ``swaps`` counts strong-RRQR interchanges
-    performed after the initial greedy factorization (0 for cpqr).
+    r is (k, n) upper triangular with k = min(m, n), so that
+    ``A[:, pivots].T @ A[:, pivots] = r.T @ r``. ``pivots`` is a
+    permutation of range(n), most important column first. ``swaps``
+    counts strong-RRQR interchanges performed after the initial greedy
+    factorization (0 for cpqr).
     """
 
-    q: np.ndarray
     r: np.ndarray
     pivots: np.ndarray
     swaps: int = 0
@@ -58,7 +58,8 @@ def cpqr(a):
     At each step the trailing column of largest 2-norm is eliminated;
     norm ties resolve to the lowest index. Delegates to LAPACK dgeqp3,
     which downdates column norms and recomputes them when cancellation
-    makes the downdated value untrustworthy.
+    makes the downdated value untrustworthy. Only R and the pivots are
+    kept: the Householder vectors are dropped and Q is never formed.
 
     Parameters
     ----------
@@ -70,12 +71,8 @@ def cpqr(a):
     PivotedQR
     """
     a = _validate_matrix(a)
-    q, r, piv = sla.qr(a, mode="economic", pivoting=True)
-    if q.base is not None:
-        # for wide a, q is an (m, m) view of the (m, n) work array; a
-        # copy lets a caller keep the factor without keeping that array
-        q = q.copy()
-    return PivotedQR(q=q, r=r, pivots=piv.astype(np.intp), swaps=0)
+    _, r, piv = sla.qr(a, mode="raw", pivoting=True)
+    return PivotedQR(r=r, pivots=piv.astype(np.intp), swaps=0)
 
 
 def srrqr(a, f=2.0, k=None):
@@ -88,6 +85,9 @@ def srrqr(a, f=2.0, k=None):
 
         max |inv(R11) @ R12| <= f
         sigma_min(R11) >= sigma_k(A) / sqrt(1 + f^2 k (n - k))
+
+    The test reads R only, so each interchange re-factors the permuted
+    matrix for R alone and Q is never formed.
 
     Parameters
     ----------
@@ -120,7 +120,7 @@ def srrqr(a, f=2.0, k=None):
         return base
 
     perm = base.pivots.copy()
-    q, r = base.q, base.r
+    r = base.r
     swaps = 0
     max_swaps = m * n  # diagnostic cap; each swap grows det(R11) by > f
     f_sq = f * f
@@ -144,9 +144,9 @@ def srrqr(a, f=2.0, k=None):
             raise NonConvergence(
                 f"srrqr exceeded {max_swaps} interchanges (f={f})")
         perm[[i, k + j]] = perm[[k + j, i]]
-        q, r = sla.qr(a[:, perm], mode="economic")
+        r = sla.qr(a[:, perm], mode="raw")[1]
         swaps += 1
-    return PivotedQR(q=q, r=r, pivots=perm, swaps=swaps)
+    return PivotedQR(r=r, pivots=perm, swaps=swaps)
 
 
 def eps_rank_from_rdiag(r, rel_tol):
@@ -202,10 +202,6 @@ class LowRankOperator:
     def row_block(self, idx):
         idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
         return self.left[idx, :] @ self.right
-
-    def materialize(self):
-        """Dense m-by-n product; intended for tests at desk scale."""
-        return self.left @ self.right
 
 
 def stable_cur_eval(c, u, r, trunc_tol=None):

@@ -31,7 +31,7 @@ class ErrorEstimate:
     pack: SketchPack
 
 
-def cur_operator_from_oracle(oracle, sel, trunc_tol=None):
+def cur_operator_from_oracle(oracle, sel):
     """Fetch CUR blocks for ``sel`` and return the factored operator.
 
     The core block is sliced out of the fetched column block, so the
@@ -40,16 +40,16 @@ def cur_operator_from_oracle(oracle, sel, trunc_tol=None):
     m, n = oracle.shape
     if sel.is_empty:
         return stable_cur_eval(np.zeros((m, 0)), np.zeros((0, 0)),
-                               np.zeros((0, n)), trunc_tol)
+                               np.zeros((0, n)))
     c = oracle.col_block(sel.cols)
     all_rows = sel.all_rows
     r = oracle.row_block(all_rows)
     u = c[all_rows, :]
-    return stable_cur_eval(c, u, r, trunc_tol)
+    return stable_cur_eval(c, u, r)
 
 
 def estimate_cur_error(oracle, sel=None, s=5, seed=0, reuse=None,
-                       operator=None, trunc_tol=None):
+                       operator=None):
     """Estimate ``|A - CUR|_F / |A|_F`` from an s-row Gaussian sketch.
 
     Parameters
@@ -69,8 +69,6 @@ def estimate_cur_error(oracle, sel=None, s=5, seed=0, reuse=None,
     operator : LowRankOperator, optional
         Factored CUR product, if the caller already built it. Avoids
         re-reading the C/R blocks from the oracle.
-    trunc_tol : float, optional
-        Passed through to the stable core inversion.
 
     Returns
     -------
@@ -100,7 +98,7 @@ def estimate_cur_error(oracle, sel=None, s=5, seed=0, reuse=None,
     if operator is None:
         if sel is None:
             raise InvalidInput("either sel or operator must be given")
-        operator = cur_operator_from_oracle(oracle, sel, trunc_tol)
+        operator = cur_operator_from_oracle(oracle, sel)
     es = xs - (emb.raw @ operator.left) @ operator.right
     rel = float(np.linalg.norm(es) / xs_norm)
     return ErrorEstimate(rel_error=rel,

@@ -35,9 +35,6 @@ class OracleCounters:
     def total_matvecs(self):
         return self.matvecs + self.rmatvecs
 
-    def snapshot(self):
-        return (self.matvecs, self.rmatvecs, self.entries_read)
-
     def __repr__(self):
         return (f"OracleCounters(matvecs={self.matvecs}, "
                 f"rmatvecs={self.rmatvecs}, entries_read={self.entries_read})")

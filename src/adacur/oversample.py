@@ -27,8 +27,7 @@ import scipy.linalg as sla
 from .errors import InvalidInput, warn_caller
 from .linalg import cpqr
 
-__all__ = ["oversample_rows", "oversample_rows_multi",
-           "oversample_selection"]
+__all__ = ["oversample_rows", "oversample_rows_multi"]
 
 
 class _HouseholderBasis:
@@ -166,8 +165,7 @@ def oversample_rows(oracle, rows, cols, p, col_block=None, exclude=None,
                  unchosen, p)
 
 
-def oversample_rows_multi(oracle, rows, cols, p, col_block=None,
-                          exclude=None, row_id=None):
+def oversample_rows_multi(oracle, rows, cols, p, exclude=None, row_id=None):
     """Oversample p rows in rounds of at most len(cols) each.
 
     The single-shot routine caps p at the column count; when more rows
@@ -176,9 +174,10 @@ def oversample_rows_multi(oracle, rows, cols, p, col_block=None,
     picked. Returns fewer than p indices only when the matrix runs out
     of candidate rows, with a warning.
 
-    ``col_block`` and ``row_id`` are as for :func:`oversample_rows`.
+    ``exclude`` and ``row_id`` are as for :func:`oversample_rows`.
     The columns stay fixed across rounds, so the basis of A[:, cols] is
-    read and factored once per call and serves every round.
+    built once per call (from ``row_id``, or from one read and one QR
+    of the block) and serves every round.
     """
     m = oracle.nrows
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
@@ -198,17 +197,8 @@ def oversample_rows_multi(oracle, rows, cols, p, col_block=None,
         base = np.concatenate([rows, picked])
         unchosen = _unchosen(m, base, cols, q, np.concatenate([excl, picked]))
         if basis is None:
-            basis = _column_basis(oracle, cols, col_block, row_id)
+            basis = _column_basis(oracle, cols, None, row_id)
         picked = np.concatenate([picked, _pick(basis, base, unchosen, q)])
         remaining -= q
     return picked
 
-
-def oversample_selection(oracle, sel, p):
-    """Extra rows for a square index selection (convenience wrapper).
-
-    Equivalent to ``oversample_rows(oracle, sel.rows, sel.cols, p)``
-    with the selection's extra rows excluded as well.
-    """
-    return oversample_rows(oracle, sel.rows, sel.cols, p,
-                           exclude=sel.all_rows)

@@ -64,8 +64,8 @@ class GaussianEmbedding:
         """Scaled entries, shape (sketch_rows, dim)."""
         return self._raw if self.scale == 1.0 else self.scale * self._raw
 
-    def grown(self, rows, scale=None):
-        """Same-seed embedding with more rows; old rows are unchanged.
+    def grown(self, rows):
+        """Same-seed, same-scale embedding with more rows; old rows kept.
 
         Resumes the Philox stream where this embedding's draw stopped,
         draws only the ``rows - sketch_rows`` new rows and stacks them
@@ -75,16 +75,14 @@ class GaussianEmbedding:
         """
         if rows < self.sketch_rows:
             raise InvalidInput("grown() cannot shrink an embedding")
-        if scale is None:
-            scale = self.scale
         if rows == self.sketch_rows:
-            return GaussianEmbedding(rows, self.dim, self.seed, scale,
+            return GaussianEmbedding(rows, self.dim, self.seed, self.scale,
                                      _raw=self._raw, _state=self._state)
         bitgen = np.random.Philox(self.seed)
         bitgen.state = self._state
         gen = np.random.Generator(bitgen)
         fresh = gen.standard_normal((rows - self.sketch_rows, self.dim))
-        return GaussianEmbedding(rows, self.dim, self.seed, scale,
+        return GaussianEmbedding(rows, self.dim, self.seed, self.scale,
                                  _raw=np.vstack([self._raw, fresh]),
                                  _state=bitgen.state)
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from adacur.errors import InvalidInput
 from adacur.linalg import (
@@ -13,9 +14,14 @@ from adacur.linalg import (
 )
 
 
-def reconstruct(fac, a):
-    """Rebuild the column permutation of a from a pivoted QR result."""
-    return fac.q @ fac.r @ np.eye(a.shape[1])[fac.pivots].T
+def assert_r_factor(fac, a):
+    """Rebuild A[:, P].T A[:, P] as R.T R; R is (min(m, n), n), upper."""
+    m, n = a.shape
+    assert fac.r.shape == (min(m, n), n)
+    np.testing.assert_array_equal(fac.r, np.triu(fac.r))
+    ap = a[:, fac.pivots]
+    err = np.linalg.norm(ap.T @ ap - fac.r.T @ fac.r)
+    assert err <= 1e-12 * np.linalg.norm(a) ** 2
 
 
 class TestCpqr:
@@ -30,9 +36,7 @@ class TestCpqr:
 
     def test_reconstruction(self, rng):
         a = rng.standard_normal((30, 20))
-        fac = cpqr(a)
-        err = np.linalg.norm(a[:, fac.pivots] - fac.q @ fac.r)
-        assert err <= 1e-12 * np.linalg.norm(a)
+        assert_r_factor(cpqr(a), a)
 
     def test_r_diagonal_nonincreasing(self, rng):
         a = rng.standard_normal((25, 25))
@@ -49,14 +53,21 @@ class TestCpqr:
     def test_wide_and_tall(self, rng):
         for shape in [(10, 40), (40, 10)]:
             a = rng.standard_normal(shape)
-            fac = cpqr(a)
-            err = np.linalg.norm(a[:, fac.pivots] - fac.q @ fac.r)
-            assert err <= 1e-12 * np.linalg.norm(a)
+            assert_r_factor(cpqr(a), a)
 
-    def test_wide_q_holds_no_work_array(self, rng):
-        fac = cpqr(rng.standard_normal((10, 400)))
-        assert fac.q.shape == (10, 10)
-        assert fac.q.base is None or fac.q.base.size == fac.q.size
+    def test_matches_scipy_economic(self, rng):
+        # the R-only route is the same dgeqp3 call, minus forming Q
+        for shape in [(10, 40), (40, 10), (25, 25)]:
+            a = rng.standard_normal(shape)
+            fac = cpqr(a)
+            _, r, piv = sla.qr(a, mode="economic", pivoting=True)
+            np.testing.assert_array_equal(fac.r, r)
+            np.testing.assert_array_equal(fac.pivots, piv)
+
+    def test_r_owns_its_memory(self, rng):
+        # a kept factor must not pin the (m, n) LAPACK work array
+        for shape in [(10, 400), (400, 10)]:
+            assert cpqr(rng.standard_normal(shape)).r.base is None
 
 
 class TestSrrqr:
@@ -97,9 +108,7 @@ class TestSrrqr:
 
     def test_reconstruction(self, rng):
         a = rng.standard_normal((30, 30))
-        fac = srrqr(a, f=2.0, k=12)
-        err = np.linalg.norm(a[:, fac.pivots] - fac.q @ fac.r)
-        assert err <= 1e-11 * np.linalg.norm(a)
+        assert_r_factor(srrqr(a, f=2.0, k=12), a)
 
     def test_graded_matrix_defeats_plain_pivoting_not_srrqr(self):
         # Kahan-type matrix: classic worst case for column pivoting
@@ -109,6 +118,9 @@ class TestSrrqr:
         kah = np.triu(-c * np.ones((n, n)), 1) + np.eye(n)
         kah *= np.power(s, np.arange(n))[:, None]
         fac = srrqr(kah, f=f, k=k)
+        # the interchange re-factors for R alone
+        assert fac.swaps == 1
+        assert_r_factor(fac, kah)
         w = np.linalg.solve(fac.r[:k, :k], fac.r[:k, k:])
         assert np.abs(w).max() <= f + 1e-9
         smin = np.linalg.svd(fac.r[:k, :k], compute_uv=False)[-1]

@@ -11,11 +11,7 @@ from adacur.driver import AdaCurConfig, _rank_tol, recompute_baseline_run
 from adacur.errors import InvalidInput
 from adacur.linalg import cpqr, stable_cur_eval
 from adacur.oracles import DenseOracle, ParamMatrixSequence
-from adacur.oversample import (
-    oversample_rows,
-    oversample_rows_multi,
-    oversample_selection,
-)
+from adacur.oversample import oversample_rows, oversample_rows_multi
 from adacur.pivoting import (IndexSelection, _rand_pivot_rankest_block,
                              _row_id, rand_pivot)
 from adacur.problems import (make_adversarial, make_schrodinger,
@@ -127,11 +123,14 @@ class TestOversampleRows:
 
 
 class TestOversampleSelection:
+    """Extra rows for an IndexSelection: exclude all of its rows."""
+
     def test_wraps_row_variant(self, rng):
         a = tube_matrix(rng, 40, 30, 5)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 5, seed=4)
-        extra = oversample_selection(orc, sel, 3)
+        extra = oversample_rows(orc, sel.rows, sel.cols, 3,
+                                exclude=sel.all_rows)
         assert len(extra) == 3
         assert len(np.intersect1d(extra, sel.rows)) == 0
 
@@ -141,7 +140,8 @@ class TestOversampleSelection:
         base = rand_pivot(orc, 5, seed=5)
         free = np.setdiff1d(np.arange(40), base.rows)[:2]
         sel = IndexSelection(base.rows, base.cols, free.astype(np.intp))
-        extra = oversample_selection(orc, sel, 2)
+        extra = oversample_rows(orc, sel.rows, sel.cols, 2,
+                                exclude=sel.all_rows)
         assert len(np.intersect1d(extra, sel.all_rows)) == 0
 
 
@@ -163,17 +163,6 @@ class TestOversampleRowsMulti:
         assert len(extra) == 12
         assert len(np.unique(extra)) == 12
         assert len(np.intersect1d(extra, sel.rows)) == 0
-
-    def test_prefetched_block_serves_every_round(self, rng):
-        a = tube_matrix(rng, 80, 30, 5)
-        orc = DenseOracle(a)
-        sel = rand_pivot(orc, 5, seed=7)
-        fetched = oversample_rows_multi(orc, sel.rows, sel.cols, 12)
-        before = orc.counters.entries_read
-        given = oversample_rows_multi(orc, sel.rows, sel.cols, 12,
-                                      col_block=a[:, sel.cols])
-        np.testing.assert_array_equal(given, fetched)
-        assert orc.counters.entries_read == before
 
     def test_one_read_and_one_factorization_for_all_rounds(self, rng,
                                                            monkeypatch):
@@ -283,9 +272,9 @@ class TestInterpolativeBasis:
             oversample_rows(orc, sel.rows, sel.cols, 2,
                             row_id=_row_id(cpqr(a[:, sel.cols[:4]].T)))
         with pytest.raises(InvalidInput):
-            oversample_rows_multi(orc, sel.rows, sel.cols, 2,
-                                  col_block=a[:, sel.cols],
-                                  row_id=_row_id(cpqr(a[:, sel.cols].T)))
+            oversample_rows(orc, sel.rows, sel.cols, 2,
+                            col_block=a[:, sel.cols],
+                            row_id=_row_id(cpqr(a[:, sel.cols].T)))
 
     def test_exactly_singular_leading_block(self):
         # rank 1 with an exact zero column: R's second row is exactly
