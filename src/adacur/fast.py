@@ -16,7 +16,7 @@ import numpy as np
 from .driver import (CURFactors, _check_config, _extract_factors, _rank_tol,
                      _track)
 from .errors import warn_caller
-from .linalg import eps_rank_from_rdiag, srrqr
+from .linalg import eps_rank_from_rdiag, lu_row_id, srrqr
 from .oversample import oversample_rows, oversample_rows_multi
 from .pivoting import IndexSelection
 # Bound under the public name, the module attribute that per-module
@@ -59,8 +59,8 @@ def _scratch_cross(oracle, cfg):
     Keeps rank+buffer columns and rank+buffer+oversample rows. Also
     returns the column block A[:, J] read for the row pivots; it becomes
     C, so it is read once. The row oversampling takes its basis from the
-    row ID those pivots came from; the column oversampling has no such
-    factor and takes the QR of A[rows, :].T.
+    row ID those pivots came from; the column oversampling reads
+    A[rows, :] and takes the LU row ID of its transpose.
     """
     m, n = oracle.shape
     b, p = cfg.buffer, cfg.oversample
@@ -137,13 +137,15 @@ def fastadacur_run(seq, cfg):
                 i_idx, j_idx = i_perm, j_perm
                 if need_rows > 0:
                     i_new = oversample_rows(oracle, i_perm, j_lead,
-                                            need_rows, col_block=cblk,
-                                            exclude=i_perm)
+                                            need_rows, exclude=i_perm,
+                                            row_id=lu_row_id(cblk))
                     i_idx = np.concatenate([i_perm, i_new])
                 if need_cols > 0:
-                    j_new = oversample_rows(oracle.T, j_perm, i_lead,
-                                            need_cols, col_block=rblk_t,
-                                            exclude=j_perm)
+                    # lu_row_id needs a tall block; past n lead rows the
+                    # first n give a square one, whose basis is all of R^n
+                    j_new = oversample_rows(oracle.T, j_perm, i_lead[:n],
+                                            need_cols, exclude=j_perm,
+                                            row_id=lu_row_id(rblk_t[:, :n]))
                     j_idx = np.concatenate([j_perm, j_new])
             r = r0
 

@@ -1,15 +1,18 @@
-"""Pivoted QR kernels and stable evaluation of CUR products.
+"""Pivoting kernels and stable evaluation of CUR products.
 
-The two factorizations here are the deterministic backbone of the
-index-selection routines: greedy column-pivoted QR for cheap pivots,
-and a strong rank-revealing refinement that swaps columns until the
-leading block is provably well conditioned.
+The factorizations here are the deterministic backbone of the
+index-selection routines: LU with partial pivoting for cheap pivots
+and row interpolative decompositions of tall blocks, greedy
+column-pivoted QR for short wide ones, and a strong rank-revealing
+refinement that swaps columns until the leading block is provably well
+conditioned.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import blas, lapack
 
 from .errors import InvalidInput, NonConvergence
 
@@ -17,6 +20,8 @@ __all__ = [
     "PivotedQR",
     "cpqr",
     "srrqr",
+    "lu_pivots",
+    "lu_row_id",
     "eps_rank_from_rdiag",
     "LowRankOperator",
     "stable_cur_eval",
@@ -147,6 +152,46 @@ def srrqr(a, f=2.0, k=None):
         r = sla.qr(a[:, perm], mode="raw")[1]
         swaps += 1
     return PivotedQR(r=r, pivots=perm, swaps=swaps)
+
+
+def _lupp(a):
+    """Packed dgetrf factors of a validated copy of ``a``, and the perm.
+
+    ``a[perm[:min(m, n)]] = L @ U``, L unit lower with |L_ij| <= 1. A
+    zero pivot is not an error here, so LAPACK's ``info`` is not read.
+    """
+    a = _validate_matrix(a)
+    lu, piv, _ = lapack.dgetrf(a)
+    perm = np.arange(a.shape[0])
+    for i, p in enumerate(piv):                   # LAPACK's row interchanges
+        perm[i], perm[p] = perm[p], perm[i]
+    return lu, perm
+
+
+def lu_pivots(a):
+    """Row order of LU with partial pivoting of ``a``, pivot rows first.
+
+    The first j pivots depend on the first j columns of ``a`` only.
+    """
+    return _lupp(a)[1]
+
+
+def lu_row_id(c):
+    """Row interpolative decomposition of a tall block C (m, k) by LUPP.
+
+    From ``C[perm] = [L1; L2] @ U``, ``C[perm[k:]] = t @ C[perm[:k]]``
+    with ``t = L2 @ inv(L1)`` of shape (m - k, k): one dgetrf and one
+    right-side unit-lower triangular solve. L1 is unit triangular, so
+    t is finite even for rank-deficient C, and |L| <= 1 keeps it small
+    in practice (Dong and Martinsson, "Simpler is better", Adv. Comput.
+    Math. 2023). Returns ``(perm, t)``, skeleton rows first in perm.
+    """
+    lu, perm = _lupp(c)
+    m, k = lu.shape
+    if k > m:
+        raise InvalidInput(f"row ID needs a tall block, got shape {lu.shape}")
+    t = blas.dtrsm(1.0, lu[:k], lu[k:], side=1, lower=1, diag=1)
+    return perm, t
 
 
 def eps_rank_from_rdiag(r, rel_tol):

@@ -8,15 +8,15 @@ and takes greedy pivots there. Appending rows never decreases the
 smallest singular value of the restricted basis, so oversampling can
 only stabilize the core inversion.
 
-The basis comes from one of two places. A caller that picked its rows
-with the pivoted QR C.T[:, P] = Q' [R11 R12] of C = A[:, J] passes
-the interpolative decomposition (P, T), T = inv(R11) R12, as
-``row_id``: with B the m-by-k matrix holding identity rows at the k
-pivot rows and the rows of T.T elsewhere, and L L.T = I + T T.T,
-Q = B inv(L).T is orthonormal and spans range(C). T is well scaled
-by construction, so I + T T.T is well conditioned, and only the few
-rows of Q the selection needs are ever formed. Otherwise Q is the
-Householder QR factor of C.
+The basis comes from a row interpolative decomposition (P, T) of
+C = A[:, J], ``C[P[k:]] = T C[P[:k]]``, from LU with partial pivoting
+(``linalg.lu_row_id``). A caller whose row pivoting computed it passes
+it as ``row_id``; otherwise the block is read and factored here. With
+B the m-by-k matrix holding identity rows at the k pivot rows and the
+rows of T elsewhere, and L L.T = I + T.T T, Q = B inv(L).T is
+orthonormal and spans range(C). |T| stays small, so I + T.T T is well
+conditioned, and only the few rows of Q the selection needs are ever
+formed.
 
 Column oversampling is the same operation on the transposed oracle.
 """
@@ -25,36 +25,21 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InvalidInput, warn_caller
-from .linalg import cpqr
+from .linalg import cpqr, lu_row_id
 
 __all__ = ["oversample_rows", "oversample_rows_multi"]
-
-
-class _HouseholderBasis:
-    """Q from the economic QR of the column block C (m, k)."""
-
-    def __init__(self, c):
-        self.q = sla.qr(c, mode="economic")[0]
-
-    def rows(self, idx):
-        """Q[idx]."""
-        return self.q[idx, :]
-
-    def project(self, idx, v):
-        """Q[idx] @ v."""
-        return self.q[idx, :] @ v
 
 
 class _InterpBasis:
     """Q = B inv(L).T from the row interpolative decomposition of C."""
 
     def __init__(self, row_id):
-        pivots, t = row_id
-        k = t.shape[0]
+        pivots, t = row_id                         # t: (m - k, k)
+        k = t.shape[1]
         self.t = t
         self.pos = np.empty_like(pivots)
         self.pos[pivots] = np.arange(pivots.size)
-        gram = t @ t.T
+        gram = t.T @ t
         gram[np.diag_indices(k)] += 1.0
         self.lt = sla.cholesky(gram)               # L.T, upper triangular
 
@@ -63,10 +48,10 @@ class _InterpBasis:
         k = self.lt.shape[0]
         pos = self.pos[idx]
         lead = pos < k
-        bt = np.zeros((k, idx.size))              # B[idx].T
-        bt[pos[lead], np.flatnonzero(lead)] = 1.0
-        bt[:, ~lead] = self.t[:, pos[~lead] - k]
-        return sla.solve_triangular(self.lt, bt, trans="T").T
+        b = np.zeros((idx.size, k))                # B[idx]
+        b[np.flatnonzero(lead), pos[lead]] = 1.0
+        b[~lead] = self.t[pos[~lead] - k]
+        return sla.solve_triangular(self.lt, b.T, trans="T").T
 
     def project(self, idx, v):
         """Q[idx] @ v, as B[idx] @ (inv(L).T v) without forming B[idx]."""
@@ -76,25 +61,19 @@ class _InterpBasis:
         lead = pos < k
         out = np.empty((idx.size, w.shape[1]))
         out[lead] = w[pos[lead]]
-        out[~lead] = (w.T @ self.t)[:, pos[~lead] - k].T
+        out[~lead] = (self.t @ w)[pos[~lead] - k]
         return out
 
 
-def _column_basis(oracle, cols, col_block, row_id):
-    """Orthonormal basis of A[:, cols], read once and factored once."""
-    if row_id is not None:
-        if col_block is not None:
-            raise InvalidInput("pass col_block or row_id, not both")
-        pivots, t = row_id
-        m, k = oracle.nrows, cols.size
-        if pivots.shape != (m,) or t.shape != (k, m - k):
-            raise InvalidInput("row_id does not match (m, len(cols))")
-        return _InterpBasis(row_id)
-    c = oracle.col_block(cols) if col_block is None else np.asarray(col_block,
-                                                                    dtype=float)
-    if c.shape != (oracle.nrows, cols.size):
-        raise InvalidInput("col_block shape does not match (m, len(cols))")
-    return _HouseholderBasis(c)
+def _column_basis(oracle, cols, row_id):
+    """Orthonormal basis of A[:, cols], from ``row_id`` or one read."""
+    m, k = oracle.nrows, cols.size
+    if row_id is None:
+        row_id = lu_row_id(oracle.col_block(cols))
+    pivots, t = row_id
+    if pivots.shape != (m,) or t.shape != (m - k, k):
+        raise InvalidInput("row_id does not match (m, len(cols))")
+    return _InterpBasis(row_id)
 
 
 def _unchosen(m, rows, cols, p, exclude):
@@ -126,29 +105,26 @@ def _pick(basis, rows, unchosen, p):
     return unchosen[piv]
 
 
-def oversample_rows(oracle, rows, cols, p, col_block=None, exclude=None,
-                    row_id=None):
+def oversample_rows(oracle, rows, cols, p, exclude=None, row_id=None):
     """Select p extra row indices, disjoint from ``exclude``.
 
     Parameters
     ----------
     oracle : MatrixOracle
     rows, cols : array_like
-        Current row and column selections. p must not exceed len(cols).
+        Current row and column selections, len(cols) <= m. p must not
+        exceed len(cols).
     p : int
         Number of rows to add. p = 0 returns an empty array.
-    col_block : ndarray, optional
-        ``A[:, cols]`` if the caller already fetched it; avoids a
-        second (counted) read of the same block.
     exclude : array_like, optional
         Row indices barred from selection. Defaults to ``rows``.
         Supersets of ``rows`` are allowed.
     row_id : tuple of ndarray, optional
-        ``(pivots, t)``, the row interpolative decomposition
-        ``C[pivots[k:]] = t.T @ C[pivots[:k]]`` of C = A[:, cols] that
-        the caller's row pivoting computed (k = len(cols)). The basis
-        is then built from it, with no QR of the column block and no
-        read. Exclusive with ``col_block``.
+        ``lu_row_id(A[:, cols])``, ``(pivots, t)`` with
+        ``C[pivots[k:]] = t @ C[pivots[:k]]`` for C = A[:, cols] and
+        k = len(cols), if the caller already has it. The basis is then
+        built from it with no read of the column block; without it the
+        block is read once and factored.
 
     Returns
     -------
@@ -161,8 +137,7 @@ def oversample_rows(oracle, rows, cols, p, col_block=None, exclude=None,
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
     unchosen = _unchosen(oracle.nrows, rows, cols, p, exclude)
-    return _pick(_column_basis(oracle, cols, col_block, row_id), rows,
-                 unchosen, p)
+    return _pick(_column_basis(oracle, cols, row_id), rows, unchosen, p)
 
 
 def oversample_rows_multi(oracle, rows, cols, p, exclude=None, row_id=None):
@@ -176,7 +151,7 @@ def oversample_rows_multi(oracle, rows, cols, p, exclude=None, row_id=None):
 
     ``exclude`` and ``row_id`` are as for :func:`oversample_rows`.
     The columns stay fixed across rounds, so the basis of A[:, cols] is
-    built once per call (from ``row_id``, or from one read and one QR
+    built once per call (from ``row_id``, or from one read and one LU
     of the block) and serves every round.
     """
     m = oracle.nrows
@@ -197,7 +172,7 @@ def oversample_rows_multi(oracle, rows, cols, p, exclude=None, row_id=None):
         base = np.concatenate([rows, picked])
         unchosen = _unchosen(m, base, cols, q, np.concatenate([excl, picked]))
         if basis is None:
-            basis = _column_basis(oracle, cols, None, row_id)
+            basis = _column_basis(oracle, cols, row_id)
         picked = np.concatenate([picked, _pick(basis, base, unchosen, q)])
         remaining -= q
     return picked

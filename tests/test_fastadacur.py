@@ -120,6 +120,20 @@ class TestTracking:
         clamped = [w for w in rec if "clamped" in str(w.message)]
         assert [w.filename for w in clamped] == [__file__]
 
+    def test_expand_with_more_lead_rows_than_columns(self):
+        # rank 3 -> 6 on a 40x10 matrix with oversample 8: the row block
+        # that seeds the column oversampling has 5 + 8 > 10 rows
+        rng = np.random.default_rng(0)
+        mats = [rng.standard_normal((40, r)) @ rng.standard_normal((r, 10))
+                for r in (3, 6)]
+        seq = ParamMatrixSequence([0.0, 1.0],
+                                  lambda j: DenseOracle(mats[j]), (40, 10))
+        res = fastadacur_run(seq, FastConfig(tol=1e-8, buffer=2,
+                                             oversample=8, seed=0))
+        fac, tr = res[1]
+        assert (tr.action, tr.rank) == ("EXPAND", 5)   # growth capped by b
+        assert fac.selection.extra_rows.size == 8
+
     def test_blind_to_off_index_growth(self):
         # the adversarial ramp appears in rows and columns the tracked
         # set never reads, so the fast driver misses it entirely: no

@@ -1,14 +1,20 @@
-"""Tests for the pivoted QR factorizations and stable CUR evaluation."""
+"""Tests for the pivoting factorizations and stable CUR evaluation."""
+
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adacur.errors import InvalidInput
 from adacur.linalg import (
     LowRankOperator,
     cpqr,
     eps_rank_from_rdiag,
+    lu_pivots,
+    lu_row_id,
     srrqr,
     stable_cur_eval,
 )
@@ -68,6 +74,83 @@ class TestCpqr:
         # a kept factor must not pin the (m, n) LAPACK work array
         for shape in [(10, 400), (400, 10)]:
             assert cpqr(rng.standard_normal(shape)).r.base is None
+
+
+def assert_row_id(c, perm, t, rtol):
+    """perm permutes range(m) and C[perm[k:]] = t @ C[perm[:k]]."""
+    m, k = c.shape
+    np.testing.assert_array_equal(np.sort(perm), np.arange(m))
+    assert t.shape == (m - k, k)
+    assert np.isfinite(t).all()
+    res = np.linalg.norm(c[perm[k:]] - t @ c[perm[:k]])
+    assert res <= rtol * np.linalg.norm(c)
+
+
+@st.composite
+def tall_blocks(draw):
+    """Finite tall blocks, some with repeated, zero or integer columns."""
+    m = draw(st.integers(1, 40))
+    k = draw(st.integers(1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    c = rng.standard_normal((m, k)) * 10.0 ** draw(st.integers(-12, 12))
+    if draw(st.booleans()):
+        c = np.round(c / np.abs(c).max() * 3)      # small integers: ties
+    for j in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+        c[:, j] = 0.0
+    for j, i in draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                        st.integers(0, k - 1)), max_size=3)):
+        c[:, j] = c[:, i]
+    return c
+
+
+class TestLuRowId:
+    def test_reconstruction(self, rng):
+        for shape in [(1, 1), (7, 7), (50, 1), (300, 30)]:
+            c = rng.standard_normal(shape)
+            assert_row_id(c, *lu_row_id(c), rtol=1e-14)
+
+    def test_partial_pivoting_bounds_t(self, rng):
+        # on a Gaussian block |t| stays near 1, as for cpqr's inv(R11) R12
+        perm, t = lu_row_id(rng.standard_normal((500, 20)))
+        assert np.abs(t).max() <= 10.0
+
+    def test_zero_block_needs_no_pivot(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            perm, t = lu_row_id(np.zeros((5, 2)))
+        np.testing.assert_array_equal(perm, np.arange(5))
+        np.testing.assert_array_equal(t, 0.0)
+
+    def test_input_untouched(self, rng):
+        c = rng.standard_normal((20, 4))
+        before = c.copy()
+        lu_row_id(c)
+        np.testing.assert_array_equal(c, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, rng, bad):
+        c = rng.standard_normal((10, 3))
+        c[4, 1] = bad
+        with pytest.raises(InvalidInput, match="non-finite"):
+            lu_row_id(c)
+        with pytest.raises(InvalidInput, match="non-finite"):
+            lu_pivots(c)
+
+    def test_wide_block_rejected(self, rng):
+        with pytest.raises(InvalidInput, match="tall"):
+            lu_row_id(rng.standard_normal((3, 4)))
+
+    def test_leading_pivots_read_leading_columns_only(self, rng):
+        # why rand_pivot reads only r rows of its row sketch
+        a = rng.standard_normal((200, 30))
+        for j in (1, 10, 29):
+            np.testing.assert_array_equal(lu_pivots(a)[:j],
+                                          lu_pivots(a[:, :j])[:j])
+
+    @settings(max_examples=200, deadline=None)
+    @given(tall_blocks())
+    def test_row_id_property(self, c):
+        assert_row_id(c, *lu_row_id(c), rtol=1e-12)
 
 
 class TestSrrqr:

@@ -9,11 +9,11 @@ import scipy.linalg as sla
 from adacur import oversample
 from adacur.driver import AdaCurConfig, _rank_tol, recompute_baseline_run
 from adacur.errors import InvalidInput
-from adacur.linalg import cpqr, stable_cur_eval
+from adacur.linalg import lu_row_id, stable_cur_eval
 from adacur.oracles import DenseOracle, ParamMatrixSequence
 from adacur.oversample import oversample_rows, oversample_rows_multi
 from adacur.pivoting import (IndexSelection, _rand_pivot_rankest_block,
-                             _row_id, rand_pivot)
+                             rand_pivot)
 from adacur.problems import (make_adversarial, make_schrodinger,
                              make_speed_problem, make_synthetic_expm)
 
@@ -26,6 +26,25 @@ def tube_matrix(rng, m, n, r):
 
 def qc_basis(a, cols):
     return sla.qr(a[:, cols], mode="economic")[0]
+
+
+class HouseholderBasis:
+    """Reference basis: Q of the economic Householder QR of A[:, cols]."""
+
+    def __init__(self, a, cols):
+        self.q = qc_basis(a, cols)
+
+    def rows(self, idx):
+        return self.q[idx]
+
+    def project(self, idx, v):
+        return self.q[idx] @ v
+
+
+def householder_route(monkeypatch, a):
+    """Make oversampling take its basis from a QR of ``a[:, cols]``."""
+    monkeypatch.setattr(oversample, "_column_basis",
+                        lambda oracle, cols, row_id: HouseholderBasis(a, cols))
 
 
 class TestOversampleRows:
@@ -90,14 +109,16 @@ class TestOversampleRows:
         extra = oversample_rows(orc, sel.rows, sel.cols, 4, exclude=banned)
         assert len(np.intersect1d(extra, banned)) == 0
 
-    def test_col_block_shortcut_matches_fetch(self, rng):
+    def test_row_id_shortcut_matches_fetch(self, rng):
         a = tube_matrix(rng, 50, 25, 5)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 5, seed=3)
         direct = oversample_rows(orc, sel.rows, sel.cols, 4)
+        before = orc.counters.entries_read
         cached = oversample_rows(orc, sel.rows, sel.cols, 4,
-                                 col_block=a[:, sel.cols])
+                                 row_id=lu_row_id(a[:, sel.cols]))
         np.testing.assert_array_equal(direct, cached)
+        assert orc.counters.entries_read == before
 
     def test_no_cur_regression_on_gaussian(self, rng):
         # paired comparison: adding 5 oversampled rows to a full-rank
@@ -177,19 +198,25 @@ class TestOversampleRowsMulti:
                                   sel.cols, q,
                                   exclude=np.concatenate([sel.rows, picked]))
             picked = np.concatenate([picked, got])
-        factored = []
+        factored, built = [], []
 
-        class Counting(oversample._HouseholderBasis):
-            def __init__(self, c):
-                factored.append(c.shape)
-                super().__init__(c)
+        def counting_row_id(c):
+            factored.append(c.shape)
+            return lu_row_id(c)
 
-        monkeypatch.setattr(oversample, "_HouseholderBasis", Counting)
+        class Counting(oversample._InterpBasis):
+            def __init__(self, row_id):
+                built.append(row_id[1].shape)
+                super().__init__(row_id)
+
+        monkeypatch.setattr(oversample, "lu_row_id", counting_row_id)
+        monkeypatch.setattr(oversample, "_InterpBasis", Counting)
         before = orc.counters.entries_read
         got = oversample_rows_multi(orc, sel.rows, sel.cols, 12)
         np.testing.assert_array_equal(got, picked)
         assert orc.counters.entries_read - before == 80 * 5
         assert factored == [(80, 5)]
+        assert built == [(75, 5)]
 
     def test_exhaustion_warning_names_caller(self, rng):
         a = tube_matrix(rng, 8, 6, 3)
@@ -227,7 +254,7 @@ def scratch_block(name):
 
 
 class TestInterpolativeBasis:
-    """Oversampling from the row ID of the pivoting step, not a second QR."""
+    """Oversampling from the LU row ID of the pivoting step, not a QR."""
 
     @pytest.mark.parametrize("name", sorted(BLOCKS))
     def test_basis_orthonormal_and_spans_block(self, name):
@@ -238,22 +265,27 @@ class TestInterpolativeBasis:
         assert (np.linalg.norm(c - q @ (q.T @ c))
                 <= 1e-13 * np.linalg.norm(c))
 
-    def test_picks_match_householder_on_gaussian(self):
+    def test_picks_match_householder_on_gaussian(self, monkeypatch):
+        # any row ID of C spans range(C), so its orthonormal basis differs
+        # from the Householder Q by a rotation that leaves the picks as is
         for seed in range(5):
             a = np.random.default_rng(seed).standard_normal((120, 30))
             orc = DenseOracle(a)
             sel = rand_pivot(orc, 20, seed=seed)
-            row_id = _row_id(cpqr(a[:, sel.cols].T))
+            row_id = lu_row_id(a[:, sel.cols])
             np.testing.assert_array_equal(row_id[0][:20], sel.rows)
-            for p in (5, 20):
-                np.testing.assert_array_equal(
-                    oversample_rows(orc, sel.rows, sel.cols, p,
-                                    row_id=row_id),
-                    oversample_rows(orc, sel.rows, sel.cols, p))
-            np.testing.assert_array_equal(
-                oversample_rows_multi(orc, sel.rows, sel.cols, 45,
-                                      row_id=row_id),
-                oversample_rows_multi(orc, sel.rows, sel.cols, 45))
+            got = [oversample_rows(orc, sel.rows, sel.cols, p, row_id=row_id)
+                   for p in (5, 20)]
+            got.append(oversample_rows_multi(orc, sel.rows, sel.cols, 45,
+                                             row_id=row_id))
+            with monkeypatch.context() as mp:
+                householder_route(mp, a)
+                want = [oversample_rows(orc, sel.rows, sel.cols, p)
+                        for p in (5, 20)]
+                want.append(oversample_rows_multi(orc, sel.rows, sel.cols,
+                                                  45))
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
 
     def test_row_id_route_reads_nothing(self):
         orc, sel, _, row_id = scratch_block("adversarial")
@@ -264,28 +296,25 @@ class TestInterpolativeBasis:
         assert np.unique(extra).size == 30
         assert np.intersect1d(extra, sel.rows).size == 0
 
-    def test_mismatched_or_doubled_input_rejected(self, rng):
+    def test_mismatched_row_id_rejected(self, rng):
         a = tube_matrix(rng, 40, 30, 5)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 5, seed=0)
         with pytest.raises(InvalidInput):
             oversample_rows(orc, sel.rows, sel.cols, 2,
-                            row_id=_row_id(cpqr(a[:, sel.cols[:4]].T)))
-        with pytest.raises(InvalidInput):
-            oversample_rows(orc, sel.rows, sel.cols, 2,
-                            col_block=a[:, sel.cols],
-                            row_id=_row_id(cpqr(a[:, sel.cols].T)))
+                            row_id=lu_row_id(a[:, sel.cols[:4]]))
+        with pytest.raises(InvalidInput, match="tall"):
+            oversample_rows(orc.T, sel.cols, np.arange(31), 2)
 
     def test_exactly_singular_leading_block(self):
-        # rank 1 with an exact zero column: R's second row is exactly
-        # zero, so T keeps the leading nonsingular part and zeros the rest
+        # rank 1 with an exact zero column: U's second pivot is exactly
+        # zero, L stays unit triangular, and the basis is still orthonormal
         c = np.column_stack([np.arange(1.0, 7.0), np.zeros(6)])
-        qr = cpqr(c.T)
-        assert qr.r[1, 1] == 0.0
-        piv, t = _row_id(qr)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            piv, t = lu_row_id(c)
         assert np.isfinite(t).all()
-        np.testing.assert_array_equal(t[1], 0.0)
-        np.testing.assert_allclose(c[piv[2:]], t.T @ c[piv[:2]], atol=1e-14)
+        np.testing.assert_allclose(c[piv[2:]], t @ c[piv[:2]], atol=1e-14)
         q = oversample._InterpBasis((piv, t)).rows(np.arange(6))
         np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-14)
 
@@ -295,8 +324,9 @@ class TestInterpolativeBasis:
     ])
     def test_numerically_singular_r11(self, m, n, r, warned):
         # 1e12 scaling puts rounding noise far above the absolute rank
-        # tolerance: the rank estimate reaches n, so R11 of the pivoting
-        # factor is numerically singular; a repeated column on top
+        # tolerance: the rank estimate reaches n, so the leading block of
+        # the pivoting factor is numerically singular; a repeated column
+        # on top
         rng = np.random.default_rng(0)
         a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
         a[:, 1] = a[:, 0]

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adacur.errors import InvalidInput
 from adacur.linalg import stable_cur_eval
 from adacur.oracles import DenseOracle
+from adacur.oversample import oversample_rows_multi
 from adacur.pivoting import IndexSelection, rand_pivot, rand_pivot_rankest
 
 
@@ -27,6 +31,21 @@ class TestIndexSelection:
         sel = IndexSelection(np.array([0]), np.array([0]),
                              np.array([], dtype=np.intp))
         assert not sel.is_empty
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.integers(0, 30), max_size=8),
+           cols=st.lists(st.integers(0, 30), max_size=8),
+           extra=st.lists(st.integers(0, 30), max_size=8))
+    def test_accepts_exactly_the_valid_selections(self, rows, cols, extra):
+        valid = (len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+                 and len(set(extra)) == len(extra)
+                 and not set(rows) & set(extra))
+        if valid:
+            sel = IndexSelection(rows, cols, extra)
+            assert list(sel.all_rows) == rows + extra
+        else:
+            with pytest.raises(InvalidInput):
+                IndexSelection(rows, cols, extra)
 
 
 class TestRandPivot:
@@ -61,6 +80,45 @@ class TestRandPivot:
         s2 = rand_pivot(DenseOracle(a), 5, seed=2)
         assert (not np.array_equal(s1.rows, s2.rows)
                 or not np.array_equal(s1.cols, s2.cols))
+
+    def test_draws_only_the_sketch_rows_it_reads(self, rng):
+        orc = DenseOracle(rank_r_matrix(rng, 50, 40, 6))
+        rand_pivot(orc, 6, seed=3)
+        assert orc.counters.rmatvecs == 6
+
+    def test_nan_in_column_block_rejected(self, rng):
+        # a finite presketch selects the columns; the block read for the
+        # row pivots carries the NaN
+        a = rank_r_matrix(rng, 50, 40, 6)
+        sketch = rng.standard_normal((12, 50)) @ a
+        a[7, :] = np.nan
+        with pytest.raises(InvalidInput, match="non-finite"):
+            rand_pivot(DenseOracle(a), 6, seed=3, presketch=sketch)
+
+    def test_nan_in_sketch_rejected(self, rng):
+        a = rank_r_matrix(rng, 50, 40, 6)
+        a[7, 3] = np.nan
+        with pytest.raises(InvalidInput, match="non-finite"):
+            rand_pivot(DenseOracle(a), 6, seed=3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(2, 40), n=st.integers(2, 40),
+           rank=st.integers(1, 10), extra=st.integers(0, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_selection_invariants(self, m, n, rank, extra, seed):
+        # pivots and oversampled rows never repeat, extras avoid rows
+        gen = np.random.default_rng(seed)
+        r = min(rank, m, n)
+        orc = DenseOracle(rank_r_matrix(gen, m, n, r))
+        sel = rand_pivot(orc, r, seed=seed)
+        p = min(extra, m - r)
+        more = oversample_rows_multi(orc, sel.rows, sel.cols, p)
+        assert more.size == p
+        for idx in (sel.rows, sel.cols, more):
+            assert np.unique(idx).size == idx.size == (r if idx is not more
+                                                       else p)
+        assert np.intersect1d(sel.rows, more).size == 0
+        IndexSelection(sel.rows, sel.cols, more)
 
     def test_presketch_avoids_new_matvecs(self, rng):
         a = rank_r_matrix(rng, 50, 40, 6)
