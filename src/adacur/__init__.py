@@ -18,7 +18,7 @@ from .fileio import (load_sequence_dir, read_matrix_market, read_trace_csv,
                      write_matrix_market, write_trace_csv)
 from .linalg import (LowRankOperator, cpqr, eps_rank_from_rdiag, srrqr,
                      stable_cur_eval)
-from .normest import ErrorEstimate, cur_operator_from_oracle, estimate_cur_error
+from .normest import ErrorEstimate, estimate_cur_error
 from .oracles import (DenseOracle, LowRankPlusSparseOracle, MatrixOracle,
                       OracleCounters, ParamMatrixSequence, SparseOracle)
 from .oversample import oversample_rows, oversample_rows_multi
@@ -27,7 +27,7 @@ from .problems import (make_adversarial, make_schrodinger,
                        make_speed_problem, make_synthetic_expm,
                        synthetic_expm_singvals, true_relative_error)
 from .rankest import RankEstimate, estimate_rank
-from .sketch import GaussianEmbedding, SketchPack, derive_seed, draw_gaussian
+from .sketch import GaussianEmbedding, SketchPack, derive_seed
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,7 @@ __all__ = [
     "write_matrix_market", "write_trace_csv",
     "LowRankOperator", "cpqr", "eps_rank_from_rdiag", "srrqr",
     "stable_cur_eval",
-    "ErrorEstimate", "cur_operator_from_oracle", "estimate_cur_error",
+    "ErrorEstimate", "estimate_cur_error",
     "DenseOracle", "LowRankPlusSparseOracle", "MatrixOracle",
     "OracleCounters", "ParamMatrixSequence", "SparseOracle",
     "oversample_rows", "oversample_rows_multi",
@@ -49,6 +49,6 @@ __all__ = [
     "make_adversarial", "make_schrodinger", "make_speed_problem",
     "make_synthetic_expm", "synthetic_expm_singvals", "true_relative_error",
     "RankEstimate", "estimate_rank",
-    "GaussianEmbedding", "SketchPack", "derive_seed", "draw_gaussian",
+    "GaussianEmbedding", "SketchPack", "derive_seed",
     "__version__",
 ]

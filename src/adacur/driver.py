@@ -18,11 +18,7 @@ from .errors import InvalidInput, ZeroMatrixSketch, warn_caller
 from .linalg import cpqr, eps_rank_from_rdiag, srrqr, stable_cur_eval
 from .normest import estimate_cur_error
 from .oversample import oversample_rows_multi
-from .pivoting import IndexSelection
-# Bound under the public name, the module attribute that per-module
-# tracing (bench/tracing.py) wraps; unlike the public function it also
-# returns the column block A[:, J] it read and that block's row ID.
-from .pivoting import _rand_pivot_rankest_block as rand_pivot_rankest
+from .pivoting import IndexSelection, rand_pivot_rankest
 from .problems import true_relative_error
 from .sketch import SketchPack, derive_seed
 
@@ -225,7 +221,7 @@ def refine_indices(oracle, sel, pack, cfg):
                              cols2[col_qr.pivots[:r_new]],
                              rows2[row_qr.pivots[r_new:r_new + p_eff]])
     fac = _extract_factors(oracle, sel_new)
-    est = estimate_cur_error(oracle, reuse=pack, operator=fac.operator())
+    est = estimate_cur_error(oracle, fac.operator(), reuse=pack)
     return fac, est, est.rel_error <= cfg.tol
 
 
@@ -233,10 +229,9 @@ def _grow_pack(oracle, pack, new_rows, operator):
     """Double-size replacement pack; only the fresh rows touch the oracle."""
     emb = pack.embedding.grown(new_rows)
     fresh = emb.raw[pack.embedding.sketch_rows:]
-    xs_new = oracle.rmatmat(fresh.T).T
-    xs = np.vstack([pack.row_sketch, xs_new])
-    es = xs - (emb.raw @ operator.left) @ operator.right
-    return SketchPack(embedding=emb, row_sketch=xs, residual_sketch=es)
+    xs = np.vstack([pack.row_sketch, oracle.rmatmat(fresh.T).T])
+    return estimate_cur_error(oracle, operator,
+                              reuse=SketchPack(emb, xs)).pack
 
 
 _H1_ACTIONS = ("MINOR_MOD", "TRUNCATE")
@@ -291,9 +286,9 @@ def _track(seq, cfg, step):
 def _estimate(oracle, cfg, j, fac, reuse=None):
     """Sketched relative error of ``fac``; None if the matrix sketch is zero."""
     try:
-        return estimate_cur_error(oracle, s=cfg.err_samples,
+        return estimate_cur_error(oracle, fac.operator(), s=cfg.err_samples,
                                   seed=derive_seed(cfg.seed, j, 0xE5),
-                                  reuse=reuse, operator=fac.operator())
+                                  reuse=reuse)
     except ZeroMatrixSketch:
         return None
 

@@ -18,11 +18,7 @@ from .driver import (CURFactors, _check_config, _extract_factors, _rank_tol,
 from .errors import warn_caller
 from .linalg import eps_rank_from_rdiag, lu_row_id, srrqr
 from .oversample import oversample_rows, oversample_rows_multi
-from .pivoting import IndexSelection
-# Bound under the public name, the module attribute that per-module
-# tracing (bench/tracing.py) wraps; unlike the public function it also
-# returns the column block A[:, J] it read and that block's row ID.
-from .pivoting import _rand_pivot_rankest_block as rand_pivot_rankest
+from .pivoting import IndexSelection, rand_pivot_rankest
 from .sketch import derive_seed
 
 __all__ = ["FastConfig", "fastadacur_run"]
@@ -137,14 +133,13 @@ def fastadacur_run(seq, cfg):
                 i_idx, j_idx = i_perm, j_perm
                 if need_rows > 0:
                     i_new = oversample_rows(oracle, i_perm, j_lead,
-                                            need_rows, exclude=i_perm,
-                                            row_id=lu_row_id(cblk))
+                                            need_rows, row_id=lu_row_id(cblk))
                     i_idx = np.concatenate([i_perm, i_new])
                 if need_cols > 0:
                     # lu_row_id needs a tall block; past n lead rows the
                     # first n give a square one, whose basis is all of R^n
                     j_new = oversample_rows(oracle.T, j_perm, i_lead[:n],
-                                            need_cols, exclude=j_perm,
+                                            need_cols,
                                             row_id=lu_row_id(rblk_t[:, :n]))
                     j_idx = np.concatenate([j_perm, j_new])
             r = r0

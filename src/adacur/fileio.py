@@ -45,7 +45,8 @@ def read_matrix_market(path):
     content raises :class:`ParseError` with its line number.
     """
     with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+        text = f.read()
+    lines = text.splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
     head = lines[0].split()
@@ -73,7 +74,9 @@ def read_matrix_market(path):
             raise ParseError("array size line must be 'rows cols'",
                              line=lineno)
         m, n = _parse_dims(size, lineno)
-        vals = np.empty(m * n)
+        # each value takes at least one character of the file, which
+        # bounds the buffers here and below whatever the size line says
+        vals = np.empty(min(m * n, len(text)))
         count = 0
         for lineno, toks in body:
             for tok in toks:
@@ -93,9 +96,12 @@ def read_matrix_market(path):
                          line=lineno)
     m, n = _parse_dims(size[:2], lineno)
     nnz = _parse_count(size[2], lineno)
-    rows = np.empty(nnz, dtype=np.intp)
-    cols = np.empty(nnz, dtype=np.intp)
-    vals = np.empty(nnz)
+    if nnz < 0:
+        raise ParseError(f"nnz must be non-negative, got {nnz}", line=lineno)
+    cap = min(nnz, len(text))
+    rows = np.empty(cap, dtype=np.intp)
+    cols = np.empty(cap, dtype=np.intp)
+    vals = np.empty(cap)
     count = 0
     for lineno, toks in body:
         if len(toks) != 3:
@@ -216,9 +222,13 @@ def load_sequence_dir(path):
     params_file = root / "params.txt"
     if params_file.exists():
         with open(params_file, encoding="utf-8") as f:
-            plines = [ln.strip() for ln in f.read().splitlines()]
-        plines = [ln for ln in plines if ln]
-        params = [_parse_real(ln, i + 1) for i, ln in enumerate(plines)]
+            plines = [(i, ln.strip()) for i, ln in
+                      enumerate(f.read().splitlines(), start=1)]
+        try:
+            params = [_parse_real(ln, i) for i, ln in plines if ln]
+        except ParseError as exc:
+            raise ParseError(f"{params_file.name}: {exc}",
+                             line=exc.line) from exc
         if len(params) != len(keys):
             raise InvalidInput(
                 f"params.txt has {len(params)} values for "

@@ -215,9 +215,8 @@ def eps_rank_from_rdiag(r, rel_tol):
 class LowRankOperator:
     """Factored product ``left @ right`` of shape (m, n), never formed.
 
-    Supports application to vectors and blocks from either side plus
-    extraction of row blocks, which is all the error estimators and
-    trace writers need.
+    The error estimator reads the two factors; exact-error reporting
+    reads row blocks of the product.
     """
 
     def __init__(self, left, right):
@@ -236,25 +235,17 @@ class LowRankOperator:
     def rank(self):
         return self.left.shape[1]
 
-    def matmat(self, x):
-        return self.left @ (self.right @ x)
-
-    def rmatmat(self, y):
-        return self.right.T @ (self.left.T @ y)
-
-    matvec, rmatvec = matmat, rmatmat
-
     def row_block(self, idx):
         idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
         return self.left[idx, :] @ self.right
 
 
-def stable_cur_eval(c, u, r, trunc_tol=None):
+def stable_cur_eval(c, u, r):
     """Evaluate ``C @ pinv(U) @ R`` through a truncated SVD of U.
 
-    Singular values of U below ``trunc_tol * sigma_max(U)`` are dropped
-    before inversion, so a nearly singular core cannot inject noise or
-    NaNs into the product.
+    Singular values of U at or below ``eps * max(U.shape) * sigma_max(U)``
+    are dropped before inversion, so a nearly singular core cannot
+    inject noise or NaNs into the product.
 
     Parameters
     ----------
@@ -264,9 +255,6 @@ def stable_cur_eval(c, u, r, trunc_tol=None):
         Core block, shape (i, j).
     r : ndarray
         Row block, shape (i, n).
-    trunc_tol : float, optional
-        Relative truncation threshold. Defaults to machine epsilon
-        times max(U.shape).
 
     Returns
     -------
@@ -287,12 +275,10 @@ def stable_cur_eval(c, u, r, trunc_tol=None):
     m, n = c.shape[0], r.shape[1]
     if u.size == 0:
         return LowRankOperator(np.zeros((m, 0)), np.zeros((0, n)))
-    if trunc_tol is None:
-        trunc_tol = _EPS * max(u.shape)
     p, s, qt = np.linalg.svd(u, full_matrices=False)
     if s[0] == 0.0:
         return LowRankOperator(np.zeros((m, 0)), np.zeros((0, n)))
-    keep = s > trunc_tol * s[0]
+    keep = s > _EPS * max(u.shape) * s[0]
     left = (c @ qt[keep, :].T) / s[keep][None, :]
     right = p[:, keep].T @ r
     return LowRankOperator(left, right)

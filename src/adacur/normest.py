@@ -17,10 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, ZeroMatrixSketch
-from .linalg import stable_cur_eval
+# stable_cur_eval is not called here; the name stays because
+# bench/tracing.py installs its wrapper on normest.stable_cur_eval and
+# requires the attribute.
+from .linalg import stable_cur_eval  # noqa: F401
 from .sketch import GaussianEmbedding, SketchPack, derive_seed, row_sketch
 
-__all__ = ["ErrorEstimate", "estimate_cur_error", "cur_operator_from_oracle"]
+__all__ = ["ErrorEstimate", "estimate_cur_error"]
 
 
 @dataclass
@@ -31,33 +34,15 @@ class ErrorEstimate:
     pack: SketchPack
 
 
-def cur_operator_from_oracle(oracle, sel):
-    """Fetch CUR blocks for ``sel`` and return the factored operator.
-
-    The core block is sliced out of the fetched column block, so the
-    oracle is charged for C and R only.
-    """
-    m, n = oracle.shape
-    if sel.is_empty:
-        return stable_cur_eval(np.zeros((m, 0)), np.zeros((0, 0)),
-                               np.zeros((0, n)))
-    c = oracle.col_block(sel.cols)
-    all_rows = sel.all_rows
-    r = oracle.row_block(all_rows)
-    u = c[all_rows, :]
-    return stable_cur_eval(c, u, r)
-
-
-def estimate_cur_error(oracle, sel=None, s=5, seed=0, reuse=None,
-                       operator=None):
+def estimate_cur_error(oracle, operator, s=5, seed=0, reuse=None):
     """Estimate ``|A - CUR|_F / |A|_F`` from an s-row Gaussian sketch.
 
     Parameters
     ----------
     oracle : MatrixOracle
-    sel : IndexSelection, optional
-        Indices defining the CUR approximation. May be omitted when
-        ``operator`` is given.
+    operator : LowRankOperator
+        The CUR approximation to score, as ``CURFactors.operator()``
+        builds it from the factors the caller returns.
     s : int
         Sketch rows. Ignored when ``reuse`` supplies a sketch.
     seed : int
@@ -66,9 +51,6 @@ def estimate_cur_error(oracle, sel=None, s=5, seed=0, reuse=None,
         A pack from a previous estimate against the same matrix; the
         matrix sketch is reused and only the residual is recomputed,
         costing no matvecs.
-    operator : LowRankOperator, optional
-        Factored CUR product, if the caller already built it. Avoids
-        re-reading the C/R blocks from the oracle.
 
     Returns
     -------
@@ -80,7 +62,7 @@ def estimate_cur_error(oracle, sel=None, s=5, seed=0, reuse=None,
         If the matrix sketch is identically zero, which leaves the
         relative error undefined.
     """
-    m, n = oracle.shape
+    m = oracle.nrows
     if reuse is not None:
         emb = reuse.embedding
         if emb.dim != m:
@@ -95,10 +77,6 @@ def estimate_cur_error(oracle, sel=None, s=5, seed=0, reuse=None,
     xs_norm = np.linalg.norm(xs)
     if xs_norm == 0.0:
         raise ZeroMatrixSketch("matrix sketch is identically zero")
-    if operator is None:
-        if sel is None:
-            raise InvalidInput("either sel or operator must be given")
-        operator = cur_operator_from_oracle(oracle, sel)
     es = xs - (emb.raw @ operator.left) @ operator.right
     rel = float(np.linalg.norm(es) / xs_norm)
     return ErrorEstimate(rel_error=rel,

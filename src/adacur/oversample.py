@@ -76,8 +76,8 @@ def _column_basis(oracle, cols, row_id):
     return _InterpBasis(row_id)
 
 
-def _unchosen(m, rows, cols, p, exclude):
-    """Candidate rows for p extras, after checking the request."""
+def _unchosen(m, rows, cols, p):
+    """Rows outside ``rows``, the candidates for p extras, after checks."""
     if p < 0:
         raise InvalidInput(f"p must be non-negative, got {p}")
     if rows.size == 0 or cols.size == 0:
@@ -85,9 +85,7 @@ def _unchosen(m, rows, cols, p, exclude):
     if p > cols.size:
         raise InvalidInput(
             f"p={p} exceeds the selected column count {cols.size}")
-    excl = rows if exclude is None else np.union1d(
-        rows, np.asarray(exclude, np.intp).reshape(-1))
-    unchosen = np.setdiff1d(np.arange(m), excl, assume_unique=False)
+    unchosen = np.setdiff1d(np.arange(m), rows)
     if p > unchosen.size:
         raise InvalidInput(
             f"p={p} exceeds the {unchosen.size} rows left to choose from")
@@ -105,8 +103,8 @@ def _pick(basis, rows, unchosen, p):
     return unchosen[piv]
 
 
-def oversample_rows(oracle, rows, cols, p, exclude=None, row_id=None):
-    """Select p extra row indices, disjoint from ``exclude``.
+def oversample_rows(oracle, rows, cols, p, row_id=None):
+    """Select p extra row indices, disjoint from ``rows``.
 
     Parameters
     ----------
@@ -116,9 +114,6 @@ def oversample_rows(oracle, rows, cols, p, exclude=None, row_id=None):
         exceed len(cols).
     p : int
         Number of rows to add. p = 0 returns an empty array.
-    exclude : array_like, optional
-        Row indices barred from selection. Defaults to ``rows``.
-        Supersets of ``rows`` are allowed.
     row_id : tuple of ndarray, optional
         ``lu_row_id(A[:, cols])``, ``(pivots, t)`` with
         ``C[pivots[k:]] = t @ C[pivots[:k]]`` for C = A[:, cols] and
@@ -136,33 +131,32 @@ def oversample_rows(oracle, rows, cols, p, exclude=None, row_id=None):
         return np.empty(0, np.intp)
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
-    unchosen = _unchosen(oracle.nrows, rows, cols, p, exclude)
+    unchosen = _unchosen(oracle.nrows, rows, cols, p)
     return _pick(_column_basis(oracle, cols, row_id), rows, unchosen, p)
 
 
-def oversample_rows_multi(oracle, rows, cols, p, exclude=None, row_id=None):
+def oversample_rows_multi(oracle, rows, cols, p, row_id=None):
     """Oversample p rows in rounds of at most len(cols) each.
 
     The single-shot routine caps p at the column count; when more rows
     are wanted (a buffer larger than the current rank, say) this runs
-    repeated rounds, re-basing the exclusion set on what was already
-    picked. Returns fewer than p indices only when the matrix runs out
-    of candidate rows, with a warning.
+    repeated rounds, each choosing outside ``rows`` and what earlier
+    rounds picked. Returns fewer than p indices only when the matrix
+    runs out of candidate rows, with a warning.
 
-    ``exclude`` and ``row_id`` are as for :func:`oversample_rows`.
-    The columns stay fixed across rounds, so the basis of A[:, cols] is
-    built once per call (from ``row_id``, or from one read and one LU
-    of the block) and serves every round.
+    ``row_id`` is as for :func:`oversample_rows`. The columns stay
+    fixed across rounds, so the basis of A[:, cols] is built once per
+    call (from ``row_id``, or from one read and one LU of the block)
+    and serves every round.
     """
     m = oracle.nrows
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     cols = np.asarray(cols, dtype=np.intp).reshape(-1)
-    excl = rows if exclude is None else np.asarray(exclude, np.intp).reshape(-1)
     picked = np.empty(0, np.intp)
     basis = None
     remaining = int(p)
     while remaining > 0:
-        budget = m - excl.size - picked.size
+        budget = m - rows.size - picked.size
         q = min(remaining, cols.size, budget)
         if q <= 0:
             warn_caller(
@@ -170,7 +164,7 @@ def oversample_rows_multi(oracle, rows, cols, p, exclude=None, row_id=None):
                 f"{picked.size} of {p}", RuntimeWarning)
             break
         base = np.concatenate([rows, picked])
-        unchosen = _unchosen(m, base, cols, q, np.concatenate([excl, picked]))
+        unchosen = _unchosen(m, base, cols, q)
         if basis is None:
             basis = _column_basis(oracle, cols, row_id)
         picked = np.concatenate([picked, _pick(basis, base, unchosen, q)])

@@ -91,14 +91,10 @@ def rand_pivot(oracle, r, seed, presketch=None):
 
 
 def _rand_pivot_block(oracle, r, seed, presketch=None):
-    """:func:`rand_pivot`, also returning ``A[:, cols]`` and its row ID.
+    """:func:`rand_pivot`, returning ``(selection, col_block, row_id)``.
 
-    Returns ``(selection, col_block, row_id)``. The block is the one
-    read for the row pivots, and ``row_id`` is its row interpolative
-    decomposition ``lu_row_id(col_block)``, whose pivots those are.
-    Both are handed on so that from-scratch callers neither read the
-    block again nor factor it again for oversampling; both are None
-    when r is 0.
+    The triple is as :func:`rand_pivot_rankest` returns it; the block
+    and row ID are None when r is 0.
     """
     m, n = oracle.shape
     r = int(r)
@@ -128,19 +124,15 @@ def rand_pivot_rankest(oracle, abs_tol, seed):
     straight into :func:`rand_pivot`, so no second sketch of A is
     drawn. If the rank estimator cannot resolve the tolerance within
     its sketch cap, a warning is issued and the partial estimate is
-    used. A zero-rank estimate yields an empty selection.
-    """
-    return _rand_pivot_rankest_block(oracle, abs_tol, seed)[0]
+    used.
 
-
-def _rand_pivot_rankest_block(oracle, abs_tol, seed):
-    """:func:`rand_pivot_rankest`, also returning ``A[:, cols]`` and its row ID.
-
-    Returns ``(selection, col_block, row_id)`` as
-    :func:`_rand_pivot_block` does; both are None for an empty
-    selection. From-scratch steps pass the block on to factor
-    extraction and ``row_id`` to oversampling, so each step reads its
-    column block once and factors it once.
+    Returns ``(selection, col_block, row_id)``: the column block
+    ``A[:, cols]`` read for the row pivots and its row interpolative
+    decomposition ``lu_row_id(col_block)``, whose pivots those are.
+    From-scratch steps pass the block on to factor extraction and
+    ``row_id`` to oversampling, so each step reads its column block
+    once and factors it once. A zero-rank estimate yields an empty
+    selection and None for both.
     """
     try:
         est = estimate_rank(oracle, abs_tol, derive_seed(seed, 0x11E5))

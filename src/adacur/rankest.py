@@ -47,7 +47,11 @@ class RankEstimate:
             raise InvalidInput("estimated rank exceeds sketch size")
 
 
-def estimate_rank(oracle, abs_tol, seed, s_init=8, s_max=None):
+# Sketch size of the first round; each further round doubles it.
+_S_INIT = 8
+
+
+def estimate_rank(oracle, abs_tol, seed, s_max=None):
     """Estimate the abs_tol-rank of the matrix behind ``oracle``.
 
     Parameters
@@ -58,8 +62,6 @@ def estimate_rank(oracle, abs_tol, seed, s_init=8, s_max=None):
         Positive singular-value threshold.
     seed : int
         Seed for both embeddings; fixed seed gives a fixed estimate.
-    s_init : int
-        Starting sketch size, doubled on each growth round.
     s_max : int, optional
         Sketch-size cap, at most min(m, n). Defaults to min(m, n).
 
@@ -77,8 +79,6 @@ def estimate_rank(oracle, abs_tol, seed, s_init=8, s_max=None):
     m, n = oracle.shape
     if not np.isfinite(abs_tol) or abs_tol <= 0:
         raise InvalidInput(f"abs_tol must be positive and finite, got {abs_tol}")
-    if s_init < 1:
-        raise InvalidInput("s_init must be at least 1")
     if s_max is None:
         s_max = min(m, n)
     if not 1 <= s_max <= min(m, n):
@@ -86,7 +86,7 @@ def estimate_rank(oracle, abs_tol, seed, s_init=8, s_max=None):
 
     seed_left = derive_seed(seed, 0x1EF7)
     seed_right = derive_seed(seed, 0x516B)
-    s = min(s_init, s_max)
+    s = min(_S_INIT, s_max)
     emb = None
     x_raw = None      # unscaled Gaussian row sketch, grown by appending
     a_rows = None     # cached exact rows once the left side saturates

@@ -18,7 +18,6 @@ from .errors import InvalidInput
 __all__ = [
     "GaussianEmbedding",
     "SketchPack",
-    "draw_gaussian",
     "row_sketch",
     "derive_seed",
 ]
@@ -85,23 +84,6 @@ class GaussianEmbedding:
         return GaussianEmbedding(rows, self.dim, self.seed, self.scale,
                                  _raw=np.vstack([self._raw, fresh]),
                                  _state=bitgen.state)
-
-
-def draw_gaussian(sketch_rows, dim, seed, normalized=True):
-    """Draw a seeded Gaussian embedding.
-
-    Parameters
-    ----------
-    sketch_rows, dim : int
-        Shape of the embedding.
-    seed : int
-        Any 64-bit value; equal seeds give bitwise-equal embeddings.
-    normalized : bool
-        Scale entries by 1/sqrt(sketch_rows) so the sketch preserves
-        norms in expectation. Pass False for raw unit-variance entries.
-    """
-    scale = 1.0 / np.sqrt(sketch_rows) if normalized else 1.0
-    return GaussianEmbedding(int(sketch_rows), int(dim), int(seed), scale)
 
 
 def row_sketch(embedding, oracle):

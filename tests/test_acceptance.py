@@ -13,7 +13,7 @@ import pytest
 from adacur.driver import AdaCurConfig, adacur_run, recompute_baseline_run
 from adacur.fast import FastConfig, fastadacur_run
 from adacur.linalg import srrqr, stable_cur_eval
-from adacur.normest import cur_operator_from_oracle, estimate_cur_error
+from adacur.normest import estimate_cur_error
 from adacur.oracles import DenseOracle
 from adacur.pivoting import IndexSelection, rand_pivot
 from adacur.problems import (
@@ -23,7 +23,7 @@ from adacur.problems import (
     make_synthetic_expm,
     true_relative_error,
 )
-from adacur.sketch import draw_gaussian, row_sketch
+from adacur.sketch import GaussianEmbedding
 
 SYNTH_N = 200
 SYNTH_STEPS = 101
@@ -148,10 +148,9 @@ class TestEstimatorTheory:
             sv = np.linalg.svd(a, compute_uv=False)
             stable = (sv @ sv) / sv[0] ** 2
             min_stable = min(min_stable, stable)
-            gam = draw_gaussian(s, 200, seed=10_000 + trial,
-                                normalized=False)
+            gam = GaussianEmbedding(s, 200, seed=10_000 + trial).raw
             na = np.linalg.norm(a)
-            ns = np.linalg.norm(gam.matrix @ a) / np.sqrt(s)
+            ns = np.linalg.norm(gam @ a) / np.sqrt(s)
             fails += not (na / 2 < ns <= 2 * na)
         ok = fails <= 10 and min_stable >= 25
         assert report(
@@ -185,9 +184,11 @@ class TestEstimatorTheory:
             r_sel = r - 10
             sub = IndexSelection(sel.rows[:r_sel], sel.cols[:r_sel],
                                  sel.rows[r_sel:r_sel + 5])
-            est = estimate_cur_error(orc, sel=sub, s=5, seed=7000 + trial)
-            true = true_relative_error(orc,
-                                       cur_operator_from_oracle(orc, sub))
+            rows = sub.all_rows
+            sub_op = stable_cur_eval(a[:, sub.cols],
+                                     a[np.ix_(rows, sub.cols)], a[rows, :])
+            est = estimate_cur_error(orc, sub_op, s=5, seed=7000 + trial)
+            true = true_relative_error(orc, sub_op)
             agree += (0.5 * true <= est.rel_error <= 2.0 * true)
         ok = recov_ok == trials and agree >= 49
         assert report(

@@ -10,8 +10,9 @@ from adacur.driver import (
     adacur_run,
     recompute_baseline_run,
 )
-from adacur.errors import InvalidInput
+from adacur.errors import InvalidInput, ZeroMatrixSketch
 from adacur.fast import FastConfig, fastadacur_run
+from adacur.normest import estimate_cur_error
 from adacur.oracles import DenseOracle, ParamMatrixSequence
 from adacur.problems import (
     make_adversarial,
@@ -19,8 +20,10 @@ from adacur.problems import (
     make_synthetic_expm,
     true_relative_error,
 )
+from adacur.sketch import derive_seed
 
 from conftest import assert_traces_match
+from test_golden_traces import PROBLEMS, _sequence
 
 
 def constant_rank_sequence(m=60, n=50, r=5, q=8, seed=0):
@@ -358,6 +361,24 @@ class TestBookkeeping:
                 assert tr.est_rel_err <= 10 * max(tr.true_rel_err, 1e-12)
                 checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("run", [adacur_run, recompute_baseline_run])
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_estimate_is_of_returned_factors(self, problem, run, seed):
+        # the recorded estimate is a fresh estimate, at the step's sketch
+        # seed, of exactly the factors the step returns
+        seq = _sequence(problem)
+        cfg = AdaCurConfig(tol=PROBLEMS[problem][1], oversample=3,
+                           seed=seed)
+        for j, (fac, tr) in enumerate(run(seq, cfg)):
+            try:
+                want = estimate_cur_error(
+                    seq.oracle(j), fac.operator(), s=cfg.err_samples,
+                    seed=derive_seed(cfg.seed, j, 0xE5)).rel_error
+            except ZeroMatrixSketch:
+                want = 0.0
+            assert tr.est_rel_err == want, (j, tr.action)
 
 
 class TestRecomputeBaseline:

@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from adacur.driver import StepTrace
 from adacur.errors import InvalidInput, ParseError
@@ -98,6 +100,22 @@ class TestMatrixMarket:
         fmt, back = read_matrix_market(path)
         np.testing.assert_array_equal(back, [[1.0], [2.0]])
 
+    @pytest.mark.parametrize("fmt, size, line", [
+        ("coordinate", "2 2 -1", 2),
+        ("coordinate", f"2 2 {10 ** 20}", 3),   # one entry found
+        ("array", f"{10 ** 10} {10 ** 10}", 3),  # three values found
+    ])
+    def test_impossible_size_line_reports_line(self, tmp_path, fmt, size,
+                                               line):
+        # a count no buffer can hold must not escape as numpy's ValueError
+        path = str(tmp_path / "size.mtx")
+        with open(path, "w") as f:
+            f.write(f"%%MatrixMarket matrix {fmt} real general\n")
+            f.write(f"{size}\n1 1 1.0\n")
+        with pytest.raises(ParseError) as info:
+            read_matrix_market(path)
+        assert info.value.line == line
+
     def test_column_major_order(self, tmp_path):
         path = str(tmp_path / "cm.mtx")
         with open(path, "w") as f:
@@ -105,6 +123,55 @@ class TestMatrixMarket:
             f.write("2 2\n1\n2\n3\n4\n")
         _, back = read_matrix_market(path)
         np.testing.assert_array_equal(back, [[1.0, 3.0], [2.0, 4.0]])
+
+
+# Small valid files whose size and entry lines the property test mutates.
+VALID_MTX = {
+    "coordinate": ["%%MatrixMarket matrix coordinate real general",
+                   "3 2 2", "1 1 1.5", "3 2 -2.0"],
+    "array": ["%%MatrixMarket matrix array real general",
+              "2 2", "1.0", "2.0 3.0", "4.0"],
+}
+# Integers stay small enough that no dimension a mutant declares can
+# ask the sparse assembly for more than a few megabytes.
+MTX_TOKENS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.integers(-10 ** 5, 10 ** 5).map(str),
+    st.sampled_from(["", "0", "-1", "1.5", "-0", "nan", "1e400", "%", "x"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=3),
+)
+
+
+@st.composite
+def mutated_mtx(draw, line):
+    """A valid file with one token of its size line or an entry line changed."""
+    lines = list(VALID_MTX[draw(st.sampled_from(sorted(VALID_MTX)))])
+    at = 1 if line == "size" else draw(st.integers(2, len(lines) - 1))
+    toks = lines[at].split()
+    pos = draw(st.integers(0, len(toks)))
+    edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+    if edit == "insert" or pos == len(toks):
+        toks.insert(pos, draw(MTX_TOKENS))
+    elif edit == "replace":
+        toks[pos] = draw(MTX_TOKENS)
+    else:
+        del toks[pos]
+    lines[at] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("line", ["size", "entry"])
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_lines_raise_only_parse_error(tmp_path, line, data):
+    # a mutant may still parse; any exception but ParseError fails
+    path = tmp_path / "mut.mtx"
+    path.write_text(data.draw(mutated_mtx(line)), encoding="utf-8")
+    try:
+        read_matrix_market(str(path))
+    except ParseError:
+        pass
 
 
 class TestSequenceDir:
@@ -161,6 +228,16 @@ class TestSequenceDir:
             load_sequence_dir(str(tmp_path))
         assert "step_1.mtx" in str(info.value)
         assert info.value.line == 3
+
+    def test_params_error_names_file_and_true_line(self, tmp_path):
+        # blank lines count toward the reported line number
+        self.make_dir(tmp_path, count=3)
+        with open(tmp_path / "params.txt", "w") as f:
+            f.write("0.0\n\n\nabc\n1.0\n")
+        with pytest.raises(ParseError) as info:
+            load_sequence_dir(str(tmp_path))
+        assert info.value.line == 4
+        assert "params.txt" in str(info.value)
 
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(InvalidInput):

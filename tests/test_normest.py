@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from adacur.driver import _extract_factors
 from adacur.errors import ZeroMatrixSketch
-from adacur.normest import cur_operator_from_oracle, estimate_cur_error
+from adacur.linalg import stable_cur_eval
+from adacur.normest import estimate_cur_error
 from adacur.oracles import DenseOracle
 from adacur.pivoting import IndexSelection, rand_pivot
 from adacur.problems import true_relative_error
@@ -15,6 +17,13 @@ def flat_rank_r(rng, m, n, r):
     q1, _ = np.linalg.qr(rng.standard_normal((m, r)))
     q2, _ = np.linalg.qr(rng.standard_normal((n, r)))
     return q1 @ q2.T
+
+
+def dense_cur(a, sel):
+    """CUR operator of ``sel`` built from the dense array itself."""
+    rows = sel.all_rows
+    return stable_cur_eval(a[:, sel.cols], a[np.ix_(rows, sel.cols)],
+                           a[rows, :])
 
 
 def undersized_selection(sel, r_sel, p_extra):
@@ -28,7 +37,7 @@ class TestEstimateCurError:
         a = flat_rank_r(rng, 50, 40, 6)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 6, seed=0)
-        est = estimate_cur_error(orc, sel=sel, s=5, seed=1)
+        est = estimate_cur_error(orc, dense_cur(a, sel), s=5, seed=1)
         assert est.rel_error <= 1e-10
 
     def test_zero_matrix_raises(self):
@@ -36,7 +45,8 @@ class TestEstimateCurError:
         sel = IndexSelection(np.array([0]), np.array([0]),
                              np.array([], dtype=np.intp))
         with pytest.raises(ZeroMatrixSketch):
-            estimate_cur_error(orc, sel=sel, s=5, seed=0)
+            estimate_cur_error(orc, _extract_factors(orc, sel).operator(),
+                               s=5, seed=0)
 
     def test_factor_two_agreement(self, rng):
         # undersized CUR with stabilizing extra rows: the residual has
@@ -49,8 +59,9 @@ class TestEstimateCurError:
             orc = DenseOracle(a)
             sub = undersized_selection(rand_pivot(orc, r, seed=seed + 7),
                                        r - 10, 5)
-            est = estimate_cur_error(orc, sel=sub, s=5, seed=seed + 13)
-            true = true_relative_error(orc, cur_operator_from_oracle(orc, sub))
+            op = dense_cur(a, sub)
+            est = estimate_cur_error(orc, op, s=5, seed=seed + 13)
+            true = true_relative_error(orc, op)
             ok += (0.5 * true <= est.rel_error <= 2.0 * true)
         assert ok >= 99
 
@@ -59,16 +70,19 @@ class TestEstimateCurError:
         a = flat_rank_r(rng, 60, 50, 12)
         sel = undersized_selection(rand_pivot(DenseOracle(a), 12, seed=0),
                                    6, 4)
-        e1 = estimate_cur_error(DenseOracle(a), sel=sel, s=5, seed=3)
-        e2 = estimate_cur_error(DenseOracle(1e7 * a), sel=sel, s=5, seed=3)
+        e1 = estimate_cur_error(DenseOracle(a), dense_cur(a, sel), s=5,
+                                seed=3)
+        e2 = estimate_cur_error(DenseOracle(1e7 * a), dense_cur(1e7 * a, sel),
+                                s=5, seed=3)
         np.testing.assert_allclose(e1.rel_error, e2.rel_error, rtol=1e-10)
 
     def test_fresh_sketch_spends_s_matvecs(self, rng):
         a = flat_rank_r(rng, 40, 30, 8)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 8, seed=0)
+        op = dense_cur(a, sel)
         before = orc.counters.rmatvecs
-        estimate_cur_error(orc, sel=sel, s=7, seed=1)
+        estimate_cur_error(orc, op, s=7, seed=1)
         assert orc.counters.rmatvecs - before == 7
 
     def test_reuse_spends_no_matvecs(self, rng):
@@ -77,10 +91,10 @@ class TestEstimateCurError:
         a = flat_rank_r(rng, 40, 30, 8)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 8, seed=0)
-        first = estimate_cur_error(orc, sel=sel, s=5, seed=1)
+        first = estimate_cur_error(orc, dense_cur(a, sel), s=5, seed=1)
         sub = undersized_selection(sel, 4, 2)
         before = orc.counters.rmatvecs
-        second = estimate_cur_error(orc, sel=sub, s=5, seed=1,
+        second = estimate_cur_error(orc, dense_cur(a, sub), s=5, seed=1,
                                     reuse=first.pack)
         assert orc.counters.rmatvecs == before
         assert second.rel_error > first.rel_error
@@ -92,30 +106,22 @@ class TestEstimateCurError:
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 10, seed=2)
         sub = undersized_selection(sel, 5, 3)
-        first = estimate_cur_error(orc, sel=sel, s=5, seed=4)
-        reused = estimate_cur_error(orc, sel=sub, s=5, seed=4,
+        first = estimate_cur_error(orc, dense_cur(a, sel), s=5, seed=4)
+        reused = estimate_cur_error(orc, dense_cur(a, sub), s=5, seed=4,
                                     reuse=first.pack)
-        fresh = estimate_cur_error(orc, sel=sub, s=5, seed=4)
+        fresh = estimate_cur_error(orc, dense_cur(a, sub), s=5, seed=4)
         np.testing.assert_allclose(reused.rel_error, fresh.rel_error,
-                                   rtol=1e-12)
-
-    def test_operator_argument_bypasses_selection(self, rng):
-        a = flat_rank_r(rng, 30, 25, 5)
-        orc = DenseOracle(a)
-        sel = rand_pivot(orc, 5, seed=0)
-        op = cur_operator_from_oracle(orc, sel)
-        by_sel = estimate_cur_error(orc, sel=sel, s=5, seed=9)
-        by_op = estimate_cur_error(orc, operator=op, s=5, seed=9)
-        np.testing.assert_allclose(by_sel.rel_error, by_op.rel_error,
                                    rtol=1e-12)
 
 
 class TestCurOperatorFromOracle:
+    """The operator the drivers score: ``_extract_factors(...).operator()``."""
+
     def test_reproduces_exact_rank(self, rng):
         a = flat_rank_r(rng, 40, 35, 7)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 7, seed=0)
-        op = cur_operator_from_oracle(orc, sel)
+        op = _extract_factors(orc, sel).operator()
         err = np.linalg.norm(a - op.left @ op.right)
         assert err <= 1e-10 * np.linalg.norm(a)
 
@@ -123,7 +129,7 @@ class TestCurOperatorFromOracle:
         a = flat_rank_r(rng, 45, 40, 9)
         orc = DenseOracle(a)
         sel = undersized_selection(rand_pivot(orc, 9, seed=1), 5, 2)
-        op = cur_operator_from_oracle(orc, sel)
+        op = _extract_factors(orc, sel).operator()
         direct = (np.linalg.norm(a - op.left @ op.right)
                   / np.linalg.norm(a))
         np.testing.assert_allclose(true_relative_error(orc, op), direct,

@@ -12,8 +12,7 @@ from adacur.errors import InvalidInput
 from adacur.linalg import lu_row_id, stable_cur_eval
 from adacur.oracles import DenseOracle, ParamMatrixSequence
 from adacur.oversample import oversample_rows, oversample_rows_multi
-from adacur.pivoting import (IndexSelection, _rand_pivot_rankest_block,
-                             rand_pivot)
+from adacur.pivoting import rand_pivot, rand_pivot_rankest
 from adacur.problems import (make_adversarial, make_schrodinger,
                              make_speed_problem, make_synthetic_expm)
 
@@ -101,14 +100,6 @@ class TestOversampleRows:
             assert smin >= prev - 1e-12
             prev = smin
 
-    def test_exclude_respected(self, rng):
-        a = tube_matrix(rng, 30, 20, 4)
-        orc = DenseOracle(a)
-        sel = rand_pivot(orc, 4, seed=2)
-        banned = np.arange(10)
-        extra = oversample_rows(orc, sel.rows, sel.cols, 4, exclude=banned)
-        assert len(np.intersect1d(extra, banned)) == 0
-
     def test_row_id_shortcut_matches_fetch(self, rng):
         a = tube_matrix(rng, 50, 25, 5)
         orc = DenseOracle(a)
@@ -143,29 +134,6 @@ class TestOversampleRows:
         assert np.median(wins) >= 1.0
 
 
-class TestOversampleSelection:
-    """Extra rows for an IndexSelection: exclude all of its rows."""
-
-    def test_wraps_row_variant(self, rng):
-        a = tube_matrix(rng, 40, 30, 5)
-        orc = DenseOracle(a)
-        sel = rand_pivot(orc, 5, seed=4)
-        extra = oversample_rows(orc, sel.rows, sel.cols, 3,
-                                exclude=sel.all_rows)
-        assert len(extra) == 3
-        assert len(np.intersect1d(extra, sel.rows)) == 0
-
-    def test_existing_extras_excluded(self, rng):
-        a = tube_matrix(rng, 40, 30, 5)
-        orc = DenseOracle(a)
-        base = rand_pivot(orc, 5, seed=5)
-        free = np.setdiff1d(np.arange(40), base.rows)[:2]
-        sel = IndexSelection(base.rows, base.cols, free.astype(np.intp))
-        extra = oversample_rows(orc, sel.rows, sel.cols, 2,
-                                exclude=sel.all_rows)
-        assert len(np.intersect1d(extra, sel.all_rows)) == 0
-
-
 class TestOversampleRowsMulti:
     def test_matches_single_call(self, rng):
         a = tube_matrix(rng, 50, 30, 5)
@@ -195,8 +163,7 @@ class TestOversampleRowsMulti:
         want, picked = [], np.empty(0, np.intp)
         for q in (5, 5, 2):
             got = oversample_rows(orc, np.concatenate([sel.rows, picked]),
-                                  sel.cols, q,
-                                  exclude=np.concatenate([sel.rows, picked]))
+                                  sel.cols, q)
             picked = np.concatenate([picked, got])
         factored, built = [], []
 
@@ -248,7 +215,7 @@ def scratch_block(name):
     """A[:, J] and its row ID, as a from-scratch driver step makes them."""
     make, tol, seed = BLOCKS[name]
     orc = make().oracle(0)
-    sel, c, row_id = _rand_pivot_rankest_block(
+    sel, c, row_id = rand_pivot_rankest(
         orc, _rank_tol(AdaCurConfig(tol=tol), orc.ncols), seed)
     return orc, sel, c, row_id
 

@@ -132,20 +132,24 @@ class TestRandPivot:
 class TestRandPivotRankest:
     def test_rank_two(self, rng):
         a = rank_r_matrix(rng, 50, 40, 2)
-        sel = rand_pivot_rankest(DenseOracle(a), 1e-8, seed=0)
+        sel, c, (perm, t) = rand_pivot_rankest(DenseOracle(a), 1e-8, seed=0)
         assert len(sel.rows) == 2 and len(sel.cols) == 2
+        np.testing.assert_array_equal(c, a[:, sel.cols])
+        np.testing.assert_array_equal(perm[:2], sel.rows)
+        assert t.shape == (48, 2)
 
     def test_zero_matrix_gives_empty_selection(self):
-        sel = rand_pivot_rankest(DenseOracle(np.zeros((20, 20))), 1e-8,
-                                 seed=0)
+        sel, c, row_id = rand_pivot_rankest(DenseOracle(np.zeros((20, 20))),
+                                            1e-8, seed=0)
         assert sel.is_empty
+        assert c is None and row_id is None
 
     def test_single_sketch_pass(self, rng):
         # pivoting reuses the rank estimator's sketch: the adjoint matvec
         # count equals the accumulated sketch size, nothing more
         a = rank_r_matrix(rng, 80, 60, 5)
         orc = DenseOracle(a)
-        sel = rand_pivot_rankest(orc, 1e-8, seed=1)
+        sel = rand_pivot_rankest(orc, 1e-8, seed=1)[0]
         assert len(sel.rows) == 5
         assert orc.counters.rmatvecs == 8  # initial sketch already enough
 
@@ -154,7 +158,7 @@ class TestRandPivotRankest:
             a = rank_r_matrix(rng, 70, 50, 9)
             orc = DenseOracle(a)
             sel = rand_pivot_rankest(orc, 1e-9 * np.linalg.norm(a, 2),
-                                     seed=trial)
+                                     seed=trial)[0]
             op = stable_cur_eval(a[:, sel.cols],
                                  a[np.ix_(sel.rows, sel.cols)],
                                  a[sel.rows, :])

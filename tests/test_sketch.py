@@ -7,12 +7,13 @@ import pytest
 
 from adacur.errors import InvalidInput
 from adacur.oracles import DenseOracle
-from adacur.sketch import (
-    GaussianEmbedding,
-    derive_seed,
-    draw_gaussian,
-    row_sketch,
-)
+from adacur.sketch import GaussianEmbedding, derive_seed, row_sketch
+
+
+def normalized(sketch_rows, dim, seed):
+    """Embedding scaled by 1/sqrt(sketch_rows), norm-preserving in mean."""
+    return GaussianEmbedding(sketch_rows, dim, seed,
+                             scale=1.0 / np.sqrt(sketch_rows))
 
 
 class TestDeriveSeed:
@@ -30,33 +31,32 @@ class TestDeriveSeed:
 
 class TestDrawGaussian:
     def test_deterministic(self):
-        g1 = draw_gaussian(4, 100, seed=7)
-        g2 = draw_gaussian(4, 100, seed=7)
-        np.testing.assert_array_equal(g1.raw, g2.raw)
+        g1 = GaussianEmbedding(4, 100, seed=7).raw
+        g2 = GaussianEmbedding(4, 100, seed=7).raw
+        np.testing.assert_array_equal(g1, g2)
 
     def test_seed_changes_draw(self):
-        g1 = draw_gaussian(4, 100, seed=7)
-        g2 = draw_gaussian(4, 100, seed=8)
-        assert not np.array_equal(g1.raw, g2.raw)
+        g1 = GaussianEmbedding(4, 100, seed=7).raw
+        g2 = GaussianEmbedding(4, 100, seed=8).raw
+        assert not np.array_equal(g1, g2)
 
     def test_normalized_column_norms_concentrate(self):
         # with s = 500 rows and 1/sqrt(s) scaling, each column of the
         # embedding has expected squared norm 1
-        g = draw_gaussian(500, 400, seed=0).matrix
+        g = normalized(500, 400, seed=0).matrix
         norms = np.linalg.norm(g, axis=0)
         frac = np.mean((norms >= 0.8) & (norms <= 1.2))
         assert frac >= 0.95
 
     def test_unnormalized_unit_variance(self):
-        g = draw_gaussian(100, 1000, seed=3, normalized=False).matrix
+        g = GaussianEmbedding(100, 1000, seed=3).raw
         v = g.var()
         assert 0.9 <= v <= 1.1
 
     def test_scaling_relation(self):
-        a = draw_gaussian(25, 60, seed=11, normalized=True)
-        b = draw_gaussian(25, 60, seed=11, normalized=False)
-        np.testing.assert_allclose(a.matrix * np.sqrt(25.0), b.matrix,
-                                   rtol=1e-13)
+        a = normalized(25, 60, seed=11).matrix
+        b = GaussianEmbedding(25, 60, seed=11).raw
+        np.testing.assert_allclose(a * np.sqrt(25.0), b, rtol=1e-13)
 
 
 class TestGaussianEmbedding:
@@ -95,7 +95,7 @@ class TestGaussianEmbedding:
             e.grown(4)
 
     def test_matrix_scaling(self):
-        e = draw_gaussian(9, 30, seed=2)
+        e = normalized(9, 30, seed=2)
         np.testing.assert_allclose(e.matrix, e.raw / 3.0, rtol=1e-15)
         f = GaussianEmbedding(9, 30, seed=2)
         np.testing.assert_array_equal(f.matrix, f.raw)
@@ -127,7 +127,7 @@ class TestRowSketch:
         a = rng.standard_normal((80, 60))
         na = np.linalg.norm(a)
         for trial in range(100):
-            sk = row_sketch(draw_gaussian(5, 80, seed=trial), DenseOracle(a))
+            sk = row_sketch(normalized(5, 80, seed=trial), DenseOracle(a))
             ns = np.linalg.norm(sk)
             ok += (na / 2 < ns <= 2 * na)
         assert ok >= 99
@@ -139,7 +139,7 @@ class TestRowSketch:
         a = rng.standard_normal((50, 40)) @ np.diag(
             [1, 1, 1, 1] + [0] * 36) @ rng.standard_normal((40, 40))
         left = row_sketch(GaussianEmbedding(10, 50, seed=1), DenseOracle(a))
-        gam2 = draw_gaussian(20, 40, seed=2)
+        gam2 = normalized(20, 40, seed=2)
         y = left @ gam2.matrix.T
         s = np.linalg.svd(y, compute_uv=False)
         assert s[r] <= 1e-10 * s[0]
