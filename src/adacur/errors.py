@@ -49,10 +49,15 @@ class IntegratorAccuracy(RuntimeError):
 
 
 class ParseError(ValueError):
-    """A file could not be parsed. Carries the offending line number."""
+    """A file could not be parsed. Carries the offending line number.
+
+    ``detail`` is the message without its ``line N:`` prefix, for
+    callers that re-raise with more context.
+    """
 
     def __init__(self, message, line=None):
+        self.detail = message
+        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line

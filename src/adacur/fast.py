@@ -1,12 +1,13 @@
 """Sketch-free fast tracking of a matrix sequence through its cross.
 
 Per step the driver reads only the small core block at the tracked
-row/column indices (plus buffer and oversampling space), reorders both
-index sets by strong rank-revealing QR of the core, and either
-truncates on a rank decrease or replenishes indices on a rank
-increase. There is no error estimation anywhere: speed comes from
-never sketching the full matrix, at the price of missing changes that
-happen entirely outside the tracked cross.
+row/column indices (plus buffer and oversampling space). Strong
+rank-revealing QR of the core orders the columns and reveals the rank;
+LU with partial pivoting of the column-ordered core orders the rows.
+The driver then either truncates on a rank decrease or replenishes
+indices on a rank increase. There is no error estimation anywhere:
+speed comes from never sketching the full matrix, at the price of
+missing changes that happen entirely outside the tracked cross.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 from .driver import (CURFactors, _check_config, _extract_factors, _rank_tol,
                      _track)
 from .errors import warn_caller
-from .linalg import eps_rank_from_rdiag, lu_row_id, srrqr
+from .linalg import eps_rank_from_rdiag, lu_pivots, lu_row_id, srrqr
 from .oversample import oversample_rows, oversample_rows_multi
 from .pivoting import IndexSelection, rand_pivot_rankest
 from .sketch import derive_seed
@@ -33,8 +34,8 @@ class FastConfig:
     ``oversample`` adds rows beyond that for factor quality. The rank
     tolerance is rank_safety * tol / sqrt(n) against the core's
     R-factor diagonal. ``store_factors`` off skips factor extraction
-    entirely; the per-step work is then just the core read and two
-    small factorizations.
+    entirely; the per-step work is then just the core read, its strong
+    rank-revealing QR and one LU factorization.
     """
 
     tol: float
@@ -81,11 +82,15 @@ def fastadacur_run(seq, cfg):
 
     Step 1 computes indices from scratch (action RECOMPUTE), keeping
     rank+buffer columns and rank+buffer+oversample rows. Later steps
-    act on the core block only: action TRUNCATE when the revealed rank
-    did not grow, EXPAND when it did (replenishing indices through
-    trailing-subspace oversampling on the already-fetched factor
-    blocks). In the trace, h1 accumulates TRUNCATE and h2 EXPAND
-    actions from step 2 on; est_rel_err is always None.
+    act on the core block only. Its strong rank-revealing QR orders the
+    columns and reveals the rank r0; LU with partial pivoting of the
+    core with its columns in that order orders the rows, so the leading
+    r0 rows are the LU skeleton of the leading r0 columns. The action
+    is TRUNCATE when the revealed rank did not grow, EXPAND when it did
+    (replenishing indices through trailing-subspace oversampling on the
+    already-fetched factor blocks). In the trace, h1 accumulates
+    TRUNCATE and h2 EXPAND actions from step 2 on; est_rel_err is
+    always None.
     """
     b, p = cfg.buffer, cfg.oversample
     i_idx = j_idx = np.array([], dtype=np.intp)
@@ -105,9 +110,11 @@ def fastadacur_run(seq, cfg):
             else:
                 core = oracle.submatrix(i_idx, j_idx)
                 col_qr = srrqr(core, f=cfg.srrqr_f)
-                row_qr = srrqr(core.T, f=cfg.srrqr_f)
                 r0 = eps_rank_from_rdiag(col_qr.r, _rank_tol(cfg, n))
-                i_perm = i_idx[row_qr.pivots]
+                # LUPP's first r0 row pivots depend on the first r0
+                # columns only: they are the skeleton rows of the r0
+                # leading pivot columns, with no second sRRQR of core.T
+                i_perm = i_idx[lu_pivots(core[:, col_qr.pivots])]
                 j_perm = j_idx[col_qr.pivots]
 
             if r0 <= r:

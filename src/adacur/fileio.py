@@ -126,12 +126,18 @@ def read_matrix_market(path):
     return "coordinate", mat
 
 
+_MAX_DIM = np.iinfo(np.intp).max
+
+
 def _parse_dims(toks, lineno):
     m = _parse_count(toks[0], lineno)
     n = _parse_count(toks[1], lineno)
     if m < 1 or n < 1:
         raise ParseError(f"dimensions must be positive, got {m}x{n}",
                          line=lineno)
+    if max(m, n) > _MAX_DIM:
+        raise ParseError(f"dimensions {m}x{n} exceed the index limit "
+                         f"{_MAX_DIM}", line=lineno)
     return m, n
 
 
@@ -209,7 +215,8 @@ def load_sequence_dir(path):
         try:
             kind, mat = read_matrix_market(entry)
         except ParseError as exc:
-            raise ParseError(f"{entry.name}: {exc}", line=exc.line) from exc
+            raise ParseError(f"{entry.name}: {exc.detail}",
+                             line=exc.line) from exc
         if shape is None:
             shape = mat.shape
         elif mat.shape != shape:
@@ -227,7 +234,7 @@ def load_sequence_dir(path):
         try:
             params = [_parse_real(ln, i) for i, ln in plines if ln]
         except ParseError as exc:
-            raise ParseError(f"{params_file.name}: {exc}",
+            raise ParseError(f"{params_file.name}: {exc.detail}",
                              line=exc.line) from exc
         if len(params) != len(keys):
             raise InvalidInput(

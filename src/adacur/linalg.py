@@ -135,8 +135,9 @@ def srrqr(a, f=2.0, k=None):
         if d.min() == 0.0:
             raise InvalidInput(
                 f"leading {k}x{k} block is exactly singular; k exceeds rank")
-        t = sla.solve_triangular(r11, r[:k, k:])
-        rinv = sla.solve_triangular(r11, np.eye(k))
+        # one solve gives T = inv(R11) @ R12 and inv(R11) side by side
+        sol = sla.solve_triangular(r11, np.hstack([r[:k, k:], np.eye(k)]))
+        t, rinv = sol[:, :n - k], sol[:, n - k:]
         omega = np.linalg.norm(rinv, axis=1)   # row norms of inv(R11)
         r22 = r[k:, k:]
         gamma = (np.linalg.norm(r22, axis=0) if r22.shape[0] > 0

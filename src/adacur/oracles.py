@@ -6,6 +6,8 @@ reads. That keeps the cost claims of the adaptive drivers testable:
 an instrumented run reports exactly how much of the matrix was seen.
 """
 
+import copy
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -271,6 +273,9 @@ class LowRankPlusSparseOracle(MatrixOracle):
         self.sigma = sigma
         self.v = v
         self._us = u * sigma  # (m, r), premultiplied once
+        self._set_sparse(s)
+
+    def _set_sparse(self, s):
         if s is None:
             self._csr = None
             self._csc = None
@@ -279,6 +284,19 @@ class LowRankPlusSparseOracle(MatrixOracle):
                 raise InvalidInput("sparse term shape mismatch")
             self._csr = s.tocsr().astype(float)
             self._csc = self._csr.tocsc()
+
+    def with_sparse(self, s):
+        """Oracle for the same low-rank part plus the sparse term ``s``.
+
+        The new oracle shares this one's factors and their premultiplied
+        product, so building it costs only the sparse term's conversion;
+        it has its own counters. Blocks and products are bitwise equal
+        to those of ``LowRankPlusSparseOracle(u, sigma, v, s)``.
+        """
+        new = copy.copy(self)
+        new.counters = OracleCounters()
+        new._set_sparse(s)
+        return new
 
     @property
     def nnz(self):

@@ -241,10 +241,10 @@ def make_speed_problem(m=5000, n=1000, r=100, q=51, seed=0,
     oracles keep the low-rank-plus-sparse form, so matvecs cost
     O((m + n) r + nnz) and the full matrix is never formed.
 
-    Oracles are built on demand and the cumulative sparse term is
-    advanced incrementally for sequential access; the sequence does not
-    cache oracles (a full cache of cumulative sparse terms would be
-    quadratic in q).
+    Oracles are built on demand and share one premultiplied low-rank
+    factor; the cumulative sparse term is advanced incrementally for
+    sequential access. The sequence does not cache oracles (a full
+    cache of cumulative sparse terms would be quadratic in q).
     """
     if min(m, n) <= r:
         raise InvalidInput("need r < min(m, n)")
@@ -273,8 +273,10 @@ def make_speed_problem(m=5000, n=1000, r=100, q=51, seed=0,
         state["i"], state["s"] = i, s
         return s
 
+    low_rank = LowRankPlusSparseOracle(u, sigma, v)
+
     def provider(i):
-        return LowRankPlusSparseOracle(u, sigma, v, cumulative(i))
+        return low_rank.with_sparse(cumulative(i))
 
     params = np.arange(q, dtype=float)
     return ParamMatrixSequence(params, provider, (m, n),

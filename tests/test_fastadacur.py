@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from adacur import fast
 from adacur.errors import InvalidInput
 from adacur.fast import FastConfig, fastadacur_run
+from adacur.linalg import lu_pivots, srrqr
 from adacur.oracles import DenseOracle, ParamMatrixSequence
 from adacur.problems import (
     make_adversarial,
@@ -219,3 +221,51 @@ class TestFactors:
         with pytest.raises(RuntimeError) as info:
             fastadacur_run(seq, FastConfig(tol=1e-6, buffer=2, seed=0))
         assert len(info.value.partial_trace) == 2
+
+
+class RecordingOracle(DenseOracle):
+    """Dense oracle that records the index sets of its submatrix reads."""
+
+    def __init__(self, a):
+        super().__init__(a)
+        self.reads = []
+
+    def submatrix(self, rows, cols):
+        self.reads.append((np.asarray(rows), np.asarray(cols)))
+        return super().submatrix(rows, cols)
+
+
+class TestCoreFactorization:
+    def test_one_srrqr_per_tracked_step(self, monkeypatch):
+        calls = []
+
+        def counting(a, **kw):
+            calls.append(a.shape)
+            return srrqr(a, **kw)
+
+        monkeypatch.setattr(fast, "srrqr", counting)
+        seq = make_synthetic_expm(n=80, q=21, seed=0)
+        res = fastadacur_run(seq, FastConfig(tol=1e-6, buffer=5,
+                                             oversample=2, seed=0))
+        actions = {t.action for _, t in res[1:]}
+        assert actions == {"TRUNCATE", "EXPAND"}
+        assert len(calls) == len(seq) - 1
+
+    def test_leading_rows_are_lu_skeleton_of_pivot_columns(self):
+        # the core is A at the tracked cross; its sRRQR orders the
+        # columns and LUPP of the column-ordered core orders the rows
+        ref = make_synthetic_expm(n=80, q=21, seed=0)
+        mats = [ref.oracle(j).array for j in range(len(ref))]
+        seq = ParamMatrixSequence(ref.params,
+                                  lambda j: RecordingOracle(mats[j]),
+                                  ref.shape)
+        cfg = FastConfig(tol=1e-6, buffer=5, oversample=2, seed=0)
+        res = fastadacur_run(seq, cfg)
+        for j in range(1, len(seq)):
+            rows, cols = seq.oracle(j).reads[0]
+            core = mats[j][np.ix_(rows, cols)]
+            piv = srrqr(core, f=cfg.srrqr_f).pivots
+            sel, r0 = res[j][0].selection, res[j][1].rank
+            np.testing.assert_array_equal(sel.cols, cols[piv][:r0])
+            np.testing.assert_array_equal(
+                sel.rows, rows[lu_pivots(core[:, piv])][:r0])

@@ -104,6 +104,7 @@ class TestMatrixMarket:
         ("coordinate", "2 2 -1", 2),
         ("coordinate", f"2 2 {10 ** 20}", 3),   # one entry found
         ("array", f"{10 ** 10} {10 ** 10}", 3),  # three values found
+        ("coordinate", f"{10 ** 20} 2 1", 2),    # beyond the index dtype
     ])
     def test_impossible_size_line_reports_line(self, tmp_path, fmt, size,
                                                line):
@@ -228,6 +229,7 @@ class TestSequenceDir:
             load_sequence_dir(str(tmp_path))
         assert "step_1.mtx" in str(info.value)
         assert info.value.line == 3
+        assert str(info.value).count("line 3") == 1
 
     def test_params_error_names_file_and_true_line(self, tmp_path):
         # blank lines count toward the reported line number
@@ -238,6 +240,7 @@ class TestSequenceDir:
             load_sequence_dir(str(tmp_path))
         assert info.value.line == 4
         assert "params.txt" in str(info.value)
+        assert str(info.value).count("line 4") == 1
 
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(InvalidInput):

@@ -197,6 +197,29 @@ class TestSpeedProblem:
         a_again = seq.oracle(4).col_block(np.arange(100))
         np.testing.assert_array_equal(a_fwd, a_again)
 
+    def test_oracles_share_low_rank_factor(self):
+        # each step's oracle owns only its sparse term and its counters;
+        # sharing the premultiplied factor must not change a single bit
+        seq = make_speed_problem(m=300, n=120, r=12, q=4, seed=5,
+                                 density=1e-3)
+        rng = np.random.default_rng(9)
+        rows, cols = np.array([0, 7, 299]), np.array([3, 119, 50])
+        x, y = rng.standard_normal((120, 3)), rng.standard_normal((300, 3))
+        orcs = [seq.oracle(j) for j in range(4)]
+        for orc in orcs:
+            assert orc._us is orcs[0]._us
+            fresh = LowRankPlusSparseOracle(orc.u, orc.sigma, orc.v,
+                                            orc._csr)
+            for name, args in [("row_block", (rows,)), ("col_block", (cols,)),
+                               ("submatrix", (rows, cols)), ("matmat", (x,)),
+                               ("rmatmat", (y,))]:
+                np.testing.assert_array_equal(getattr(orc, name)(*args),
+                                              getattr(fresh, name)(*args))
+        counts = [(o.counters.matvecs, o.counters.rmatvecs,
+                   o.counters.entries_read) for o in orcs]
+        assert counts == [(3, 3, 3 * 120 + 3 * 300 + 9)] * 4
+        assert orcs[1].nnz > 0 and orcs[0].nnz == 0
+
     def test_singular_value_profile(self):
         seq = make_speed_problem(m=300, n=150, r=20, q=3, seed=4,
                                  delta=0.0)
