@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, ZeroMatrixSketch, warn_caller
+from .errors import (InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch,
+                     warn_caller)
 from .linalg import cpqr, eps_rank_from_rdiag, srrqr, stable_cur_eval
 from .normest import estimate_cur_error
 from .oversample import oversample_rows_multi
@@ -182,8 +183,9 @@ def refine_indices(oracle, sel, pack, cfg):
 
     Returns the refined selection's :class:`CURFactors`, the new error
     estimate, and whether the estimate meets the tolerance. The
-    estimate is taken of those factors, so a caller that keeps them
-    reads C and R once; ``factors.selection`` is the refined selection.
+    estimate scores those factors from the pack's matrix sketch and
+    their row block, so a caller that keeps them reads C and R once;
+    ``factors.selection`` is the refined selection.
     """
     if pack.residual_sketch is None:
         raise InvalidInput("pack must carry a residual sketch")
@@ -221,16 +223,16 @@ def refine_indices(oracle, sel, pack, cfg):
                              cols2[col_qr.pivots[:r_new]],
                              rows2[row_qr.pivots[r_new:r_new + p_eff]])
     fac = _extract_factors(oracle, sel_new)
-    est = estimate_cur_error(oracle, fac.operator(), reuse=pack)
+    est = estimate_cur_error(oracle, sel_new.cols, fac.r, reuse=pack)
     return fac, est, est.rel_error <= cfg.tol
 
 
-def _grow_pack(oracle, pack, new_rows, operator):
-    """Double-size replacement pack; only the fresh rows touch the oracle."""
+def _grow_pack(oracle, pack, new_rows, fac):
+    """Double-size replacement pack for ``fac``; only fresh rows touch A."""
     emb = pack.embedding.grown(new_rows)
     fresh = emb.raw[pack.embedding.sketch_rows:]
     xs = np.vstack([pack.row_sketch, oracle.rmatmat(fresh.T).T])
-    return estimate_cur_error(oracle, operator,
+    return estimate_cur_error(oracle, fac.selection.cols, fac.r,
                               reuse=SketchPack(emb, xs)).pack
 
 
@@ -247,7 +249,8 @@ def _track(seq, cfg, step):
     records exact errors when ``cfg.true_error`` asks for them, drops
     the factor arrays unless ``cfg.store_factors`` keeps them, and
     attaches the traces made so far to any escaping exception as
-    ``partial_trace``.
+    ``partial_trace``; a :class:`NonFiniteSnapshot` also gets the index
+    of the step that raised it.
     """
     if len(seq) == 0:
         raise InvalidInput("sequence is empty")
@@ -278,6 +281,8 @@ def _track(seq, cfg, step):
                 fac = CURFactors(None, None, None, fac.selection)
             results.append((fac, trace))
     except Exception as exc:
+        if isinstance(exc, NonFiniteSnapshot) and exc.step is None:
+            exc.step = j
         exc.partial_trace = [tr for _, tr in results]
         raise
     return results
@@ -286,7 +291,8 @@ def _track(seq, cfg, step):
 def _estimate(oracle, cfg, j, fac, reuse=None):
     """Sketched relative error of ``fac``; None if the matrix sketch is zero."""
     try:
-        return estimate_cur_error(oracle, fac.operator(), s=cfg.err_samples,
+        return estimate_cur_error(oracle, fac.selection.cols, fac.r,
+                                  s=cfg.err_samples,
                                   seed=derive_seed(cfg.seed, j, 0xE5),
                                   reuse=reuse)
     except ZeroMatrixSketch:
@@ -314,10 +320,9 @@ def _adaptive_step(oracle, cfg, j, sel):
     fac_new, est_new, ok = refine_indices(oracle, sel, est.pack, cfg)
     if not ok and cfg.escalate_s:
         pack = est.pack
-        op = fac.operator()
         for _ in range(4):
             pack = _grow_pack(oracle, pack, 2 * pack.embedding.sketch_rows,
-                              op)
+                              fac)
             fac_new, est_new, ok = refine_indices(oracle, sel, pack, cfg)
             if ok:
                 break

@@ -44,6 +44,25 @@ class ZeroMatrixSketch(RuntimeError):
     """The norm-estimation sketch of the matrix is identically zero."""
 
 
+class NonFiniteSnapshot(RuntimeError):
+    """A matrix of the sequence holds a NaN or infinite entry.
+
+    Raised on the blocks a step fetches anyway (sketches of the matrix,
+    its row block), not by a separate scan. ``step`` is the index of
+    the offending step, which the drivers fill in; it is None when the
+    matrix was handed to a routine directly. A bad snapshot is bad
+    data, not a bad argument, so this is not an :class:`InvalidInput`.
+    """
+
+    def __init__(self, message, step=None):
+        super().__init__(message)
+        self.step = step
+
+    def __str__(self):
+        message = super().__str__()
+        return message if self.step is None else f"step {self.step}: {message}"
+
+
 class IntegratorAccuracy(RuntimeError):
     """Step-halving check of the fixed-step integrator exceeded tolerance."""
 

@@ -24,6 +24,7 @@ __all__ = [
     "lu_row_id",
     "eps_rank_from_rdiag",
     "LowRankOperator",
+    "truncated_svd",
     "stable_cur_eval",
 ]
 
@@ -216,8 +217,10 @@ def eps_rank_from_rdiag(r, rel_tol):
 class LowRankOperator:
     """Factored product ``left @ right`` of shape (m, n), never formed.
 
-    The error estimator reads the two factors; exact-error reporting
-    reads row blocks of the product.
+    ``CURFactors.operator()`` builds one for exact-error reporting,
+    which reads row blocks of the product, and for users of stored
+    factors. The error estimator never forms one: it scores C pinv(U) R
+    from its matrix sketch and the row block alone.
     """
 
     def __init__(self, left, right):
@@ -241,12 +244,28 @@ class LowRankOperator:
         return self.left[idx, :] @ self.right
 
 
+def truncated_svd(u):
+    """Thin SVD ``(p, s, vt)`` of a CUR core U, small singular values dropped.
+
+    Singular values at or below ``eps * max(U.shape) * sigma_max(U)``
+    are removed with their vectors, all of them for a zero or empty U,
+    so ``vt.T @ diag(1 / s) @ p.T`` is the truncated pseudoinverse of U
+    and never divides by a value near zero.
+    """
+    i, j = u.shape
+    if u.size == 0:
+        return np.zeros((i, 0)), np.zeros(0), np.zeros((0, j))
+    p, s, vt = np.linalg.svd(u, full_matrices=False)
+    keep = s > _EPS * max(u.shape) * s[0]
+    return p[:, keep], s[keep], vt[keep, :]
+
+
 def stable_cur_eval(c, u, r):
     """Evaluate ``C @ pinv(U) @ R`` through a truncated SVD of U.
 
-    Singular values of U at or below ``eps * max(U.shape) * sigma_max(U)``
-    are dropped before inversion, so a nearly singular core cannot
-    inject noise or NaNs into the product.
+    U's small singular values are dropped before inversion (see
+    :func:`truncated_svd`), so a nearly singular core cannot inject
+    noise or NaNs into the product.
 
     Parameters
     ----------
@@ -273,13 +292,7 @@ def stable_cur_eval(c, u, r):
     if not (np.isfinite(c).all() and np.isfinite(u).all()
             and np.isfinite(r).all()):
         raise InvalidInput("CUR blocks contain non-finite entries")
-    m, n = c.shape[0], r.shape[1]
-    if u.size == 0:
-        return LowRankOperator(np.zeros((m, 0)), np.zeros((0, n)))
-    p, s, qt = np.linalg.svd(u, full_matrices=False)
-    if s[0] == 0.0:
-        return LowRankOperator(np.zeros((m, 0)), np.zeros((0, n)))
-    keep = s > _EPS * max(u.shape) * s[0]
-    left = (c @ qt[keep, :].T) / s[keep][None, :]
-    right = p[:, keep].T @ r
+    p, s, vt = truncated_svd(u)
+    left = (c @ vt.T) / s[None, :]
+    right = p.T @ r
     return LowRankOperator(left, right)

@@ -8,19 +8,26 @@ entries are used throughout. Concentration of ``|G M|_F`` around
 failure probability decays exponentially in s times the stable rank of
 M, worst for residuals that are nearly rank one.
 
-Re-estimating after an index update reuses the matrix sketch: only the
-residual sketch is recomputed, costing block reads but no matvecs.
+The residual is never formed, nor the m x k left factor of the CUR
+product: C = A[:, J] gives G C = X[:, J] for the matrix sketch X = G A,
+so with U = R[:, J]
+
+    G (A - C pinv(U) R) = X - (X[:, J] pinv(U)) R,
+
+which needs X, the row block R and U's truncated SVD only. Scoring
+another selection of the same matrix reuses X: it costs no matvecs
+and reads nothing beyond that selection's row block.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, ZeroMatrixSketch
+from .errors import InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch
 # stable_cur_eval is not called here; the name stays because
 # bench/tracing.py installs its wrapper on normest.stable_cur_eval and
 # requires the attribute.
-from .linalg import stable_cur_eval  # noqa: F401
+from .linalg import stable_cur_eval, truncated_svd  # noqa: F401
 from .sketch import GaussianEmbedding, SketchPack, derive_seed, row_sketch
 
 __all__ = ["ErrorEstimate", "estimate_cur_error"]
@@ -34,15 +41,21 @@ class ErrorEstimate:
     pack: SketchPack
 
 
-def estimate_cur_error(oracle, operator, s=5, seed=0, reuse=None):
-    """Estimate ``|A - CUR|_F / |A|_F`` from an s-row Gaussian sketch.
+def estimate_cur_error(oracle, cols, r, s=5, seed=0, reuse=None):
+    """Estimate ``|A - C pinv(U) R|_F / |A|_F`` from an s-row Gaussian sketch.
+
+    The CUR approximation is the one ``CURFactors.operator()`` builds:
+    C = A[:, cols], U = r[:, cols], and pinv(U) truncated as
+    :func:`~adacur.linalg.truncated_svd` does. C itself is not needed.
 
     Parameters
     ----------
     oracle : MatrixOracle
-    operator : LowRankOperator
-        The CUR approximation to score, as ``CURFactors.operator()``
-        builds it from the factors the caller returns.
+    cols : ndarray of int
+        Selected column indices J.
+    r : ndarray
+        Row block A[rows, :] of the selection, shape (i, n), extra rows
+        included.
     s : int
         Sketch rows. Ignored when ``reuse`` supplies a sketch.
     seed : int
@@ -61,6 +74,10 @@ def estimate_cur_error(oracle, operator, s=5, seed=0, reuse=None):
     ZeroMatrixSketch
         If the matrix sketch is identically zero, which leaves the
         relative error undefined.
+    NonFiniteSnapshot
+        If the matrix sketch or the row block holds a NaN or infinite
+        entry. A non-finite entry anywhere in A makes its column of the
+        sketch non-finite, so this also catches those outside R.
     """
     m = oracle.nrows
     if reuse is not None:
@@ -74,11 +91,24 @@ def estimate_cur_error(oracle, operator, s=5, seed=0, reuse=None):
         emb = GaussianEmbedding(int(s), m, derive_seed(seed, 0xE557),
                                 scale=1.0)
         xs = row_sketch(emb, oracle)
+    if r.ndim != 2 or r.shape[1] != xs.shape[1]:
+        raise InvalidInput(f"row block shape {r.shape} does not match "
+                           f"{xs.shape[1]} columns")
     xs_norm = np.linalg.norm(xs)
+    if not np.isfinite(xs_norm):
+        raise NonFiniteSnapshot("matrix sketch holds non-finite entries")
     if xs_norm == 0.0:
         raise ZeroMatrixSketch("matrix sketch is identically zero")
-    es = xs - (emb.raw @ operator.left) @ operator.right
+    u = r[:, cols]
+    if not np.isfinite(u).all():
+        raise NonFiniteSnapshot("row block holds non-finite entries")
+    p, sv, vt = truncated_svd(u)
+    # X[:, J] pinv(U), (s, i): the residual sketch is X minus it times R
+    coef = ((xs[:, cols] @ vt.T) / sv) @ p.T
+    es = xs - coef @ r
     rel = float(np.linalg.norm(es) / xs_norm)
+    if not np.isfinite(rel):
+        raise NonFiniteSnapshot("row block holds non-finite entries")
     return ErrorEstimate(rel_error=rel,
                          pack=SketchPack(embedding=emb, row_sketch=xs,
                                          residual_sketch=es))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, RankTolNotResolved
+from .errors import InvalidInput, NonFiniteSnapshot, RankTolNotResolved
 from .sketch import GaussianEmbedding, derive_seed, row_sketch
 
 __all__ = ["RankEstimate", "estimate_rank"]
@@ -71,6 +71,9 @@ def estimate_rank(oracle, abs_tol, seed, s_max=None):
 
     Raises
     ------
+    NonFiniteSnapshot
+        If the sketch holds a NaN or infinite entry, as it does when A
+        holds one.
     RankTolNotResolved
         If s reaches ``s_max`` with the smallest sketched singular
         value still at or above ``abs_tol``. The exception carries the
@@ -117,6 +120,8 @@ def estimate_rank(oracle, abs_tol, seed, s_max=None):
             elif g2.sketch_rows < 2 * s:
                 g2 = g2.grown(2 * s)
             y = x @ (g2.raw.T / np.sqrt(2 * s))
+        if not np.isfinite(y).all():
+            raise NonFiniteSnapshot("rank sketch holds non-finite entries")
         sig = np.linalg.svd(y, compute_uv=False)
         smin = sig[-1]
         if smin < abs_tol or s >= s_max:

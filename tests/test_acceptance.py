@@ -187,7 +187,8 @@ class TestEstimatorTheory:
             rows = sub.all_rows
             sub_op = stable_cur_eval(a[:, sub.cols],
                                      a[np.ix_(rows, sub.cols)], a[rows, :])
-            est = estimate_cur_error(orc, sub_op, s=5, seed=7000 + trial)
+            est = estimate_cur_error(orc, sub.cols, a[rows, :], s=5,
+                                     seed=7000 + trial)
             true = true_relative_error(orc, sub_op)
             agree += (0.5 * true <= est.rel_error <= 2.0 * true)
         ok = recov_ok == trials and agree >= 49

@@ -5,12 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
+from adacur import driver
 from adacur.driver import (
     AdaCurConfig,
     adacur_run,
     recompute_baseline_run,
 )
-from adacur.errors import InvalidInput, ZeroMatrixSketch
+from adacur.errors import InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch
 from adacur.fast import FastConfig, fastadacur_run
 from adacur.normest import estimate_cur_error
 from adacur.oracles import DenseOracle, ParamMatrixSequence
@@ -160,6 +161,29 @@ class TestConstantSequence:
         res = adacur_run(seq, AdaCurConfig(tol=1e-6, seed=0))
         assert res[0][1].action == "RECOMPUTE"
         assert res[0][1].h2_cum == 0
+
+
+class TestReuseSkipsLeftFactor:
+    def test_no_cur_evaluation_without_factors_or_true_error(self,
+                                                             monkeypatch):
+        # steps are scored from the sketch and R alone; the m x k left
+        # factor is built only for exact errors and stored factors
+        calls = []
+        real = driver.stable_cur_eval
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(driver, "stable_cur_eval", counting)
+        seq = make_synthetic_expm(n=60, q=11, seed=0)
+        cfg = AdaCurConfig(tol=1e-8, oversample=3, store_factors=False)
+        actions = [tr.action for _, tr in adacur_run(seq, cfg)]
+        assert "REUSE" in actions
+        assert not calls
+        adacur_run(seq, AdaCurConfig(tol=1e-8, oversample=3,
+                                     store_factors=False, true_error=True))
+        assert len(calls) == len(actions)
 
 
 class TestFactorLayout:
@@ -345,6 +369,28 @@ class TestBookkeeping:
         assert len(info.value.partial_trace) == 3
         assert [t.step for t in info.value.partial_trace] == [0, 1, 2]
 
+    @pytest.mark.parametrize("place", ["row block", "outside cross"])
+    @pytest.mark.parametrize("run", [adacur_run, recompute_baseline_run],
+                             ids=["adacur", "baseline"])
+    def test_non_finite_snapshot_names_step(self, run, place):
+        seq = constant_rank_sequence(q=6)
+        a = seq.oracle(0).array
+        cfg = AdaCurConfig(tol=1e-6, seed=0)
+        sel = run(seq, cfg)[3][0].selection
+        free_rows = np.setdiff1d(np.arange(a.shape[0]), sel.all_rows)
+        free_cols = np.setdiff1d(np.arange(a.shape[1]), sel.cols)
+        bad = a.copy()
+        row = sel.rows[0] if place == "row block" else free_rows[0]
+        bad[row, free_cols[0]] = np.nan
+        sick = ParamMatrixSequence(
+            seq.params, lambda j: DenseOracle(bad if j == 3 else a), a.shape)
+        with pytest.raises(NonFiniteSnapshot) as info:
+            run(sick, cfg)
+        assert not isinstance(info.value, InvalidInput)
+        assert info.value.step == 3
+        assert str(info.value).startswith("step 3: ")
+        assert [t.step for t in info.value.partial_trace] == [0, 1, 2]
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(InvalidInput):
             ParamMatrixSequence([], lambda j: None, (3, 3))
@@ -374,7 +420,8 @@ class TestBookkeeping:
         for j, (fac, tr) in enumerate(run(seq, cfg)):
             try:
                 want = estimate_cur_error(
-                    seq.oracle(j), fac.operator(), s=cfg.err_samples,
+                    seq.oracle(j), fac.selection.cols, fac.r,
+                    s=cfg.err_samples,
                     seed=derive_seed(cfg.seed, j, 0xE5)).rel_error
             except ZeroMatrixSketch:
                 want = 0.0

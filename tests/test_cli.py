@@ -50,6 +50,21 @@ class TestExitCodes:
         assert run_cli("--problem", "synthetic", "--n", "30",
                        "--steps", "5", "--seeds", "5..1") == 2
 
+    @pytest.mark.parametrize("algo", ["adacur", "recompute-baseline"])
+    def test_non_finite_snapshot_exits_3(self, tmp_path, capsys, algo):
+        # bad data in a later snapshot is a runtime failure, not a
+        # configuration error
+        rng = np.random.default_rng(0)
+        base = rng.standard_normal((20, 4)) @ rng.standard_normal((4, 15))
+        for k in range(5):
+            a = base * (1.0 + 0.01 * k)
+            if k == 3:
+                a[11, 7] = np.nan
+            write_matrix_market(str(tmp_path / f"step_{k}.mtx"), a)
+        assert run_cli("--problem", "from-dir", "--dir", str(tmp_path),
+                       "--algo", algo, "--tol", "1e-8") == 3
+        assert "step 3: " in capsys.readouterr().err
+
 
 class TestOutputs:
     def test_csv_contents(self, tmp_path, capsys):

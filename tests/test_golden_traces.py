@@ -4,9 +4,10 @@
 ``wall_ms`` for the three drivers on small instances of the built-in
 problems at driver seeds 0 and 3. Strings and integers must match
 exactly and floats to a relative 1e-12. A change that means to alter
-traces first lists what moved, per case the first step that differs
-and the fields that differ (exit status 1 if any case does), then
-regenerates the file and says why in CHANGES.md:
+traces first lists what moved, per case the largest relative change of
+each float field and any int or string field that moved (exit status 1
+if any case differs), then regenerates the file and says why in
+CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden_traces.py --diff
     PYTHONPATH=src python tests/test_golden_traces.py --write
@@ -83,19 +84,41 @@ def differences(got, want):
 
 
 def diff_report(golden):
-    """Print what differs from ``golden`` per case; the count of cases."""
+    """Print what moved from ``golden`` per case; the count of cases.
+
+    Per case: the largest relative change of each float field that
+    moved, and which int or string fields moved, if any. A last line
+    gives each float field's largest change over all cases.
+    """
     changed = 0
+    overall = {}
     for case in CASES:
-        diffs = differences(run_case(case), golden[case])
+        got, want = run_case(case), golden[case]
+        diffs = differences(got, want)
         if not diffs:
             continue
         changed += 1
-        step, key, g, w = diffs[0]
-        fields = sorted({d[1] for d in diffs})
-        steps = len({d[0] for d in diffs})
-        print(f"{case}: from step {step} ({key} {g!r} != {w!r}); "
-              f"{', '.join(fields)} differ in {steps} step(s)")
+        if diffs[0][0] is None:
+            print(f"{case}: {len(got)} steps != {len(want)}")
+            continue
+        floats, exact = {}, set()
+        for _, key, g, w in diffs:
+            if isinstance(g, float) and isinstance(w, float):
+                rel = abs(g - w) / abs(w) if w else math.inf
+                floats[key] = max(floats.get(key, 0.0), rel)
+            else:
+                exact.add(key)
+        for key, rel in floats.items():
+            overall[key] = max(overall.get(key, 0.0), rel)
+        parts = [f"{key} max rel change {rel:.3g}"
+                 for key, rel in sorted(floats.items())]
+        parts.append("int/str fields moved: " + ", ".join(sorted(exact))
+                     if exact else "no int or str field moved")
+        print(f"{case}: {'; '.join(parts)}")
     print(f"{changed} of {len(CASES)} cases differ from {GOLDEN.name}")
+    if overall:
+        print("largest float changes: " + ", ".join(
+            f"{key} {rel:.3g}" for key, rel in sorted(overall.items())))
     return changed
 
 
