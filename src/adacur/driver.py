@@ -39,8 +39,7 @@ def _check_config(cfg, **least):
     """Validate the fields the driver configs share, at construction.
 
     ``least`` maps each integer count field to its smallest allowed
-    value; ``seed`` must be an integer too. ``tol`` must lie in (0, 1),
-    ``rank_safety`` in (0, 1] and ``srrqr_f`` in [1, inf).
+    value; ``seed`` must be an integer too. ``tol`` must lie in (0, 1).
     """
     _check_integers(cfg, *least, "seed")
     if not (0.0 < cfg.tol < 1.0):
@@ -48,11 +47,6 @@ def _check_config(cfg, **least):
     for name, low in least.items():
         if getattr(cfg, name) < low:
             raise InvalidInput(f"{name} must be >= {low}")
-    if not (0.0 < cfg.rank_safety <= 1.0):
-        raise InvalidInput("rank_safety must be in (0, 1]")
-    if not 1.0 <= cfg.srrqr_f < np.inf:
-        raise InvalidInput(
-            f"srrqr_f must be finite and >= 1, got {cfg.srrqr_f}")
 
 
 @dataclass
@@ -61,8 +55,8 @@ class AdaCurConfig:
 
     ``tol`` is the relative Frobenius error target; ``err_samples`` the
     sketch rows used for certification; ``oversample`` the number of
-    extra rows kept beyond the square cross. ``rank_safety`` scales the
-    rank-truncation tolerance, applied as rank_safety * tol / sqrt(n).
+    extra rows kept beyond the square cross. The rank-truncation
+    tolerance is 0.5 * tol / sqrt(n).
     ``escalate_s`` retries a failed refinement with a doubled sketch
     (up to four doublings) before falling back to recomputation.
     ``true_error`` additionally records the exact relative error per
@@ -75,8 +69,6 @@ class AdaCurConfig:
     err_samples: int = 5
     oversample: int = 0
     seed: int = 0
-    rank_safety: float = 0.5
-    srrqr_f: float = 2.0
     escalate_s: bool = False
     true_error: bool = False
     store_factors: bool = True
@@ -128,8 +120,13 @@ class CURFactors:
         return stable_cur_eval(self.c, self.u, self.r)
 
 
+# Share of the tolerance left to rank truncation: the rank tolerance is
+# _RANK_SAFETY * tol / sqrt(n).
+_RANK_SAFETY = 0.5
+
+
 def _rank_tol(cfg, n):
-    return cfg.rank_safety * cfg.tol / np.sqrt(n)
+    return _RANK_SAFETY * cfg.tol / np.sqrt(n)
 
 
 def _scratch_factors(oracle, cfg, seed):
@@ -144,8 +141,7 @@ def _scratch_factors(oracle, cfg, seed):
                                         seed)
     p = min(cfg.oversample, oracle.nrows - sel.rows.size)
     if p > 0 and not sel.is_empty:
-        extra = oversample_rows_multi(oracle, sel.rows, sel.cols, p,
-                                      row_id=row_id)
+        extra = oversample_rows_multi(row_id, sel.rows, p)
         sel = IndexSelection(sel.rows, sel.cols, extra)
     return _extract_factors(oracle, sel, c)
 
@@ -209,8 +205,8 @@ def refine_indices(oracle, sel, pack, cfg):
     rows2 = np.concatenate([chosen_rows, i1])
     cols2 = np.concatenate([sel.cols, j1])
     g = oracle.submatrix(rows2, cols2)
-    col_qr = srrqr(g, f=cfg.srrqr_f)
-    row_qr = srrqr(g.T, f=cfg.srrqr_f)
+    col_qr = srrqr(g)
+    row_qr = srrqr(g.T)
     r_new = eps_rank_from_rdiag(col_qr.r, _rank_tol(cfg, n))
 
     p_eff = cfg.oversample

@@ -16,7 +16,7 @@ import numpy as np
 
 from .driver import (CURFactors, _check_config, _extract_factors, _rank_tol,
                      _track)
-from .errors import warn_caller
+from .errors import NonFiniteSnapshot, warn_caller
 from .linalg import eps_rank_from_rdiag, lu_pivots, lu_row_id, srrqr
 from .oversample import oversample_rows, oversample_rows_multi
 from .pivoting import IndexSelection, rand_pivot_rankest
@@ -32,9 +32,9 @@ class FastConfig:
     ``buffer`` is the number of extra columns (and rows) tracked beyond
     the current rank; it bounds how much the rank can grow per step.
     ``oversample`` adds rows beyond that for factor quality. The rank
-    tolerance is rank_safety * tol / sqrt(n) against the core's
-    R-factor diagonal. ``store_factors`` off skips factor extraction
-    entirely; the per-step work is then just the core read, its strong
+    tolerance is 0.5 * tol / sqrt(n) against the core's R-factor
+    diagonal. ``store_factors`` off skips factor extraction entirely;
+    the per-step work is then just the core read, its strong
     rank-revealing QR and one LU factorization.
     """
 
@@ -42,12 +42,17 @@ class FastConfig:
     buffer: int = 5
     oversample: int = 0
     seed: int = 0
-    rank_safety: float = 0.5
-    srrqr_f: float = 2.0
     store_factors: bool = True
 
     def __post_init__(self):
         _check_config(self, buffer=0, oversample=0)
+
+
+def _finite(block, what):
+    """``block``, once its entries are known to be finite."""
+    if not np.isfinite(block).all():
+        raise NonFiniteSnapshot(f"{what} holds non-finite entries")
+    return block
 
 
 def _scratch_cross(oracle, cfg):
@@ -68,11 +73,11 @@ def _scratch_cross(oracle, cfg):
     extra_rows = min(p + b, m - r)
     extra_cols = min(b, n - r)
     if r > 0 and extra_rows > 0:
-        i_new = oversample_rows_multi(oracle, i_idx, j_idx, extra_rows,
-                                      row_id=row_id)
+        i_new = oversample_rows_multi(row_id, i_idx, extra_rows)
         i_idx = np.concatenate([i_idx, i_new])
     if r > 0 and extra_cols > 0:
-        j_new = oversample_rows_multi(oracle.T, j_idx, sel.rows, extra_cols)
+        col_id = lu_row_id(oracle.row_block(sel.rows).T)
+        j_new = oversample_rows_multi(col_id, j_idx, extra_cols)
         j_idx = np.concatenate([j_idx, j_new])
     return i_idx, j_idx, r, c
 
@@ -90,7 +95,8 @@ def fastadacur_run(seq, cfg):
     (replenishing indices through trailing-subspace oversampling on the
     already-fetched factor blocks). In the trace, h1 accumulates
     TRUNCATE and h2 EXPAND actions from step 2 on; est_rel_err is
-    always None.
+    always None. A non-finite entry in a block the step reads (the core,
+    C or R) raises :class:`NonFiniteSnapshot`; one elsewhere goes unseen.
     """
     b, p = cfg.buffer, cfg.oversample
     i_idx = j_idx = np.array([], dtype=np.intp)
@@ -108,12 +114,12 @@ def fastadacur_run(seq, cfg):
             if i_idx.size == 0 or j_idx.size == 0:
                 r0, i_perm, j_perm = 0, i_idx, j_idx
             else:
-                core = oracle.submatrix(i_idx, j_idx)
-                col_qr = srrqr(core, f=cfg.srrqr_f)
+                core = _finite(oracle.submatrix(i_idx, j_idx), "core")
+                col_qr = srrqr(core)
                 r0 = eps_rank_from_rdiag(col_qr.r, _rank_tol(cfg, n))
                 # LUPP's first r0 row pivots depend on the first r0
                 # columns only: they are the skeleton rows of the r0
-                # leading pivot columns, with no second sRRQR of core.T
+                # leading pivot columns
                 i_perm = i_idx[lu_pivots(core[:, col_qr.pivots])]
                 j_perm = j_idx[col_qr.pivots]
 
@@ -134,27 +140,27 @@ def fastadacur_run(seq, cfg):
                 j_lead = j_perm[:r0]
                 # the factor blocks double as the oversampling inputs,
                 # so expansion reads nothing beyond them
-                cblk = oracle.col_block(j_lead)
-                rblk_t = oracle.T.col_block(i_lead)
-                rblk = rblk_t.T
+                cblk = _finite(oracle.col_block(j_lead), "column block")
+                rblk = _finite(oracle.row_block(i_lead), "row block")
                 i_idx, j_idx = i_perm, j_perm
                 if need_rows > 0:
-                    i_new = oversample_rows(oracle, i_perm, j_lead,
-                                            need_rows, row_id=lu_row_id(cblk))
+                    i_new = oversample_rows(lu_row_id(cblk), i_perm,
+                                            need_rows)
                     i_idx = np.concatenate([i_perm, i_new])
                 if need_cols > 0:
                     # lu_row_id needs a tall block; past n lead rows the
                     # first n give a square one, whose basis is all of R^n
-                    j_new = oversample_rows(oracle.T, j_perm, i_lead[:n],
-                                            need_cols,
-                                            row_id=lu_row_id(rblk_t[:, :n]))
+                    j_new = oversample_rows(lu_row_id(rblk[:n].T), j_perm,
+                                            need_cols)
                     j_idx = np.concatenate([j_perm, j_new])
             r = r0
 
         fac_sel = IndexSelection(i_idx[:r], j_idx[:r], i_idx[r:r + p_eff])
-        fac = (_extract_factors(oracle, fac_sel, cblk, rblk)
-               if cfg.store_factors
-               else CURFactors(None, None, None, fac_sel))
+        if not cfg.store_factors:
+            return CURFactors(None, None, None, fac_sel), action, None
+        fac = _extract_factors(oracle, fac_sel, cblk, rblk)
+        _finite(fac.c, "column block")
+        _finite(fac.r, "row block")
         return fac, action, None
 
     return _track(seq, cfg, step)

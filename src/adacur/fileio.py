@@ -7,6 +7,7 @@ by line number and explicitly stored zeros kept as structural entries
 """
 
 import csv
+import dataclasses
 import re
 from pathlib import Path
 
@@ -21,8 +22,8 @@ __all__ = ["read_matrix_market", "write_matrix_market",
            "load_sequence_dir", "write_trace_csv", "read_trace_csv",
            "CSV_HEADER"]
 
-CSV_HEADER = ("step,t,rank,est_rel_err,true_rel_err,action,"
-              "h1_cum,h2_cum,matvecs,wall_ms,entries_read")
+_FIELDS = dataclasses.fields(StepTrace)
+CSV_HEADER = ",".join(f.name for f in _FIELDS)
 
 
 # -- Matrix Market -------------------------------------------------------
@@ -249,25 +250,32 @@ def load_sequence_dir(path):
 
 # -- CSV traces ----------------------------------------------------------
 
-def _fmt_opt(x):
-    return "" if x is None else repr(float(x))
+def _format_field(field, value):
+    """One value as a CSV cell; floats round-trip, a missing one is ''."""
+    if field.type in (float, float | None):
+        return "" if value is None else repr(float(value))
+    return value
+
+
+def _parse_field(field, text):
+    """One CSV cell as the type ``field`` declares; '' is a missing float."""
+    if field.type == float | None:
+        return None if text == "" else float(text)
+    return field.type(text)
 
 
 def write_trace_csv(traces, path):
-    """Write step traces as CSV with the fixed header.
+    """Write step traces as CSV, one column per :class:`StepTrace` field.
 
-    Missing optional errors become empty fields; floats use shortest
+    Missing optional floats become empty fields; floats use shortest
     round-trip decimals. Unwritable paths raise the propagated OSError.
     """
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
         for tr in traces:
-            writer.writerow([tr.step, _fmt_opt(tr.t), tr.rank,
-                             _fmt_opt(tr.est_rel_err),
-                             _fmt_opt(tr.true_rel_err), tr.action,
-                             tr.h1_cum, tr.h2_cum, tr.matvecs,
-                             _fmt_opt(tr.wall_ms), tr.entries_read])
+            writer.writerow([_format_field(fld, getattr(tr, fld.name))
+                             for fld in _FIELDS])
 
 
 def read_trace_csv(path):
@@ -288,13 +296,8 @@ def read_trace_csv(path):
                     f"expected {len(header)} fields, got {len(row)}",
                     line=lineno)
             try:
-                traces.append(StepTrace(
-                    step=int(row[0]), t=float(row[1]), rank=int(row[2]),
-                    est_rel_err=None if row[3] == "" else float(row[3]),
-                    true_rel_err=None if row[4] == "" else float(row[4]),
-                    action=row[5], h1_cum=int(row[6]), h2_cum=int(row[7]),
-                    matvecs=int(row[8]), wall_ms=float(row[9]),
-                    entries_read=int(row[10])))
+                traces.append(StepTrace(*(_parse_field(fld, text)
+                                          for fld, text in zip(_FIELDS, row))))
             except ValueError as exc:
                 raise ParseError(str(exc), line=lineno) from None
     return traces

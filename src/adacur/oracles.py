@@ -24,7 +24,7 @@ __all__ = [
 
 
 class OracleCounters:
-    """Mutable access tally shared by an oracle and its transpose."""
+    """Mutable access tally of one oracle."""
 
     __slots__ = ("matvecs", "rmatvecs", "entries_read")
 
@@ -147,48 +147,6 @@ class MatrixOracle:
         cols = _index_array(cols, self.ncols, "column")
         self.counters.entries_read += rows.size * cols.size
         return self._submatrix(rows, cols)
-
-    @property
-    def T(self):
-        """Transposed view sharing this oracle's counters."""
-        return _TransposedOracle(self)
-
-
-class _TransposedOracle(MatrixOracle):
-    """Adjoint view; every access is forwarded (and counted) on the base."""
-
-    def __init__(self, base):
-        self._base = base
-        self.shape = (base.shape[1], base.shape[0])
-
-    @property
-    def counters(self):
-        return self._base.counters
-
-    def matvec(self, x):
-        return self._base.rmatvec(x)
-
-    def rmatvec(self, x):
-        return self._base.matvec(x)
-
-    def matmat(self, x):
-        return self._base.rmatmat(x)
-
-    def rmatmat(self, x):
-        return self._base.matmat(x)
-
-    def row_block(self, idx):
-        return self._base.col_block(idx).T
-
-    def col_block(self, idx):
-        return self._base.row_block(idx).T
-
-    def submatrix(self, rows, cols):
-        return self._base.submatrix(cols, rows).T
-
-    @property
-    def T(self):
-        return self._base
 
 
 class DenseOracle(MatrixOracle):

@@ -7,6 +7,7 @@ imports conftest before any test module, so this is the one reliable
 place to do it.
 """
 
+import dataclasses
 import os
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -24,15 +25,8 @@ def rng():
 
 
 def assert_traces_match(t1, t2):
-    """Two step traces agree on everything except wall time."""
+    """Two step traces agree on every field except wall time."""
     assert len(t1) == len(t2)
     for a, b in zip(t1, t2):
-        assert a.step == b.step
-        assert a.t == b.t
-        assert a.rank == b.rank
-        assert a.est_rel_err == b.est_rel_err
-        assert a.action == b.action
-        assert a.h1_cum == b.h1_cum
-        assert a.h2_cum == b.h2_cum
-        assert a.matvecs == b.matvecs
-        assert a.entries_read == b.entries_read
+        assert (dataclasses.replace(a, wall_ms=0.0)
+                == dataclasses.replace(b, wall_ms=0.0))

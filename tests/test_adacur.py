@@ -45,15 +45,6 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             AdaCurConfig(tol=1e-6, err_samples=0)
 
-    def test_rank_safety_range(self):
-        with pytest.raises(InvalidInput):
-            AdaCurConfig(tol=1e-6, rank_safety=0.0)
-
-    @pytest.mark.parametrize("f", [0.5, float("nan"), float("inf")])
-    def test_srrqr_f_rejected(self, f):
-        with pytest.raises(InvalidInput):
-            AdaCurConfig(tol=1e-6, srrqr_f=f)
-
     @pytest.mark.parametrize("name,value", [
         ("err_samples", 2.5), ("oversample", 2.5), ("seed", 1.5),
         ("oversample", "3")])

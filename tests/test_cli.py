@@ -50,7 +50,8 @@ class TestExitCodes:
         assert run_cli("--problem", "synthetic", "--n", "30",
                        "--steps", "5", "--seeds", "5..1") == 2
 
-    @pytest.mark.parametrize("algo", ["adacur", "recompute-baseline"])
+    @pytest.mark.parametrize("algo",
+                             ["adacur", "recompute-baseline", "fastadacur"])
     def test_non_finite_snapshot_exits_3(self, tmp_path, capsys, algo):
         # bad data in a later snapshot is a runtime failure, not a
         # configuration error

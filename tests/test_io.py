@@ -266,6 +266,8 @@ class TestTraceCsv:
         write_trace_csv(self.traces(), path)
         first = open(path).readline().strip()
         assert first == CSV_HEADER
+        assert first.split(",") == [f.name for f in
+                                    dataclasses.fields(StepTrace)]
 
     def test_round_trip_exact(self, tmp_path):
         path = str(tmp_path / "t.csv")

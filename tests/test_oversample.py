@@ -27,11 +27,17 @@ def qc_basis(a, cols):
     return sla.qr(a[:, cols], mode="economic")[0]
 
 
+def col_id(a, cols):
+    """The LU row ID of A[:, cols] that oversampling takes."""
+    return lu_row_id(a[:, cols])
+
+
 class HouseholderBasis:
     """Reference basis: Q of the economic Householder QR of A[:, cols]."""
 
     def __init__(self, a, cols):
         self.q = qc_basis(a, cols)
+        self.m, self.k = self.q.shape
 
     def rows(self, idx):
         return self.q[idx]
@@ -40,10 +46,10 @@ class HouseholderBasis:
         return self.q[idx] @ v
 
 
-def householder_route(monkeypatch, a):
+def householder_route(monkeypatch, a, cols):
     """Make oversampling take its basis from a QR of ``a[:, cols]``."""
-    monkeypatch.setattr(oversample, "_column_basis",
-                        lambda oracle, cols, row_id: HouseholderBasis(a, cols))
+    monkeypatch.setattr(oversample, "_InterpBasis",
+                        lambda row_id: HouseholderBasis(a, cols))
 
 
 class TestOversampleRows:
@@ -51,7 +57,7 @@ class TestOversampleRows:
         a = tube_matrix(rng, 40, 30, 5)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 5, seed=0)
-        extra = oversample_rows(orc, sel.rows, sel.cols, 0)
+        extra = oversample_rows(col_id(a, sel.cols), sel.rows, 0)
         assert len(extra) == 0
 
     def test_requested_count_and_disjointness(self, rng):
@@ -59,7 +65,7 @@ class TestOversampleRows:
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 5, seed=0)
         for p in [1, 3, 5]:
-            extra = oversample_rows(orc, sel.rows, sel.cols, p)
+            extra = oversample_rows(col_id(a, sel.cols), sel.rows, p)
             assert len(extra) == p
             assert len(np.intersect1d(extra, sel.rows)) == 0
 
@@ -68,7 +74,7 @@ class TestOversampleRows:
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 5, seed=0)
         with pytest.raises(InvalidInput):
-            oversample_rows(orc, sel.rows, sel.cols, 6)
+            oversample_rows(col_id(a, sel.cols), sel.rows, 6)
 
     def test_never_degrades_base_conditioning(self, rng):
         # row augmentation can only raise the smallest singular value of
@@ -80,7 +86,7 @@ class TestOversampleRows:
             qc = qc_basis(a, sel.cols)
             base = np.linalg.svd(qc[sel.rows], compute_uv=False)[-1]
             for p in [2, 4, 6]:
-                extra = oversample_rows(orc, sel.rows, sel.cols, p)
+                extra = oversample_rows(col_id(a, sel.cols), sel.rows, p)
                 grown = np.concatenate([sel.rows, extra])
                 smin = np.linalg.svd(qc[grown], compute_uv=False)[-1]
                 assert smin >= base - 1e-12
@@ -91,7 +97,7 @@ class TestOversampleRows:
         a = tube_matrix(rng, 60, 40, 6)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 6, seed=1)
-        extra = oversample_rows(orc, sel.rows, sel.cols, 5)
+        extra = oversample_rows(col_id(a, sel.cols), sel.rows, 5)
         qc = qc_basis(a, sel.cols)
         prev = -np.inf
         for p in range(6):
@@ -99,17 +105,6 @@ class TestOversampleRows:
             smin = np.linalg.svd(qc[grown], compute_uv=False)[-1]
             assert smin >= prev - 1e-12
             prev = smin
-
-    def test_row_id_shortcut_matches_fetch(self, rng):
-        a = tube_matrix(rng, 50, 25, 5)
-        orc = DenseOracle(a)
-        sel = rand_pivot(orc, 5, seed=3)
-        direct = oversample_rows(orc, sel.rows, sel.cols, 4)
-        before = orc.counters.entries_read
-        cached = oversample_rows(orc, sel.rows, sel.cols, 4,
-                                 row_id=lu_row_id(a[:, sel.cols]))
-        np.testing.assert_array_equal(direct, cached)
-        assert orc.counters.entries_read == before
 
     def test_no_cur_regression_on_gaussian(self, rng):
         # paired comparison: adding 5 oversampled rows to a full-rank
@@ -120,7 +115,7 @@ class TestOversampleRows:
             a = gen.standard_normal((100, 20))
             orc = DenseOracle(a)
             sel = rand_pivot(orc, 20, seed=seed)
-            extra = oversample_rows(orc, sel.rows, sel.cols, 5)
+            extra = oversample_rows(col_id(a, sel.cols), sel.rows, 5)
             rows2 = np.concatenate([sel.rows, extra])
             bare = stable_cur_eval(a[:, sel.cols],
                                    a[np.ix_(sel.rows, sel.cols)],
@@ -139,8 +134,8 @@ class TestOversampleRowsMulti:
         a = tube_matrix(rng, 50, 30, 5)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 5, seed=6)
-        multi = oversample_rows_multi(orc, sel.rows, sel.cols, 4)
-        single = oversample_rows(orc, sel.rows, sel.cols, 4)
+        multi = oversample_rows_multi(col_id(a, sel.cols), sel.rows, 4)
+        single = oversample_rows(col_id(a, sel.cols), sel.rows, 4)
         np.testing.assert_array_equal(multi, single)
 
     def test_exceeding_rank_splits_rounds(self, rng):
@@ -148,41 +143,33 @@ class TestOversampleRowsMulti:
         a = tube_matrix(rng, 80, 30, 5)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 5, seed=7)
-        extra = oversample_rows_multi(orc, sel.rows, sel.cols, 12)
+        extra = oversample_rows_multi(col_id(a, sel.cols), sel.rows, 12)
         assert len(extra) == 12
         assert len(np.unique(extra)) == 12
         assert len(np.intersect1d(extra, sel.rows)) == 0
 
-    def test_one_read_and_one_factorization_for_all_rounds(self, rng,
-                                                           monkeypatch):
+    def test_one_basis_for_all_rounds(self, rng, monkeypatch):
         # p = 12 > |cols| = 5 takes three rounds; the reference is the
-        # round loop over single-shot calls, each reading and factoring
+        # round loop over single-shot calls, each building its own basis
         a = tube_matrix(rng, 80, 30, 5)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 5, seed=7)
-        want, picked = [], np.empty(0, np.intp)
+        row_id = col_id(a, sel.cols)
+        picked = np.empty(0, np.intp)
         for q in (5, 5, 2):
-            got = oversample_rows(orc, np.concatenate([sel.rows, picked]),
-                                  sel.cols, q)
+            got = oversample_rows(row_id, np.concatenate([sel.rows, picked]),
+                                  q)
             picked = np.concatenate([picked, got])
-        factored, built = [], []
-
-        def counting_row_id(c):
-            factored.append(c.shape)
-            return lu_row_id(c)
+        built = []
 
         class Counting(oversample._InterpBasis):
             def __init__(self, row_id):
                 built.append(row_id[1].shape)
                 super().__init__(row_id)
 
-        monkeypatch.setattr(oversample, "lu_row_id", counting_row_id)
         monkeypatch.setattr(oversample, "_InterpBasis", Counting)
-        before = orc.counters.entries_read
-        got = oversample_rows_multi(orc, sel.rows, sel.cols, 12)
+        got = oversample_rows_multi(row_id, sel.rows, 12)
         np.testing.assert_array_equal(got, picked)
-        assert orc.counters.entries_read - before == 80 * 5
-        assert factored == [(80, 5)]
         assert built == [(75, 5)]
 
     def test_exhaustion_warning_names_caller(self, rng):
@@ -190,7 +177,7 @@ class TestOversampleRowsMulti:
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 3, seed=8)
         with pytest.warns(RuntimeWarning, match="exhausted") as rec:
-            oversample_rows_multi(orc, sel.rows, sel.cols, 10)
+            oversample_rows_multi(col_id(a, sel.cols), sel.rows, 10)
         assert [w.filename for w in rec] == [__file__]
 
     def test_exhaustion_warns_and_returns_short(self, rng):
@@ -198,7 +185,7 @@ class TestOversampleRowsMulti:
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 3, seed=8)
         with pytest.warns(RuntimeWarning):
-            extra = oversample_rows_multi(orc, sel.rows, sel.cols, 10)
+            extra = oversample_rows_multi(col_id(a, sel.cols), sel.rows, 10)
         assert len(extra) == 8 - 3
 
 
@@ -241,37 +228,27 @@ class TestInterpolativeBasis:
             sel = rand_pivot(orc, 20, seed=seed)
             row_id = lu_row_id(a[:, sel.cols])
             np.testing.assert_array_equal(row_id[0][:20], sel.rows)
-            got = [oversample_rows(orc, sel.rows, sel.cols, p, row_id=row_id)
-                   for p in (5, 20)]
-            got.append(oversample_rows_multi(orc, sel.rows, sel.cols, 45,
-                                             row_id=row_id))
+            got = [oversample_rows(row_id, sel.rows, p) for p in (5, 20)]
+            got.append(oversample_rows_multi(row_id, sel.rows, 45))
             with monkeypatch.context() as mp:
-                householder_route(mp, a)
-                want = [oversample_rows(orc, sel.rows, sel.cols, p)
+                householder_route(mp, a, sel.cols)
+                want = [oversample_rows(row_id, sel.rows, p)
                         for p in (5, 20)]
-                want.append(oversample_rows_multi(orc, sel.rows, sel.cols,
-                                                  45))
+                want.append(oversample_rows_multi(row_id, sel.rows, 45))
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, w)
 
-    def test_row_id_route_reads_nothing(self):
-        orc, sel, _, row_id = scratch_block("adversarial")
-        before = orc.counters.entries_read
-        extra = oversample_rows_multi(orc, sel.rows, sel.cols, 30,
-                                      row_id=row_id)
-        assert orc.counters.entries_read == before
-        assert np.unique(extra).size == 30
-        assert np.intersect1d(extra, sel.rows).size == 0
-
     def test_mismatched_row_id_rejected(self, rng):
+        # t must have one row per non-pivot row and at least one column,
+        # and the pivots must be one-dimensional
         a = tube_matrix(rng, 40, 30, 5)
-        orc = DenseOracle(a)
-        sel = rand_pivot(orc, 5, seed=0)
-        with pytest.raises(InvalidInput):
-            oversample_rows(orc, sel.rows, sel.cols, 2,
-                            row_id=lu_row_id(a[:, sel.cols[:4]]))
-        with pytest.raises(InvalidInput, match="tall"):
-            oversample_rows(orc.T, sel.cols, np.arange(31), 2)
+        sel = rand_pivot(DenseOracle(a), 5, seed=0)
+        piv, t = col_id(a, sel.cols)
+        for bad in [(piv, t[1:]), (piv[:-1], t), (piv, t[:, :0]),
+                    (piv.reshape(1, -1), t), (piv, t.ravel())]:
+            for over in (oversample_rows, oversample_rows_multi):
+                with pytest.raises(InvalidInput, match="row_id"):
+                    over(bad, sel.rows, 2)
 
     def test_exactly_singular_leading_block(self):
         # rank 1 with an exact zero column: U's second pivot is exactly

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adacur.errors import InvalidInput
-from adacur.linalg import stable_cur_eval
+from adacur.linalg import lu_row_id, stable_cur_eval
 from adacur.oracles import DenseOracle
 from adacur.oversample import oversample_rows_multi
 from adacur.pivoting import IndexSelection, rand_pivot, rand_pivot_rankest
@@ -112,7 +112,8 @@ class TestRandPivot:
         orc = DenseOracle(rank_r_matrix(gen, m, n, r))
         sel = rand_pivot(orc, r, seed=seed)
         p = min(extra, m - r)
-        more = oversample_rows_multi(orc, sel.rows, sel.cols, p)
+        more = oversample_rows_multi(lu_row_id(orc.col_block(sel.cols)),
+                                     sel.rows, p)
         assert more.size == p
         for idx in (sel.rows, sel.cols, more):
             assert np.unique(idx).size == idx.size == (r if idx is not more
