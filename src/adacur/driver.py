@@ -3,12 +3,13 @@
 Per parameter value the driver first tries to reuse the previous
 step's row/column indices, certifying them with a sketched relative
 error estimate. If the estimate exceeds the tolerance it refines the
-index sets in place (append residual-guided pivots, reorder by strong
-rank-revealing QR, truncate to the new rank); if even that fails it
-recomputes the indices from scratch. The counters h1 and h2 track how
-often the two repair paths fire after the first step.
+index sets in place (append residual-guided pivots, order the enlarged
+cross as the fast driver orders its core, truncate to the new rank); if
+even that fails it recomputes the indices from scratch. The counters h1
+and h2 track how often the two repair paths fire after the first step.
 """
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -16,7 +17,8 @@ import numpy as np
 
 from .errors import (InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch,
                      warn_caller)
-from .linalg import cpqr, eps_rank_from_rdiag, srrqr, stable_cur_eval
+from .linalg import (cpqr, eps_rank_from_rdiag, lu_pivots, srrqr,
+                     stable_cur_eval)
 from .normest import estimate_cur_error
 from .oversample import oversample_rows_multi
 from .pivoting import IndexSelection, rand_pivot_rankest
@@ -27,23 +29,24 @@ __all__ = ["AdaCurConfig", "StepTrace", "CURFactors", "adacur_run",
            "refine_indices", "recompute_baseline_run"]
 
 
-def _check_integers(cfg, *names):
-    """Reject config fields that are not integers (numpy ints pass)."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not isinstance(value, (int, np.integer)):
-            raise InvalidInput(f"{name} must be an integer, got {value!r}")
-
-
 def _check_config(cfg, **least):
     """Validate the fields the driver configs share, at construction.
 
     ``least`` maps each integer count field to its smallest allowed
-    value; ``seed`` must be an integer too. ``tol`` must lie in (0, 1).
+    value; ``seed`` must be an integer too (numpy ints pass, bools do
+    not). ``tol`` must be a real number in (0, 1), and the flags the
+    config has must be bools (numpy bools pass).
     """
-    _check_integers(cfg, *least, "seed")
-    if not (0.0 < cfg.tol < 1.0):
-        raise InvalidInput(f"tol must be in (0, 1), got {cfg.tol}")
+    for name in (*least, "seed"):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if not isinstance(cfg.tol, numbers.Real) or not 0.0 < cfg.tol < 1.0:
+        raise InvalidInput(f"tol must be a real in (0, 1), got {cfg.tol!r}")
+    for name in ("escalate_s", "true_error", "store_factors"):
+        value = getattr(cfg, name, False)
+        if not isinstance(value, (bool, np.bool_)):
+            raise InvalidInput(f"{name} must be a bool, got {value!r}")
     for name, low in least.items():
         if getattr(cfg, name) < low:
             raise InvalidInput(f"{name} must be >= {low}")
@@ -168,14 +171,28 @@ def _extract_factors(oracle, sel, col_block=None, row_block=None):
     return CURFactors(c, u, rfac, sel)
 
 
+def _order_cross(rows, cols, g, rank_tol):
+    """Order the cross ``g = A[rows, cols]``; return (rows, cols, rank).
+
+    One strong rank-revealing QR of g orders the columns, and its R
+    diagonal gives the rank. LUPP of the column-ordered g orders the
+    rows; its first r pivots depend on the first r columns only, so they
+    are the skeleton rows of the r leading pivot columns.
+    """
+    col_qr = srrqr(g)
+    rank = eps_rank_from_rdiag(col_qr.r, rank_tol)
+    return rows[lu_pivots(g[:, col_qr.pivots])], cols[col_qr.pivots], rank
+
+
 def refine_indices(oracle, sel, pack, cfg):
     """Minor modification of an index selection against the residual.
 
     Appends residual-guided column pivots and matching row pivots from
-    the unchosen index sets, reorders the enlarged cross by strong
-    rank-revealing QR in both directions, truncates to the revealed
-    rank (keeping ``oversample`` extra rows), and re-estimates the
-    error reusing the pack's matrix sketch.
+    the unchosen index sets (column-pivoted QR of the residual sketch
+    and of the new columns), orders the enlarged cross by
+    :func:`_order_cross`, truncates to the revealed rank (keeping
+    ``oversample`` extra rows), and re-estimates the error reusing the
+    pack's matrix sketch.
 
     Returns the refined selection's :class:`CURFactors`, the new error
     estimate, and whether the estimate meets the tolerance. The
@@ -204,10 +221,9 @@ def refine_indices(oracle, sel, pack, cfg):
 
     rows2 = np.concatenate([chosen_rows, i1])
     cols2 = np.concatenate([sel.cols, j1])
-    g = oracle.submatrix(rows2, cols2)
-    col_qr = srrqr(g)
-    row_qr = srrqr(g.T)
-    r_new = eps_rank_from_rdiag(col_qr.r, _rank_tol(cfg, n))
+    rows2, cols2, r_new = _order_cross(rows2, cols2,
+                                       oracle.submatrix(rows2, cols2),
+                                       _rank_tol(cfg, n))
 
     p_eff = cfg.oversample
     if r_new + p_eff > rows2.size:
@@ -215,9 +231,8 @@ def refine_indices(oracle, sel, pack, cfg):
         warn_caller(
             f"refinement has only {rows2.size} candidate rows; "
             f"shrinking oversampling to {p_eff} for this step")
-    sel_new = IndexSelection(rows2[row_qr.pivots[:r_new]],
-                             cols2[col_qr.pivots[:r_new]],
-                             rows2[row_qr.pivots[r_new:r_new + p_eff]])
+    sel_new = IndexSelection(rows2[:r_new], cols2[:r_new],
+                             rows2[r_new:r_new + p_eff])
     fac = _extract_factors(oracle, sel_new)
     est = estimate_cur_error(oracle, sel_new.cols, fac.r, reuse=pack)
     return fac, est, est.rel_error <= cfg.tol

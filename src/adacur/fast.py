@@ -14,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import (CURFactors, _check_config, _extract_factors, _rank_tol,
-                     _track)
+from .driver import (CURFactors, _check_config, _extract_factors,
+                     _order_cross, _rank_tol, _track)
 from .errors import NonFiniteSnapshot, warn_caller
-from .linalg import eps_rank_from_rdiag, lu_pivots, lu_row_id, srrqr
+# srrqr is no longer called here; the name stays because bench/tracing.py
+# installs its srrqr wrapper on fast.srrqr and requires the attribute.
+from .linalg import lu_row_id, srrqr  # noqa: F401
 from .oversample import oversample_rows, oversample_rows_multi
 from .pivoting import IndexSelection, rand_pivot_rankest
 from .sketch import derive_seed
@@ -87,16 +89,15 @@ def fastadacur_run(seq, cfg):
 
     Step 1 computes indices from scratch (action RECOMPUTE), keeping
     rank+buffer columns and rank+buffer+oversample rows. Later steps
-    act on the core block only. Its strong rank-revealing QR orders the
-    columns and reveals the rank r0; LU with partial pivoting of the
-    core with its columns in that order orders the rows, so the leading
-    r0 rows are the LU skeleton of the leading r0 columns. The action
-    is TRUNCATE when the revealed rank did not grow, EXPAND when it did
-    (replenishing indices through trailing-subspace oversampling on the
-    already-fetched factor blocks). In the trace, h1 accumulates
-    TRUNCATE and h2 EXPAND actions from step 2 on; est_rel_err is
-    always None. A non-finite entry in a block the step reads (the core,
-    C or R) raises :class:`NonFiniteSnapshot`; one elsewhere goes unseen.
+    act on the core block only, ordered as :func:`driver._order_cross`
+    orders a cross: sRRQR for the columns and the rank r0, LUPP for the
+    rows. The action is TRUNCATE when the revealed rank did not grow,
+    EXPAND when it did (replenishing indices through trailing-subspace
+    oversampling on the already-fetched factor blocks). In the trace, h1
+    accumulates TRUNCATE and h2 EXPAND actions from step 2 on;
+    est_rel_err is always None. A non-finite entry in a block the step
+    reads (the core, C or R) raises :class:`NonFiniteSnapshot`; one
+    elsewhere goes unseen.
     """
     b, p = cfg.buffer, cfg.oversample
     i_idx = j_idx = np.array([], dtype=np.intp)
@@ -115,13 +116,8 @@ def fastadacur_run(seq, cfg):
                 r0, i_perm, j_perm = 0, i_idx, j_idx
             else:
                 core = _finite(oracle.submatrix(i_idx, j_idx), "core")
-                col_qr = srrqr(core)
-                r0 = eps_rank_from_rdiag(col_qr.r, _rank_tol(cfg, n))
-                # LUPP's first r0 row pivots depend on the first r0
-                # columns only: they are the skeleton rows of the r0
-                # leading pivot columns
-                i_perm = i_idx[lu_pivots(core[:, col_qr.pivots])]
-                j_perm = j_idx[col_qr.pivots]
+                i_perm, j_perm, r0 = _order_cross(i_idx, j_idx, core,
+                                                  _rank_tol(cfg, n))
 
             if r0 <= r:
                 action = "TRUNCATE"

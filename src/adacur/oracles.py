@@ -231,17 +231,16 @@ class LowRankPlusSparseOracle(MatrixOracle):
         self.sigma = sigma
         self.v = v
         self._us = u * sigma  # (m, r), premultiplied once
-        self._set_sparse(s)
+        self._sparse = self._sparse_term(s)
 
-    def _set_sparse(self, s):
+    def _sparse_term(self, s):
+        """``s`` as a :class:`SparseOracle`, or None; read via its hooks."""
         if s is None:
-            self._csr = None
-            self._csc = None
-        else:
-            if s.shape != self.shape:
-                raise InvalidInput("sparse term shape mismatch")
-            self._csr = s.tocsr().astype(float)
-            self._csc = self._csr.tocsc()
+            return None
+        term = SparseOracle(s)
+        if term.shape != self.shape:
+            raise InvalidInput("sparse term shape mismatch")
+        return term
 
     def with_sparse(self, s):
         """Oracle for the same low-rank part plus the sparse term ``s``.
@@ -253,41 +252,41 @@ class LowRankPlusSparseOracle(MatrixOracle):
         """
         new = copy.copy(self)
         new.counters = OracleCounters()
-        new._set_sparse(s)
+        new._sparse = self._sparse_term(s)
         return new
 
     @property
     def nnz(self):
-        return 0 if self._csr is None else self._csr.nnz
+        return 0 if self._sparse is None else self._sparse.nnz
 
     def _matmat(self, x):
         y = self._us @ (self.v.T @ x)
-        if self._csr is not None:
-            y += self._csr @ x
+        if self._sparse is not None:
+            y += self._sparse._matmat(x)
         return y
 
     def _rmatmat(self, x):
         y = self.v @ (self._us.T @ x)
-        if self._csc is not None:
-            y += self._csc.T @ x
+        if self._sparse is not None:
+            y += self._sparse._rmatmat(x)
         return y
 
     def _rows(self, idx):
         out = self._us[idx, :] @ self.v.T
-        if self._csr is not None:
-            out += self._csr[idx, :].toarray()
+        if self._sparse is not None:
+            out += self._sparse._rows(idx)
         return out
 
     def _cols(self, idx):
         out = self._us @ self.v[idx, :].T
-        if self._csc is not None:
-            out += self._csc[:, idx].toarray()
+        if self._sparse is not None:
+            out += self._sparse._cols(idx)
         return out
 
     def _submatrix(self, rows, cols):
         out = self._us[rows, :] @ self.v[cols, :].T
-        if self._csr is not None:
-            out += self._csr[rows, :][:, cols].toarray()
+        if self._sparse is not None:
+            out += self._sparse._submatrix(rows, cols)
         return out
 
 

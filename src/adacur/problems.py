@@ -69,16 +69,6 @@ def _apply_rotations_left(a, pairs, tau):
     return a
 
 
-def _apply_rotations_right(a, pairs, tau):
-    """In-place column mixing by the block-rotation exponential."""
-    for i, th in pairs:
-        c, s = np.cos(tau * th), np.sin(tau * th)
-        left = c * a[:, i] - s * a[:, i + 1]
-        a[:, i + 1] = s * a[:, i] + c * a[:, i + 1]
-        a[:, i] = left
-    return a
-
-
 def synthetic_expm_singvals(n, t):
     """Exact singular values ``exp(t) * 2**-j``, j = 1..n, descending."""
     return np.exp(t) * np.power(2.0, -np.arange(1, n + 1, dtype=float))
@@ -112,7 +102,7 @@ def make_synthetic_expm(n=200, q=101, seed=0):
         t = params[j]
         mid = core.copy()
         _apply_rotations_left(mid, pairs1, t)
-        _apply_rotations_right(mid, pairs2, t)
+        _apply_rotations_left(mid.T, pairs2, -t)  # column mixing
         a = np.exp(t) * (z1 @ mid @ z2.T)
         return DenseOracle(a)
 

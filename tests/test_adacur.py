@@ -13,6 +13,7 @@ from adacur.driver import (
 )
 from adacur.errors import InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch
 from adacur.fast import FastConfig, fastadacur_run
+from adacur.linalg import eps_rank_from_rdiag, lu_pivots, srrqr
 from adacur.normest import estimate_cur_error
 from adacur.oracles import DenseOracle, ParamMatrixSequence
 from adacur.problems import (
@@ -24,6 +25,7 @@ from adacur.problems import (
 from adacur.sketch import derive_seed
 
 from conftest import assert_traces_match
+from test_fastadacur import RecordingOracle
 from test_golden_traces import PROBLEMS, _sequence
 
 
@@ -47,10 +49,28 @@ class TestConfig:
 
     @pytest.mark.parametrize("name,value", [
         ("err_samples", 2.5), ("oversample", 2.5), ("seed", 1.5),
-        ("oversample", "3")])
+        ("oversample", "3"), ("err_samples", True), ("seed", False)])
     def test_non_integer_fields_rejected(self, name, value):
         with pytest.raises(InvalidInput, match=name):
             AdaCurConfig(tol=1e-8, **{name: value})
+
+    @pytest.mark.parametrize("name,value", [
+        ("escalate_s", None), ("true_error", 2), ("store_factors", "no"),
+        ("store_factors", 1)])
+    def test_non_bool_flags_rejected(self, name, value):
+        with pytest.raises(InvalidInput, match=name):
+            AdaCurConfig(tol=1e-6, **{name: value})
+
+    @pytest.mark.parametrize("tol", ["1e-6", None, 1e-6j])
+    def test_non_real_tol_rejected(self, tol):
+        with pytest.raises(InvalidInput, match="tol"):
+            AdaCurConfig(tol=tol)
+
+    def test_numpy_bools_and_floats_accepted(self):
+        cfg = AdaCurConfig(tol=np.float32(1e-6), escalate_s=np.bool_(True),
+                           true_error=np.bool_(False),
+                           store_factors=np.bool_(True))
+        assert cfg.escalate_s and cfg.store_factors and not cfg.true_error
 
     def test_numpy_integers_accepted(self):
         cfg = AdaCurConfig(tol=1e-8, err_samples=np.int64(4),
@@ -116,6 +136,52 @@ class TestScratchReads:
         fetches = {(tr.action, orc.col_fetches, orc.row_fetches)
                    for orc, (_, tr) in zip(oracles[1:], res[1:])}
         assert fetches == {("REUSE", 1, 1), ("MINOR_MOD", 2, 2)}
+
+
+class TestRefinementOrder:
+    def test_cross_ordered_by_one_srrqr_and_lupp(self, monkeypatch):
+        # refinement orders its enlarged cross as fastadacur orders its
+        # core: one sRRQR of the cross orders the columns and gives the
+        # rank, and LUPP of the column-ordered cross orders the rows;
+        # with escalation one step here takes three attempts, two failing
+        base = make_schrodinger(n=32, q=21, seed=0)
+        seq = ParamMatrixSequence(
+            base.params, lambda j: RecordingOracle(base.oracle(j).array),
+            base.shape)
+        cfg = AdaCurConfig(tol=1e-8, oversample=3, seed=0, escalate_s=True)
+        refine = driver.refine_indices
+        qr_inputs, attempts = [], []
+
+        def counting(a, **kw):
+            qr_inputs.append(a)
+            return srrqr(a, **kw)
+
+        def recording(oracle, sel, pack, cfg):
+            start = len(qr_inputs)
+            out = refine(oracle, sel, pack, cfg)
+            rows, cols = oracle.reads[-1]  # the cross is read last
+            attempts.append((qr_inputs[start:], rows, cols,
+                             oracle.array[np.ix_(rows, cols)],
+                             out[0].selection))
+            return out
+
+        monkeypatch.setattr(driver, "srrqr", counting)
+        monkeypatch.setattr(driver, "refine_indices", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # oversampling may shrink
+            adacur_run(seq, cfg)
+        assert len(attempts) == 5
+        for inputs, rows, cols, g, sel in attempts:
+            assert len(inputs) == 1
+            np.testing.assert_array_equal(inputs[0], g)
+            qr = srrqr(g)
+            row_order = rows[lu_pivots(g[:, qr.pivots])]
+            r, p = sel.cols.size, sel.extra_rows.size
+            assert r == eps_rank_from_rdiag(qr.r, driver._rank_tol(cfg, 32))
+            np.testing.assert_array_equal(sel.cols, cols[qr.pivots][:r])
+            np.testing.assert_array_equal(sel.rows, row_order[:r])
+            np.testing.assert_array_equal(sel.extra_rows,
+                                          row_order[r:r + p])
 
 
 class TestConstantSequence:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adacur import fast
+from adacur import driver
 from adacur.errors import InvalidInput, NonFiniteSnapshot
 from adacur.fast import FastConfig, fastadacur_run
 from adacur.linalg import lu_pivots, srrqr
@@ -33,10 +33,25 @@ class TestFastConfig:
             FastConfig(tol=1e-6, buffer=-1)
 
     @pytest.mark.parametrize("name,value", [
-        ("buffer", 2.5), ("oversample", 1.5), ("seed", 0.5)])
+        ("buffer", 2.5), ("oversample", 1.5), ("seed", 0.5),
+        ("buffer", True)])
     def test_non_integer_fields_rejected(self, name, value):
         with pytest.raises(InvalidInput, match=name):
             FastConfig(tol=1e-8, **{name: value})
+
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_non_bool_store_factors_rejected(self, value):
+        with pytest.raises(InvalidInput, match="store_factors"):
+            FastConfig(tol=1e-6, store_factors=value)
+
+    @pytest.mark.parametrize("tol", ["x", None, 1e-6j])
+    def test_non_real_tol_rejected(self, tol):
+        with pytest.raises(InvalidInput, match="tol"):
+            FastConfig(tol=tol)
+
+    def test_numpy_bool_accepted(self):
+        cfg = FastConfig(tol=1e-6, store_factors=np.bool_(False))
+        assert not cfg.store_factors
 
 
 class TestTracking:
@@ -260,7 +275,7 @@ class TestCoreFactorization:
             calls.append(a.shape)
             return srrqr(a, **kw)
 
-        monkeypatch.setattr(fast, "srrqr", counting)
+        monkeypatch.setattr(driver, "srrqr", counting)
         seq = make_synthetic_expm(n=80, q=21, seed=0)
         res = fastadacur_run(seq, FastConfig(tol=1e-6, buffer=5,
                                              oversample=2, seed=0))

@@ -208,8 +208,8 @@ class TestSpeedProblem:
         orcs = [seq.oracle(j) for j in range(4)]
         for orc in orcs:
             assert orc._us is orcs[0]._us
-            fresh = LowRankPlusSparseOracle(orc.u, orc.sigma, orc.v,
-                                            orc._csr)
+            s = None if orc._sparse is None else orc._sparse._csr
+            fresh = LowRankPlusSparseOracle(orc.u, orc.sigma, orc.v, s)
             for name, args in [("row_block", (rows,)), ("col_block", (cols,)),
                                ("submatrix", (rows, cols)), ("matmat", (x,)),
                                ("rmatmat", (y,))]:
