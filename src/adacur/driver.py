@@ -17,13 +17,13 @@ import numpy as np
 
 from .errors import (InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch,
                      warn_caller)
-from .linalg import (cpqr, eps_rank_from_rdiag, lu_pivots, srrqr,
+from .linalg import (cpqr, eps_rank_from_rdiag, lu_pivots, lu_row_id, srrqr,
                      stable_cur_eval)
 from .normest import estimate_cur_error
 from .oversample import oversample_rows_multi
 from .pivoting import IndexSelection, rand_pivot_rankest
 from .problems import true_relative_error
-from .sketch import SketchPack, derive_seed
+from .sketch import derive_seed
 
 __all__ = ["AdaCurConfig", "StepTrace", "CURFactors", "adacur_run",
            "refine_indices", "recompute_baseline_run"]
@@ -132,21 +132,38 @@ def _rank_tol(cfg, n):
     return _RANK_SAFETY * cfg.tol / np.sqrt(n)
 
 
-def _scratch_factors(oracle, cfg, seed):
-    """Factors from scratch: sketched rank estimate, pivots, extra rows.
+def _grow(ids, row_id, count):
+    """``ids`` and ``count`` more indices oversampled from ``row_id``.
 
-    The column block A[:, J] read for the row pivots becomes C, and the
-    row ID its pivots came from gives the oversampling basis, so each
-    such step reads the block once and factors it once. Both live only
-    inside this call; the block also in the factors it returns.
+    Every growth of a row or column set goes through here; ``row_id``
+    is the LU row ID of the block whose rows the indices pick.
     """
-    sel, c, row_id = rand_pivot_rankest(oracle, _rank_tol(cfg, oracle.ncols),
-                                        seed)
-    p = min(cfg.oversample, oracle.nrows - sel.rows.size)
-    if p > 0 and not sel.is_empty:
-        extra = oversample_rows_multi(row_id, sel.rows, p)
-        sel = IndexSelection(sel.rows, sel.cols, extra)
-    return _extract_factors(oracle, sel, c)
+    if count <= 0:
+        return ids
+    return np.concatenate([ids, oversample_rows_multi(row_id, ids, count)])
+
+
+def _scratch_cross(oracle, cfg, seed, extra_rows, extra_cols=0):
+    """Indices from scratch: sketched rank, pivots, grown index sets.
+
+    Returns ``(rows, cols, rank, col_block, row_block)``: the first
+    ``rank`` rows and columns are the pivots, then up to ``extra_rows``
+    rows grown on the row ID the row pivots came from and up to
+    ``extra_cols`` columns grown on the row ID of ``row_block.T``. The
+    blocks, A[:, pivot cols] and A[pivot rows, :] (None unless columns
+    were grown), go back to become C and R, so each is read once.
+    """
+    m, n = oracle.shape
+    sel, c, row_id = rand_pivot_rankest(oracle, _rank_tol(cfg, n), seed)
+    r = int(sel.cols.size)
+    if r == 0:
+        return sel.rows, sel.cols, 0, None, None
+    rows = _grow(sel.rows, row_id, min(extra_rows, m - r))
+    cols, rblk = sel.cols, None
+    if min(extra_cols, n - r) > 0:
+        rblk = oracle.row_block(sel.rows)
+        cols = _grow(cols, lu_row_id(rblk.T), min(extra_cols, n - r))
+    return rows, cols, r, c, rblk
 
 
 def _extract_factors(oracle, sel, col_block=None, row_block=None):
@@ -240,11 +257,8 @@ def refine_indices(oracle, sel, pack, cfg):
 
 def _grow_pack(oracle, pack, new_rows, fac):
     """Double-size replacement pack for ``fac``; only fresh rows touch A."""
-    emb = pack.embedding.grown(new_rows)
-    fresh = emb.raw[pack.embedding.sketch_rows:]
-    xs = np.vstack([pack.row_sketch, oracle.rmatmat(fresh.T).T])
     return estimate_cur_error(oracle, fac.selection.cols, fac.r,
-                              reuse=SketchPack(emb, xs)).pack
+                              reuse=pack.grown(oracle, new_rows)).pack
 
 
 _H1_ACTIONS = ("MINOR_MOD", "TRUNCATE")
@@ -312,7 +326,10 @@ def _estimate(oracle, cfg, j, fac, reuse=None):
 
 def _scratch_step(oracle, cfg, j, reuse=None):
     """Recompute the indices from scratch and estimate the error."""
-    fac = _scratch_factors(oracle, cfg, derive_seed(cfg.seed, j, 0x5C))
+    rows, cols, r, c, _ = _scratch_cross(
+        oracle, cfg, derive_seed(cfg.seed, j, 0x5C), cfg.oversample)
+    fac = _extract_factors(oracle, IndexSelection(rows[:r], cols, rows[r:]),
+                           c)
     est = _estimate(oracle, cfg, j, fac, reuse)
     return fac, "RECOMPUTE", 0.0 if est is None else est.rel_error
 

@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import (CURFactors, _check_config, _extract_factors,
-                     _order_cross, _rank_tol, _track)
+from .driver import (CURFactors, _check_config, _extract_factors, _grow,
+                     _order_cross, _rank_tol, _scratch_cross, _track)
 from .errors import NonFiniteSnapshot, warn_caller
-# srrqr is no longer called here; the name stays because bench/tracing.py
-# installs its srrqr wrapper on fast.srrqr and requires the attribute.
+# srrqr, rand_pivot_rankest and the oversampling routines are called in
+# the driver module only; bench/tracing.py wraps them here too and
+# requires the attributes.
 from .linalg import lu_row_id, srrqr  # noqa: F401
-from .oversample import oversample_rows, oversample_rows_multi
-from .pivoting import IndexSelection, rand_pivot_rankest
+from .oversample import oversample_rows, oversample_rows_multi  # noqa: F401
+from .pivoting import IndexSelection, rand_pivot_rankest  # noqa: F401
 from .sketch import derive_seed
 
 __all__ = ["FastConfig", "fastadacur_run"]
@@ -57,47 +58,21 @@ def _finite(block, what):
     return block
 
 
-def _scratch_cross(oracle, cfg):
-    """Tracked indices and rank of the first step, from scratch.
-
-    Keeps rank+buffer columns and rank+buffer+oversample rows. Also
-    returns the column block A[:, J] read for the row pivots; it becomes
-    C, so it is read once. The row oversampling takes its basis from the
-    row ID those pivots came from; the column oversampling reads
-    A[rows, :] and takes the LU row ID of its transpose.
-    """
-    m, n = oracle.shape
-    b, p = cfg.buffer, cfg.oversample
-    sel, c, row_id = rand_pivot_rankest(oracle, _rank_tol(cfg, n),
-                                        derive_seed(cfg.seed, 0xFA))
-    r = int(sel.cols.size)
-    i_idx, j_idx = sel.rows, sel.cols
-    extra_rows = min(p + b, m - r)
-    extra_cols = min(b, n - r)
-    if r > 0 and extra_rows > 0:
-        i_new = oversample_rows_multi(row_id, i_idx, extra_rows)
-        i_idx = np.concatenate([i_idx, i_new])
-    if r > 0 and extra_cols > 0:
-        col_id = lu_row_id(oracle.row_block(sel.rows).T)
-        j_new = oversample_rows_multi(col_id, j_idx, extra_cols)
-        j_idx = np.concatenate([j_idx, j_new])
-    return i_idx, j_idx, r, c
-
-
 def fastadacur_run(seq, cfg):
     """Track ``seq`` without error estimation; one (factors, trace) per step.
 
-    Step 1 computes indices from scratch (action RECOMPUTE), keeping
-    rank+buffer columns and rank+buffer+oversample rows. Later steps
-    act on the core block only, ordered as :func:`driver._order_cross`
-    orders a cross: sRRQR for the columns and the rank r0, LUPP for the
-    rows. The action is TRUNCATE when the revealed rank did not grow,
-    EXPAND when it did (replenishing indices through trailing-subspace
-    oversampling on the already-fetched factor blocks). In the trace, h1
-    accumulates TRUNCATE and h2 EXPAND actions from step 2 on;
-    est_rel_err is always None. A non-finite entry in a block the step
-    reads (the core, C or R) raises :class:`NonFiniteSnapshot`; one
-    elsewhere goes unseen.
+    Step 1 selects indices from scratch as the certified drivers do
+    (action RECOMPUTE), grown to rank+buffer columns and
+    rank+buffer+oversample rows. Later steps act on the core block
+    only, ordered as :func:`driver._order_cross` orders a cross: sRRQR
+    for the columns and the rank r0, LUPP for the rows. The action is
+    TRUNCATE when the revealed rank did not grow, EXPAND when it did
+    (replenishing indices through trailing-subspace oversampling on
+    the already-fetched factor blocks). In the trace, h1 accumulates
+    TRUNCATE and h2 EXPAND actions from step 2 on; est_rel_err is
+    always None. A non-finite entry in a block the step reads (the
+    core, C or R) raises :class:`NonFiniteSnapshot`; one elsewhere
+    goes unseen.
     """
     b, p = cfg.buffer, cfg.oversample
     i_idx = j_idx = np.array([], dtype=np.intp)
@@ -108,9 +83,13 @@ def fastadacur_run(seq, cfg):
         m, n = oracle.shape
         cblk = rblk = None
         if j == 0:
-            i_idx, j_idx, r, cblk = _scratch_cross(oracle, cfg)
+            i_idx, j_idx, r, cblk, rblk = _scratch_cross(
+                oracle, cfg, derive_seed(cfg.seed, 0xFA), p + b, b)
             action = "RECOMPUTE"
             p_eff = min(p, i_idx.size - r)
+            if rblk is not None and p_eff > 0 and cfg.store_factors:
+                # R: the pivot rows read to grow the columns, then extras
+                rblk = np.vstack([rblk, oracle.row_block(i_idx[r:r + p_eff])])
         else:
             if i_idx.size == 0 or j_idx.size == 0:
                 r0, i_perm, j_perm = 0, i_idx, j_idx
@@ -140,15 +119,11 @@ def fastadacur_run(seq, cfg):
                 rblk = _finite(oracle.row_block(i_lead), "row block")
                 i_idx, j_idx = i_perm, j_perm
                 if need_rows > 0:
-                    i_new = oversample_rows(lu_row_id(cblk), i_perm,
-                                            need_rows)
-                    i_idx = np.concatenate([i_perm, i_new])
+                    i_idx = _grow(i_perm, lu_row_id(cblk), need_rows)
                 if need_cols > 0:
                     # lu_row_id needs a tall block; past n lead rows the
                     # first n give a square one, whose basis is all of R^n
-                    j_new = oversample_rows(lu_row_id(rblk[:n].T), j_perm,
-                                            need_cols)
-                    j_idx = np.concatenate([j_perm, j_new])
+                    j_idx = _grow(j_perm, lu_row_id(rblk[:n].T), need_cols)
             r = r0
 
         fac_sel = IndexSelection(i_idx[:r], j_idx[:r], i_idx[r:r + p_eff])

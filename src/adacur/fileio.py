@@ -158,6 +158,13 @@ def _parse_real(tok, lineno):
                          line=lineno) from None
 
 
+def _parse_param(tok, lineno):
+    value = _parse_real(tok, lineno)
+    if not np.isfinite(value):
+        raise ParseError(f"parameter must be finite, got {tok!r}", lineno)
+    return value
+
+
 def write_matrix_market(path, a, fmt=None):
     """Write a matrix as real general Matrix Market.
 
@@ -192,10 +199,10 @@ def load_sequence_dir(path):
     """Build a matrix sequence from ``step_<k>.mtx`` files in a directory.
 
     Files are ordered by the integer k in their names. An optional
-    ``params.txt`` supplies one parameter value per line (strictly
-    increasing); without it the parameters are the k values themselves.
-    Sparse files become sparse-matvec oracles, dense files are held
-    densified.
+    ``params.txt`` supplies one parameter value per line (finite and
+    strictly increasing); without it the parameters are the k values
+    themselves. Sparse files become sparse-matvec oracles, dense files
+    are held densified.
     """
     root = Path(path)
     if not root.is_dir():
@@ -233,7 +240,7 @@ def load_sequence_dir(path):
             plines = [(i, ln.strip()) for i, ln in
                       enumerate(f.read().splitlines(), start=1)]
         try:
-            params = [_parse_real(ln, i) for i, ln in plines if ln]
+            params = [_parse_param(ln, i) for i, ln in plines if ln]
         except ParseError as exc:
             raise ParseError(f"{params_file.name}: {exc.detail}",
                              line=exc.line) from exc

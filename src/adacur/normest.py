@@ -88,8 +88,7 @@ def estimate_cur_error(oracle, cols, r, s=5, seed=0, reuse=None):
     else:
         if s < 1:
             raise InvalidInput(f"sketch size s must be >= 1, got {s}")
-        emb = GaussianEmbedding(int(s), m, derive_seed(seed, 0xE557),
-                                scale=1.0)
+        emb = GaussianEmbedding(int(s), m, derive_seed(seed, 0xE557))
         xs = row_sketch(emb, oracle)
     if r.ndim != 2 or r.shape[1] != xs.shape[1]:
         raise InvalidInput(f"row block shape {r.shape} does not match "

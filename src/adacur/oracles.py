@@ -296,7 +296,7 @@ class ParamMatrixSequence:
     Parameters
     ----------
     params : array_like
-        Strictly increasing parameter samples t_0 < t_1 < ...
+        Finite, strictly increasing parameter samples t_0 < t_1 < ...
     provider : callable
         Maps a step index j to a fresh :class:`MatrixOracle` for A(t_j).
     shape : tuple
@@ -310,6 +310,9 @@ class ParamMatrixSequence:
         params = np.asarray(params, dtype=float)
         if params.ndim != 1 or params.size == 0:
             raise InvalidInput("params must be a non-empty 1-d array")
+        bad = np.flatnonzero(~np.isfinite(params))
+        if bad.size:
+            raise InvalidInput(f"params[{bad[0]}] is not finite")
         if params.size > 1 and not np.all(np.diff(params) > 0):
             raise InvalidInput("params must be strictly increasing")
         self.params = params

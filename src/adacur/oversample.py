@@ -69,10 +69,15 @@ class _InterpBasis:
         return out
 
 
+def _count(p):
+    """``p`` as an int, once it is a non-negative integer (numpy ints pass)."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 0:
+        raise InvalidInput(f"p must be a non-negative integer, got {p!r}")
+    return int(p)
+
+
 def _unchosen(basis, rows, p):
     """Rows outside ``rows``, the candidates for p extras, after checks."""
-    if p < 0:
-        raise InvalidInput(f"p must be non-negative, got {p}")
     if rows.size == 0:
         raise InvalidInput("oversampling requires a non-empty base selection")
     if p > basis.k:
@@ -115,7 +120,7 @@ def oversample_rows(row_id, rows, p):
     ndarray
         p distinct row indices in greedy-importance order.
     """
-    p = int(p)
+    p = _count(p)
     if p == 0:
         return np.empty(0, np.intp)
     basis = _InterpBasis(row_id)
@@ -135,10 +140,10 @@ def oversample_rows_multi(row_id, rows, p):
     ``row_id`` is as for :func:`oversample_rows`. The columns stay
     fixed across rounds, so one basis serves every round.
     """
+    remaining = _count(p)
     basis = _InterpBasis(row_id)
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     picked = np.empty(0, np.intp)
-    remaining = int(p)
     while remaining > 0:
         q = min(remaining, basis.k, basis.m - rows.size - picked.size)
         if q <= 0:

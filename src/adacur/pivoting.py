@@ -83,34 +83,30 @@ def rand_pivot(oracle, r, seed, presketch=None):
     seed : int
         Used only when sketch rows have to be drawn.
     presketch : ndarray, optional
-        An existing row sketch of A, shape (s, n). Only its first r
-        rows are read; if it has fewer, freshly drawn rows pad it. With
-        no presketch all r rows are drawn, one adjoint matvec each.
+        An existing row sketch of A, shape (s, n) with s >= r. Only its
+        first r rows are read. With no presketch r Gaussian rows are
+        drawn, one adjoint matvec each.
     """
     return _rand_pivot_block(oracle, r, seed, presketch)[0]
 
 
 def _rand_pivot_block(oracle, r, seed, presketch=None):
-    """:func:`rand_pivot`, returning ``(selection, col_block, row_id)``.
-
-    The triple is as :func:`rand_pivot_rankest` returns it; the block
-    and row ID are None when r is 0.
-    """
+    """:func:`rand_pivot` returning what :func:`rand_pivot_rankest` does."""
     m, n = oracle.shape
     r = int(r)
     if r < 0 or r > min(m, n):
         raise InvalidInput(f"r must lie in [0, {min(m, n)}], got {r}")
     if r == 0:
         return IndexSelection.empty(), None, None
-    x = (np.empty((0, n)) if presketch is None
-         else np.asarray(presketch, dtype=float))
+    if presketch is None:
+        emb = GaussianEmbedding(r, m, derive_seed(seed, 0xAD01))
+        presketch = row_sketch(emb, oracle)
+    x = np.asarray(presketch, dtype=float)
     if x.ndim != 2 or x.shape[1] != n:
         raise InvalidInput("presketch must have shape (s, n)")
     if x.shape[0] < r:
-        pad = r - x.shape[0]
-        emb = GaussianEmbedding(pad, m, derive_seed(seed, 0xAD01),
-                                scale=1.0 / np.sqrt(pad))
-        x = np.vstack([x, row_sketch(emb, oracle)])
+        raise InvalidInput(
+            f"presketch has {x.shape[0]} rows, fewer than r={r}")
     cols = lu_pivots(x[:r].T)[:r]
     c = oracle.col_block(cols)
     row_id = lu_row_id(c)
@@ -141,7 +137,5 @@ def rand_pivot_rankest(oracle, abs_tol, seed):
             f"rank tolerance unresolved, proceeding with rank "
             f"{exc.estimate.rank}: {exc}", RuntimeWarning)
         est = exc.estimate
-    if est.rank == 0:
-        return IndexSelection.empty(), None, None
     return _rand_pivot_block(oracle, est.rank, derive_seed(seed, 0x9B1D),
                              presketch=est.row_sketch)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput, NonFiniteSnapshot, RankTolNotResolved
-from .sketch import GaussianEmbedding, derive_seed, row_sketch
+from .sketch import GaussianEmbedding, SketchPack, derive_seed, row_sketch
 
 __all__ = ["RankEstimate", "estimate_rank"]
 
@@ -90,8 +90,7 @@ def estimate_rank(oracle, abs_tol, seed, s_max=None):
     seed_left = derive_seed(seed, 0x1EF7)
     seed_right = derive_seed(seed, 0x516B)
     s = min(_S_INIT, s_max)
-    emb = None
-    x_raw = None      # unscaled Gaussian row sketch, grown by appending
+    pack = None       # unscaled Gaussian row sketch, grown by appending
     a_rows = None     # cached exact rows once the left side saturates
     g2 = None         # right embedding, grown by appending
 
@@ -103,20 +102,18 @@ def estimate_rank(oracle, abs_tol, seed, s_max=None):
                 a_rows = oracle.row_block(np.arange(m))
             x = a_rows
         else:
-            if emb is None:
-                emb = GaussianEmbedding(s, m, seed_left, scale=1.0)
-                x_raw = row_sketch(emb, oracle)
-            elif emb.sketch_rows < s:
-                grown = emb.grown(s)
-                extra = grown.raw[emb.sketch_rows:]
-                x_raw = np.vstack([x_raw, oracle.rmatmat(extra.T).T])
-                emb = grown
-            x = x_raw / np.sqrt(s)
+            if pack is None:
+                emb = GaussianEmbedding(s, m, seed_left)
+                pack = SketchPack(emb, row_sketch(emb, oracle))
+                del emb   # later growth must not pin the first draw
+            elif pack.embedding.sketch_rows < s:
+                pack = pack.grown(oracle, s)
+            x = pack.row_sketch / np.sqrt(s)
         if right_exact:
             y = x
         else:
             if g2 is None:
-                g2 = GaussianEmbedding(2 * s, n, seed_right, scale=1.0)
+                g2 = GaussianEmbedding(2 * s, n, seed_right)
             elif g2.sketch_rows < 2 * s:
                 g2 = g2.grown(2 * s)
             y = x @ (g2.raw.T / np.sqrt(2 * s))

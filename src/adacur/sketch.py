@@ -31,17 +31,15 @@ def derive_seed(*parts):
 
 @dataclass
 class GaussianEmbedding:
-    """A seeded s-by-dim Gaussian sketching matrix.
+    """A seeded s-by-dim Gaussian sketching matrix of unit-variance entries.
 
-    ``scale`` multiplies the raw unit-variance entries: 1/sqrt(s) for a
-    normalized embedding (approximate isometry on low-dimensional
-    subspaces), 1.0 for raw entries as used by the norm estimator.
+    Callers that want a normalized embedding (an approximate isometry
+    on low-dimensional subspaces) divide what it sketches by sqrt(s).
     """
 
     sketch_rows: int
     dim: int
     seed: int
-    scale: float = 1.0
     _raw: np.ndarray = field(default=None, repr=False, compare=False)
     _state: dict = field(default=None, repr=False, compare=False)
 
@@ -55,16 +53,11 @@ class GaussianEmbedding:
 
     @property
     def raw(self):
-        """Unit-variance entries, before scaling."""
+        """The unit-variance entries, shape (sketch_rows, dim)."""
         return self._raw
 
-    @property
-    def matrix(self):
-        """Scaled entries, shape (sketch_rows, dim)."""
-        return self._raw if self.scale == 1.0 else self.scale * self._raw
-
     def grown(self, rows):
-        """Same-seed, same-scale embedding with more rows; old rows kept.
+        """Same-seed embedding with more rows; old rows kept.
 
         Resumes the Philox stream where this embedding's draw stopped,
         draws only the ``rows - sketch_rows`` new rows and stacks them
@@ -74,14 +67,11 @@ class GaussianEmbedding:
         """
         if rows < self.sketch_rows:
             raise InvalidInput("grown() cannot shrink an embedding")
-        if rows == self.sketch_rows:
-            return GaussianEmbedding(rows, self.dim, self.seed, self.scale,
-                                     _raw=self._raw, _state=self._state)
         bitgen = np.random.Philox(self.seed)
         bitgen.state = self._state
         gen = np.random.Generator(bitgen)
         fresh = gen.standard_normal((rows - self.sketch_rows, self.dim))
-        return GaussianEmbedding(rows, self.dim, self.seed, self.scale,
+        return GaussianEmbedding(rows, self.dim, self.seed,
                                  _raw=np.vstack([self._raw, fresh]),
                                  _state=bitgen.state)
 
@@ -95,18 +85,30 @@ def row_sketch(embedding, oracle):
     if embedding.dim != oracle.nrows:
         raise InvalidInput(
             f"embedding dim {embedding.dim} != oracle rows {oracle.nrows}")
-    return oracle.rmatmat(embedding.matrix.T).T
+    return oracle.rmatmat(embedding.raw.T).T
 
 
 @dataclass
 class SketchPack:
     """Reusable state of one error-estimation sketch.
 
-    ``row_sketch`` is G @ A for the raw (unscaled) embedding G and
-    ``residual_sketch`` is G @ (A - CUR) for the factors it was last
-    evaluated against. Reusing the pack recomputes only the residual.
+    ``row_sketch`` is G @ A for the embedding G and ``residual_sketch``
+    is G @ (A - CUR) for the factors it was last evaluated against.
+    Reusing the pack recomputes only the residual.
     """
 
     embedding: GaussianEmbedding
     row_sketch: np.ndarray
     residual_sketch: np.ndarray = None
+
+    def grown(self, oracle, rows):
+        """Pack of a ``rows``-row embedding from the same seed, no residual.
+
+        Draws only the new embedding rows and appends their sketch, one
+        adjoint matvec each, to G @ A; the result equals a fresh pack of
+        the taller embedding bit for bit.
+        """
+        emb = self.embedding.grown(rows)
+        fresh = emb.raw[self.embedding.sketch_rows:]
+        return SketchPack(emb, np.vstack([self.row_sketch,
+                                          oracle.rmatmat(fresh.T).T]))

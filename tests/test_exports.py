@@ -1,7 +1,10 @@
-"""Every name in a package module's ``__all__`` must exist."""
+"""Every name in a package module's ``__all__`` must exist, and every
+name a module imports must be used or exported."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +21,31 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported), f"{name} repeats a name"
     missing = [n for n in exported if not hasattr(module, n)]
     assert missing == [], f"{name}.__all__ lists missing names {missing}"
+
+
+# Imported names no code uses, kept only because bench/tracing.py
+# installs its wrappers on them; deleting the tracer deletes this list.
+TRACER_ONLY_IMPORTS = {
+    "adacur.fast": {"oversample_rows", "oversample_rows_multi",
+                    "rand_pivot_rankest", "srrqr"},
+    "adacur.normest": {"stable_cur_eval"},
+    "adacur.pivoting": {"cpqr"},
+}
+
+
+def unused_imports(module):
+    """Names ``module`` imports but neither uses nor lists in ``__all__``."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((alias.asname or alias.name).split(".")[0]
+                            for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used - set(getattr(module, "__all__", ()))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    got = unused_imports(importlib.import_module(name))
+    assert got == TRACER_ONLY_IMPORTS.get(name, set())

@@ -168,6 +168,17 @@ class TestReadBudget:
                 assert tr.entries_read <= cap, (
                     f"step {tr.step}: read {tr.entries_read} > {cap}")
 
+    def test_first_step_reads_c_and_r_once(self):
+        # the pivot rows read to grow the column set become R's leading
+        # rows, so the first step reads C and R once each, nothing more
+        seq = make_adversarial(seed=0, q=3)
+        m, n = seq.shape
+        fac, tr = fastadacur_run(seq, FastConfig(tol=1e-4, buffer=5,
+                                                 oversample=5, seed=1))[0]
+        r, p_eff = tr.rank, fac.selection.extra_rows.size
+        assert (r, p_eff) == (20, 5)
+        assert tr.entries_read == m * r + (r + p_eff) * n
+
     def test_skipping_factors_reads_less(self):
         seq = make_synthetic_expm(n=60, q=9, seed=0)
         full = fastadacur_run(seq, FastConfig(tol=1e-6, buffer=3, seed=0))

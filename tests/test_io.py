@@ -18,6 +18,7 @@ from adacur.fileio import (
     write_matrix_market,
     write_trace_csv,
 )
+from adacur.oracles import DenseOracle, ParamMatrixSequence
 
 
 class TestMatrixMarket:
@@ -242,9 +243,34 @@ class TestSequenceDir:
         assert "params.txt" in str(info.value)
         assert str(info.value).count("line 4") == 1
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_param_names_file_and_line(self, tmp_path, token):
+        self.make_dir(tmp_path, count=3)
+        with open(tmp_path / "params.txt", "w") as f:
+            f.write(f"0.0\n1.0\n{token}\n")
+        with pytest.raises(ParseError, match="finite") as info:
+            load_sequence_dir(str(tmp_path))
+        assert info.value.line == 3
+        assert "params.txt" in str(info.value)
+
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(InvalidInput):
             load_sequence_dir(str(tmp_path))
+
+
+class TestParamMatrixSequence:
+    @pytest.mark.parametrize("params, index", [
+        ([np.nan], 0), ([0.0, np.inf], 1), ([-np.inf, 0.0, 1.0], 0),
+        ([0.0, 1.0, np.nan], 2)])
+    def test_non_finite_params_rejected(self, params, index):
+        with pytest.raises(InvalidInput, match=rf"params\[{index}\]"):
+            ParamMatrixSequence(params, lambda j: DenseOracle(np.eye(2)),
+                                (2, 2))
+
+    def test_unordered_params_rejected(self):
+        with pytest.raises(InvalidInput, match="strictly increasing"):
+            ParamMatrixSequence([0.0, 0.0], lambda j: DenseOracle(np.eye(2)),
+                                (2, 2))
 
 
 class TestTraceCsv:

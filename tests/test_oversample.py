@@ -76,6 +76,19 @@ class TestOversampleRows:
         with pytest.raises(InvalidInput):
             oversample_rows(col_id(a, sel.cols), sel.rows, 6)
 
+    @pytest.mark.parametrize("over", [oversample_rows,
+                                      oversample_rows_multi])
+    def test_bad_count_rejected(self, rng, over):
+        # a count must be a non-negative integer; numpy integers pass
+        a = tube_matrix(rng, 40, 30, 5)
+        sel = rand_pivot(DenseOracle(a), 5, seed=0)
+        row_id = col_id(a, sel.cols)
+        for bad in (-3, -1, 2.7, 2.0, True, np.float64(2.0), "2", None):
+            with pytest.raises(InvalidInput, match="non-negative integer"):
+                over(row_id, sel.rows, bad)
+        assert over(row_id, sel.rows, np.int64(2)).size == 2
+        assert over(row_id, sel.rows, np.int32(0)).size == 0
+
     def test_never_degrades_base_conditioning(self, rng):
         # row augmentation can only raise the smallest singular value of
         # the restricted orthonormal basis

@@ -121,6 +121,16 @@ class TestRandPivot:
         assert np.intersect1d(sel.rows, more).size == 0
         IndexSelection(sel.rows, sel.cols, more)
 
+    def test_short_presketch_rejected(self, rng):
+        # a presketch must hold the r rows the column pivots come from;
+        # a short one is an error, not padded with fresh draws
+        a = rank_r_matrix(rng, 50, 40, 6)
+        orc = DenseOracle(a)
+        sketch = rng.standard_normal((5, 50)) @ a
+        with pytest.raises(InvalidInput, match="fewer than r=6"):
+            rand_pivot(orc, 6, seed=3, presketch=sketch)
+        assert orc.counters.rmatvecs == 0
+
     def test_presketch_avoids_new_matvecs(self, rng):
         a = rank_r_matrix(rng, 50, 40, 6)
         orc = DenseOracle(a)

@@ -7,13 +7,15 @@ import pytest
 
 from adacur.errors import InvalidInput
 from adacur.oracles import DenseOracle
-from adacur.sketch import GaussianEmbedding, derive_seed, row_sketch
+from adacur.sketch import (GaussianEmbedding, SketchPack, derive_seed,
+                           row_sketch)
 
 
 def normalized(sketch_rows, dim, seed):
     """Embedding scaled by 1/sqrt(sketch_rows), norm-preserving in mean."""
-    return GaussianEmbedding(sketch_rows, dim, seed,
-                             scale=1.0 / np.sqrt(sketch_rows))
+    emb = GaussianEmbedding(sketch_rows, dim, seed)
+    emb._raw = emb.raw / np.sqrt(sketch_rows)
+    return emb
 
 
 class TestDeriveSeed:
@@ -43,7 +45,7 @@ class TestDrawGaussian:
     def test_normalized_column_norms_concentrate(self):
         # with s = 500 rows and 1/sqrt(s) scaling, each column of the
         # embedding has expected squared norm 1
-        g = normalized(500, 400, seed=0).matrix
+        g = normalized(500, 400, seed=0).raw
         norms = np.linalg.norm(g, axis=0)
         frac = np.mean((norms >= 0.8) & (norms <= 1.2))
         assert frac >= 0.95
@@ -52,11 +54,6 @@ class TestDrawGaussian:
         g = GaussianEmbedding(100, 1000, seed=3).raw
         v = g.var()
         assert 0.9 <= v <= 1.1
-
-    def test_scaling_relation(self):
-        a = normalized(25, 60, seed=11).matrix
-        b = GaussianEmbedding(25, 60, seed=11).raw
-        np.testing.assert_allclose(a * np.sqrt(25.0), b, rtol=1e-13)
 
 
 class TestGaussianEmbedding:
@@ -94,19 +91,12 @@ class TestGaussianEmbedding:
         with pytest.raises(InvalidInput):
             e.grown(4)
 
-    def test_matrix_scaling(self):
-        e = normalized(9, 30, seed=2)
-        np.testing.assert_allclose(e.matrix, e.raw / 3.0, rtol=1e-15)
-        f = GaussianEmbedding(9, 30, seed=2)
-        np.testing.assert_array_equal(f.matrix, f.raw)
-
 
 class TestRowSketch:
     def test_identity_embedding_reproduces_rows(self, rng):
         a = rng.standard_normal((6, 10))
         e = GaussianEmbedding(6, 6, seed=0)
         e._raw = np.eye(6)
-        e.scale = 1.0
         np.testing.assert_allclose(row_sketch(e, DenseOracle(a)), a,
                                    rtol=1e-13)
 
@@ -140,7 +130,7 @@ class TestRowSketch:
             [1, 1, 1, 1] + [0] * 36) @ rng.standard_normal((40, 40))
         left = row_sketch(GaussianEmbedding(10, 50, seed=1), DenseOracle(a))
         gam2 = normalized(20, 40, seed=2)
-        y = left @ gam2.matrix.T
+        y = left @ gam2.raw.T
         s = np.linalg.svd(y, compute_uv=False)
         assert s[r] <= 1e-10 * s[0]
 
@@ -150,3 +140,24 @@ class TestRowSketch:
         before = orc.counters.rmatvecs
         row_sketch(GaussianEmbedding(7, 20, seed=0), orc)
         assert orc.counters.rmatvecs - before == 7
+
+
+class TestSketchPack:
+    def test_grown_matches_fresh_pack(self, rng):
+        # appending the new rows' sketch equals sketching with the taller
+        # embedding from scratch, and costs one rmatvec per new row only
+        a = rng.standard_normal((40, 25))
+        orc = DenseOracle(a)
+        small = GaussianEmbedding(5, 40, seed=9)
+        pack = SketchPack(small, row_sketch(small, orc))
+        before = orc.counters.rmatvecs
+        for rows in (5, 12, 30):
+            grown = pack.grown(orc, rows)
+            assert orc.counters.rmatvecs - before == rows - 5
+            fresh = GaussianEmbedding(rows, 40, seed=9)
+            np.testing.assert_array_equal(grown.embedding.raw, fresh.raw)
+            np.testing.assert_array_equal(
+                grown.row_sketch, row_sketch(fresh, DenseOracle(a)))
+            assert grown.residual_sketch is None
+            before = orc.counters.rmatvecs
+        np.testing.assert_array_equal(pack.embedding.raw, small.raw)
