@@ -28,7 +28,8 @@ from .problems import (make_adversarial, make_schrodinger,
                        make_speed_problem, make_synthetic_expm,
                        synthetic_expm_singvals, true_relative_error)
 from .rankest import RankEstimate, estimate_rank
-from .sketch import GaussianEmbedding, SketchPack, derive_seed
+from .sketch import (GaussianEmbedding, SketchPack, SparseSignEmbedding,
+                     derive_seed)
 
 __version__ = "0.1.0"
 
@@ -51,6 +52,6 @@ __all__ = [
     "make_adversarial", "make_schrodinger", "make_speed_problem",
     "make_synthetic_expm", "synthetic_expm_singvals", "true_relative_error",
     "RankEstimate", "estimate_rank",
-    "GaussianEmbedding", "SketchPack", "derive_seed",
+    "GaussianEmbedding", "SketchPack", "SparseSignEmbedding", "derive_seed",
     "__version__",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch,
-                     warn_caller)
+                     check_int, warn_caller)
 from .linalg import (cpqr, eps_rank_from_rdiag, lu_pivots, lu_row_id, srrqr,
                      stable_cur_eval)
 from .normest import estimate_cur_error
@@ -37,19 +37,15 @@ def _check_config(cfg, **least):
     not). ``tol`` must be a real number in (0, 1), and the flags the
     config has must be bools (numpy bools pass).
     """
-    for name in (*least, "seed"):
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    check_int("seed", cfg.seed)
+    for name, low in least.items():
+        check_int(name, getattr(cfg, name), low)
     if not isinstance(cfg.tol, numbers.Real) or not 0.0 < cfg.tol < 1.0:
         raise InvalidInput(f"tol must be a real in (0, 1), got {cfg.tol!r}")
     for name in ("escalate_s", "true_error", "store_factors"):
         value = getattr(cfg, name, False)
         if not isinstance(value, (bool, np.bool_)):
             raise InvalidInput(f"{name} must be a bool, got {value!r}")
-    for name, low in least.items():
-        if getattr(cfg, name) < low:
-            raise InvalidInput(f"{name} must be >= {low}")
 
 
 @dataclass

@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and its warning helper."""
+"""Exception types shared across the package, and its input helpers."""
 
 import os
 import sys
 import warnings
+
+import numpy as np
 
 _PACKAGE_DIR = os.path.dirname(__file__) + os.sep
 
@@ -23,6 +25,20 @@ def warn_caller(message, category=UserWarning):
 
 class InvalidInput(ValueError):
     """Arguments violate a documented precondition."""
+
+
+def check_int(name, value, low=None):
+    """``value`` as an int, once it is an integer of at least ``low``.
+
+    numpy integers pass and bools do not; anything else raises
+    :class:`InvalidInput` naming ``name``.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (low is not None and value < low)):
+        kind = {None: "an integer", 0: "a non-negative integer",
+                1: "a positive integer"}.get(low, f"an integer >= {low}")
+        raise InvalidInput(f"{name} must be {kind}, got {value!r}")
+    return int(value)
 
 
 class NonConvergence(RuntimeError):

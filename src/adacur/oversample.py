@@ -23,7 +23,7 @@ Column oversampling is the same operation on the row ID of A[I, :].T.
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import InvalidInput, warn_caller
+from .errors import InvalidInput, check_int, warn_caller
 from .linalg import cpqr
 
 __all__ = ["oversample_rows", "oversample_rows_multi"]
@@ -67,13 +67,6 @@ class _InterpBasis:
         out[lead] = w[pos[lead]]
         out[~lead] = (self.t @ w)[pos[~lead] - k]
         return out
-
-
-def _count(p):
-    """``p`` as an int, once it is a non-negative integer (numpy ints pass)."""
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 0:
-        raise InvalidInput(f"p must be a non-negative integer, got {p!r}")
-    return int(p)
 
 
 def _unchosen(basis, rows, p):
@@ -120,7 +113,7 @@ def oversample_rows(row_id, rows, p):
     ndarray
         p distinct row indices in greedy-importance order.
     """
-    p = _count(p)
+    p = check_int("p", p, 0)
     if p == 0:
         return np.empty(0, np.intp)
     basis = _InterpBasis(row_id)
@@ -140,7 +133,7 @@ def oversample_rows_multi(row_id, rows, p):
     ``row_id`` is as for :func:`oversample_rows`. The columns stay
     fixed across rounds, so one basis serves every round.
     """
-    remaining = _count(p)
+    remaining = check_int("p", p, 0)
     basis = _InterpBasis(row_id)
     rows = np.asarray(rows, dtype=np.intp).reshape(-1)
     picked = np.empty(0, np.intp)

@@ -1,16 +1,17 @@
 """Randomized numerical rank estimation through a two-sided sketch.
 
 The estimate is the number of singular values of ``G1 @ A @ G2.T``
-above an absolute tolerance, where the normalized Gaussian embeddings
-G1 (s rows) and G2 (2s rows) approximately preserve the leading
-singular values of A. The sketch grows by doubling s, appending rows
-to the existing sketches, until its smallest singular value falls
-below the tolerance, which certifies that the whole tail has been
-seen.
+above an absolute tolerance, where the normalized sparse sign
+embeddings G1 (s rows) and G2 (2s rows) approximately preserve the
+leading singular values of A; the estimator works with any subspace
+embedding (Meier & Nakatsukasa, LAA 2024), and sparse sign ones are
+the cheap choice. The sketch grows by doubling s, appending rows to
+the existing sketches, until its smallest singular value falls below
+the tolerance, which certifies that the whole tail has been seen.
 
-Two practical rules round out the corner cases. A Gaussian side whose
+Two practical rules round out the corner cases. A sketched side whose
 row count comes within a factor two of the dimension it compresses is
-replaced by exact rows, since near-square Gaussian factors distort
+replaced by exact rows, since near-square random factors distort
 small singular values badly while saving nothing. And if the cap
 ``s_max`` is hit while every sketched singular value still exceeds the
 tolerance, the estimate is unresolved: :class:`RankTolNotResolved` is
@@ -18,12 +19,14 @@ raised carrying the partial estimate, unless both sides were exact and
 the (now exactly known) count fits within the cap.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NonFiniteSnapshot, RankTolNotResolved
-from .sketch import GaussianEmbedding, SketchPack, derive_seed, row_sketch
+from .errors import (InvalidInput, NonFiniteSnapshot, RankTolNotResolved,
+                     check_int)
+from .sketch import SketchPack, SparseSignEmbedding, derive_seed, row_sketch
 
 __all__ = ["RankEstimate", "estimate_rank"]
 
@@ -80,17 +83,19 @@ def estimate_rank(oracle, abs_tol, seed, s_max=None):
         partial estimate (rank capped at s_max).
     """
     m, n = oracle.shape
-    if not np.isfinite(abs_tol) or abs_tol <= 0:
-        raise InvalidInput(f"abs_tol must be positive and finite, got {abs_tol}")
-    if s_max is None:
-        s_max = min(m, n)
+    if (isinstance(abs_tol, bool) or not isinstance(abs_tol, numbers.Real)
+            or not 0 < abs_tol < np.inf):
+        raise InvalidInput(
+            f"abs_tol must be a positive finite real, got {abs_tol!r}")
+    check_int("seed", seed)
+    s_max = min(m, n) if s_max is None else check_int("s_max", s_max)
     if not 1 <= s_max <= min(m, n):
         raise InvalidInput(f"s_max must lie in [1, {min(m, n)}]")
 
     seed_left = derive_seed(seed, 0x1EF7)
     seed_right = derive_seed(seed, 0x516B)
     s = min(_S_INIT, s_max)
-    pack = None       # unscaled Gaussian row sketch, grown by appending
+    pack = None       # unscaled row sketch, grown by appending
     a_rows = None     # cached exact rows once the left side saturates
     g2 = None         # right embedding, grown by appending
 
@@ -103,7 +108,7 @@ def estimate_rank(oracle, abs_tol, seed, s_max=None):
             x = a_rows
         else:
             if pack is None:
-                emb = GaussianEmbedding(s, m, seed_left)
+                emb = SparseSignEmbedding(s, m, seed_left)
                 pack = SketchPack(emb, row_sketch(emb, oracle))
                 del emb   # later growth must not pin the first draw
             elif pack.embedding.sketch_rows < s:
@@ -113,10 +118,10 @@ def estimate_rank(oracle, abs_tol, seed, s_max=None):
             y = x
         else:
             if g2 is None:
-                g2 = GaussianEmbedding(2 * s, n, seed_right)
+                g2 = SparseSignEmbedding(2 * s, n, seed_right)
             elif g2.sketch_rows < 2 * s:
                 g2 = g2.grown(2 * s)
-            y = x @ (g2.raw.T / np.sqrt(2 * s))
+            y = (x @ g2.raw.T) / np.sqrt(2 * s)
         if not np.isfinite(y).all():
             raise NonFiniteSnapshot("rank sketch holds non-finite entries")
         sig = np.linalg.svd(y, compute_uv=False)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from adacur.errors import RankTolNotResolved
+from adacur.errors import InvalidInput, RankTolNotResolved
 from adacur.oracles import DenseOracle
 from adacur.rankest import estimate_rank
-from adacur.sketch import GaussianEmbedding, derive_seed
+from adacur.sketch import GaussianEmbedding, SparseSignEmbedding, derive_seed
 
 
 def diag_oracle(diag, m, n):
@@ -16,9 +16,12 @@ def diag_oracle(diag, m, n):
     return DenseOracle(a)
 
 
-def redrawn_estimate(oracle, abs_tol, seed, s_init=8, s_max=None):
+def redrawn_estimate(oracle, abs_tol, seed, s_init=8, s_max=None,
+                     embedding=SparseSignEmbedding):
     """Reference loop: both embeddings redrawn from their seeds each round.
 
+    Each round draws fresh ``embedding`` instances of the round's size
+    for both sides and sketches A with the left one's new rows only.
     Returns the final (row_sketch, singular values) pair.
     """
     m, n = oracle.shape
@@ -31,7 +34,7 @@ def redrawn_estimate(oracle, abs_tol, seed, s_init=8, s_max=None):
         if 2 * s >= m:
             x = oracle.row_block(np.arange(m))
         else:
-            g1 = GaussianEmbedding(s, m, seed_left).raw
+            g1 = embedding(s, m, seed_left).raw
             if x_raw is None:
                 x_raw = oracle.rmatmat(g1.T).T
             elif x_raw.shape[0] < s:
@@ -41,8 +44,8 @@ def redrawn_estimate(oracle, abs_tol, seed, s_init=8, s_max=None):
         if 4 * s >= n:
             y = x
         else:
-            g2 = GaussianEmbedding(2 * s, n, seed_right).raw
-            y = x @ (g2.T / np.sqrt(2 * s))
+            g2 = embedding(2 * s, n, seed_right).raw
+            y = (x @ g2.T) / np.sqrt(2 * s)
         sig = np.linalg.svd(y, compute_uv=False)
         if sig[-1] < abs_tol or s >= s_max:
             return x, sig
@@ -72,6 +75,45 @@ class TestGrownEmbeddings:
         np.testing.assert_array_equal(info.value.estimate.row_sketch, x)
         np.testing.assert_array_equal(
             info.value.estimate.sketch_singular_values, sig)
+
+
+class TestSketchQuality:
+    def test_mean_rank_matches_gaussian_sketch(self):
+        # the sparse sign sketch must see as many singular values above
+        # the tolerance as the same estimator over Gaussian embeddings;
+        # a normalization slip between blocks shows as a lower mean.
+        # The spectrum is the speed problem's (rank 100, 1 to 1e-8) at
+        # its rank tolerance: 97 singular values lie above it, and a
+        # single estimate spreads by about 0.5
+        gen = np.random.default_rng(11)
+        u = np.linalg.qr(gen.standard_normal((2000, 100)))[0]
+        v = np.linalg.qr(gen.standard_normal((400, 100)))[0]
+        a = (u * np.logspace(0, -8, 100)) @ v.T
+        orc, tol = DenseOracle(a), 1.58e-8
+        sparse, gauss = [], []
+        for seed in range(30):
+            sparse.append(estimate_rank(orc, tol, seed).rank)
+            sig = redrawn_estimate(orc, tol, seed,
+                                   embedding=GaussianEmbedding)[1]
+            gauss.append(np.count_nonzero(sig > tol))
+        assert abs(np.mean(sparse) - np.mean(gauss)) <= 0.5
+
+
+class TestArguments:
+    @pytest.mark.parametrize("kwargs", [
+        dict(abs_tol=True), dict(abs_tol="1e-6"), dict(abs_tol=np.nan),
+        dict(abs_tol=np.inf), dict(abs_tol=0.0), dict(seed=1.5),
+        dict(seed=True), dict(seed="1"), dict(s_max=10.0), dict(s_max=True),
+        dict(s_max=0), dict(s_max=31)])
+    def test_bad_argument_rejected(self, kwargs):
+        orc = DenseOracle(np.eye(30))
+        with pytest.raises(InvalidInput):
+            estimate_rank(orc, **{"abs_tol": 1e-6, "seed": 1, **kwargs})
+
+    def test_numpy_scalars_pass(self):
+        orc = DenseOracle(np.eye(30))
+        est = estimate_rank(orc, np.float32(0.5), np.int64(1), np.int32(30))
+        assert est.rank == estimate_rank(orc, 0.5, 1, 30).rank == 30
 
 
 class TestEstimateRank:

@@ -1,4 +1,4 @@
-"""Tests for Gaussian sketching and the growable embedding."""
+"""Tests for the Gaussian and sparse sign embeddings and sketch packs."""
 
 import copy
 
@@ -7,8 +7,10 @@ import pytest
 
 from adacur.errors import InvalidInput
 from adacur.oracles import DenseOracle
-from adacur.sketch import (GaussianEmbedding, SketchPack, derive_seed,
-                           row_sketch)
+from adacur.sketch import (GaussianEmbedding, SketchPack, SparseSignEmbedding,
+                           derive_seed, row_sketch)
+
+EMBEDDINGS = [GaussianEmbedding, SparseSignEmbedding]
 
 
 def normalized(sketch_rows, dim, seed):
@@ -145,19 +147,101 @@ class TestRowSketch:
 class TestSketchPack:
     def test_grown_matches_fresh_pack(self, rng):
         # appending the new rows' sketch equals sketching with the taller
-        # embedding from scratch, and costs one rmatvec per new row only
+        # embedding from scratch, and costs one rmatvec per new row only,
+        # for either embedding class
         a = rng.standard_normal((40, 25))
-        orc = DenseOracle(a)
-        small = GaussianEmbedding(5, 40, seed=9)
-        pack = SketchPack(small, row_sketch(small, orc))
-        before = orc.counters.rmatvecs
-        for rows in (5, 12, 30):
-            grown = pack.grown(orc, rows)
-            assert orc.counters.rmatvecs - before == rows - 5
-            fresh = GaussianEmbedding(rows, 40, seed=9)
-            np.testing.assert_array_equal(grown.embedding.raw, fresh.raw)
-            np.testing.assert_array_equal(
-                grown.row_sketch, row_sketch(fresh, DenseOracle(a)))
-            assert grown.residual_sketch is None
+        for cls in EMBEDDINGS:
+            orc = DenseOracle(a)
+            small = cls(5, 40, seed=9)
+            pack = SketchPack(small, row_sketch(small, orc))
             before = orc.counters.rmatvecs
-        np.testing.assert_array_equal(pack.embedding.raw, small.raw)
+            for rows in (5, 12, 30):
+                grown = pack.grown(orc, rows)
+                assert orc.counters.rmatvecs - before == rows - 5
+                fresh = cls(rows, 40, seed=9)
+                np.testing.assert_array_equal(grown.embedding.raw, fresh.raw)
+                np.testing.assert_array_equal(
+                    grown.row_sketch, row_sketch(fresh, DenseOracle(a)))
+                assert grown.residual_sketch is None
+                before = orc.counters.rmatvecs
+            np.testing.assert_array_equal(pack.embedding.raw, small.raw)
+
+
+class TestSparseSignEmbedding:
+    def test_reproducible_per_seed(self):
+        a = SparseSignEmbedding(40, 300, seed=7).raw
+        np.testing.assert_array_equal(
+            a, SparseSignEmbedding(40, 300, seed=7).raw)
+        assert not np.array_equal(a, SparseSignEmbedding(40, 300, seed=8).raw)
+
+    def test_grown_matches_fresh(self):
+        # doubling 8 -> 256 along the estimator's schedule, and to sizes
+        # off it, where the last block is cut short
+        fresh = SparseSignEmbedding(1000, 60, seed=5).raw
+        e = SparseSignEmbedding(8, 60, seed=5)
+        for rows in (16, 32, 64, 128, 256):
+            e = e.grown(rows)
+            np.testing.assert_array_equal(e.raw, fresh[:rows])
+        for rows in (40, 1000):
+            np.testing.assert_array_equal(
+                SparseSignEmbedding(8, 60, seed=5).grown(rows).raw,
+                fresh[:rows])
+        cut = SparseSignEmbedding(40, 60, seed=5)
+        np.testing.assert_array_equal(cut.raw, fresh[:40])
+        np.testing.assert_array_equal(cut.grown(64).raw, fresh[:64])
+        np.testing.assert_array_equal(cut.grown(1000).raw, fresh)
+
+    def test_one_entry_per_band(self):
+        # blocks of 8, 8, 16, ..., 512 rows, each in 8 bands of w rows;
+        # w = 256 (the last block) takes two words per column
+        g = SparseSignEmbedding(4096, 50, seed=3).raw
+        for lo, hi in [(0, 8), (8, 16), (16, 32), (128, 256), (2048, 4096)]:
+            w = (hi - lo) // 8
+            bands = g[lo:hi].reshape(8, w, 50)
+            np.testing.assert_array_equal(
+                np.count_nonzero(bands, axis=1), np.ones((8, 50)))
+            assert set(np.abs(bands[bands != 0])) == {np.sqrt(w)}
+
+    def test_dense_rows_slice_raw(self):
+        e = SparseSignEmbedding(300, 40, seed=2)
+        for start, stop in [(0, 300), (3, 40), (100, 257), (16, 32)]:
+            np.testing.assert_array_equal(e.dense_rows(start, stop),
+                                          e.raw[start:stop])
+        assert e.raw is e.raw
+
+    def test_norm_preserved_in_mean(self, rng):
+        # unit-variance entries: E ||Sx||^2 / s = ||x||^2 at every s,
+        # also on a cut-short last block (the mean's relative spread is
+        # about sqrt(2 / s / 200), under 1% here)
+        x = rng.standard_normal(500)
+        for s in (128, 200):
+            mean = np.mean([np.sum((SparseSignEmbedding(s, 500, seed).raw
+                                    @ x) ** 2) / s for seed in range(200)])
+            assert abs(mean / (x @ x) - 1) <= 0.05
+
+    def test_row_sketch_counts_rmatvecs(self, rng):
+        a = rng.standard_normal((30, 15))
+        orc = DenseOracle(a)
+        sk = row_sketch(SparseSignEmbedding(20, 30, seed=0), orc)
+        assert orc.counters.rmatvecs == 20
+        np.testing.assert_allclose(
+            sk, SparseSignEmbedding(20, 30, seed=0).raw @ a, rtol=1e-13)
+
+
+@pytest.mark.parametrize("cls", EMBEDDINGS)
+class TestEmbeddingArguments:
+    @pytest.mark.parametrize("rows,dim,seed", [
+        (2.5, 10, 0), (True, 10, 0), (0, 10, 0), (2, 0, 0), (2, 10.0, 0),
+        (2, 10, -1), (2, 10, 1.5), (2, 10, True)])
+    def test_bad_shape_or_seed_rejected(self, cls, rows, dim, seed):
+        with pytest.raises(InvalidInput):
+            cls(rows, dim, seed)
+
+    @pytest.mark.parametrize("rows", [6.5, True, 1])
+    def test_bad_growth_rejected(self, cls, rows):
+        with pytest.raises(InvalidInput):
+            cls(2, 10, 0).grown(rows)
+
+    def test_numpy_integers_pass(self, cls):
+        e = cls(np.int64(2), np.int32(10), np.uint64(3)).grown(np.int64(4))
+        np.testing.assert_array_equal(e.raw, cls(4, 10, 3).raw)
