@@ -3,12 +3,19 @@
 The Matrix Market support is deliberately small: real general
 matrices in array or coordinate format, with parse failures reported
 by line number and explicitly stored zeros kept as structural entries
-(scipy's reader offers neither). CSV traces round-trip losslessly.
+(scipy's reader offers neither). A well-formed body, one value or entry
+per line, is parsed in one ``np.loadtxt`` call; any other body falls
+back to a line-by-line scan that yields the same matrix or the
+:class:`ParseError` naming the bad line. A coordinate size line above
+:data:`MAX_COORDINATE_DIM` rows or columns is refused before anything
+is allocated. The writer formats a whole body in one join. CSV traces
+round-trip losslessly.
 """
 
 import csv
 import dataclasses
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +34,18 @@ CSV_HEADER = ",".join(f.name for f in _FIELDS)
 
 
 # -- Matrix Market -------------------------------------------------------
+
+#: Largest row or column count a coordinate file may declare. The sparse
+#: assembly allocates index pointers sized by the dimensions, not by the
+#: file, so a larger size line is refused before anything is allocated.
+MAX_COORDINATE_DIM = 10 ** 8
+
+# array sizes are bounded by the values the file holds; this limit only
+# keeps their indices inside the index dtype
+_MAX_ARRAY_DIM = np.iinfo(np.intp).max
+
+_ENTRY = np.dtype([("i", np.int64), ("j", np.int64), ("v", float)])
+
 
 def _tokens(lines, start):
     """Yield (lineno, token list) for non-blank, non-comment lines."""
@@ -48,6 +67,20 @@ def read_matrix_market(path):
     with open(path, encoding="utf-8") as f:
         text = f.read()
     lines = text.splitlines()
+    fmt, size, start = _read_head(lines)
+    mat = _bulk_body(fmt, size, lines, start)
+    if mat is None:
+        mat = _scan_body(fmt, size, lines, start, len(text))
+    return fmt, mat
+
+
+def _read_head(lines):
+    """Check the banner and size line.
+
+    Returns the format, the sizes it declares (``(m, n)`` for array,
+    ``(m, n, nnz)`` for coordinate) and the index of the first line
+    after the size line.
+    """
     if not lines:
         raise ParseError("empty file", line=1)
     head = lines[0].split()
@@ -64,20 +97,73 @@ def read_matrix_market(path):
     if symmetry != "general":
         raise ParseError(f"unsupported symmetry {symmetry!r}", line=1)
 
-    body = _tokens(lines, 1)
-    try:
-        lineno, size = next(body)
-    except StopIteration:
-        raise ParseError("missing size line", line=len(lines)) from None
-
+    first = next(_tokens(lines, 1), None)
+    if first is None:
+        raise ParseError("missing size line", line=len(lines))
+    lineno, size = first
     if fmt == "array":
         if len(size) != 2:
             raise ParseError("array size line must be 'rows cols'",
                              line=lineno)
-        m, n = _parse_dims(size, lineno)
+        return fmt, _parse_dims(size, lineno, _MAX_ARRAY_DIM), lineno
+    if len(size) != 3:
+        raise ParseError("coordinate size line must be 'rows cols nnz'",
+                         line=lineno)
+    m, n = _parse_dims(size[:2], lineno, MAX_COORDINATE_DIM)
+    nnz = _parse_count(size[2], lineno)
+    if nnz < 0:
+        raise ParseError(f"nnz must be non-negative, got {nnz}", line=lineno)
+    return fmt, (m, n, nnz), lineno
+
+
+def _bulk_body(fmt, size, lines, start):
+    """Parse a body of one value or entry per line in one numpy call.
+
+    Returns None for any body it does not take as well formed: comment
+    or blank lines, a line count other than the declared one, ragged
+    lines, non-ASCII text, an index out of range, or any token numpy
+    rejects (it is stricter than ``int()`` and ``float()``, for ``1_0``
+    say). The line scan then gives the same matrix or the error with its
+    line, so whatever this returns equals the scan's result bit for bit.
+    """
+    body = lines[start:]
+    count = size[0] * size[1] if fmt == "array" else size[2]
+    # numpy 2.4's integer parser can crash on a non-ASCII character (a
+    # segfault for U+10FFFF in an index field), so only ASCII goes to it
+    if count == 0 or len(body) != count or not all(map(str.isascii, body)):
+        return None
+    try:
+        # no comment character, as loadtxt would drop text after it; a
+        # warning (an all-blank body) declines like an error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parsed = np.loadtxt(body, dtype=float if fmt == "array"
+                                else _ENTRY, comments=None, ndmin=1)
+    except Exception:  # whatever numpy refuses, the scan decides
+        return None
+    if parsed.shape != (count,):
+        return None
+    if fmt == "array":
+        return parsed.reshape(size, order="F")
+    m, n, _ = size
+    i, j = parsed["i"], parsed["j"]
+    if not (1 <= i.min() and i.max() <= m and 1 <= j.min() and j.max() <= n):
+        return None
+    return _assemble(i - 1, j - 1, parsed["v"], m, n)
+
+
+def _scan_body(fmt, size, lines, start, text_len):
+    """Parse the body line by line, raising at the first bad line.
+
+    The reference parse: it accepts every body :func:`_bulk_body` does
+    and more, and gives the line number of whatever it rejects.
+    """
+    body = _tokens(lines, start)
+    if fmt == "array":
+        m, n = size
         # each value takes at least one character of the file, which
         # bounds the buffers here and below whatever the size line says
-        vals = np.empty(min(m * n, len(text)))
+        vals = np.empty(min(m * n, text_len))
         count = 0
         for lineno, toks in body:
             for tok in toks:
@@ -90,16 +176,10 @@ def read_matrix_market(path):
             raise ParseError(f"expected {m * n} values, found {count}",
                              line=len(lines))
         # array format stores values column by column
-        return "array", vals.reshape((m, n), order="F")
+        return vals.reshape((m, n), order="F")
 
-    if len(size) != 3:
-        raise ParseError("coordinate size line must be 'rows cols nnz'",
-                         line=lineno)
-    m, n = _parse_dims(size[:2], lineno)
-    nnz = _parse_count(size[2], lineno)
-    if nnz < 0:
-        raise ParseError(f"nnz must be non-negative, got {nnz}", line=lineno)
-    cap = min(nnz, len(text))
+    m, n, nnz = size
+    cap = min(nnz, text_len)
     rows = np.empty(cap, dtype=np.intp)
     cols = np.empty(cap, dtype=np.intp)
     vals = np.empty(cap)
@@ -123,22 +203,23 @@ def read_matrix_market(path):
     if count != nnz:
         raise ParseError(f"expected {nnz} entries, found {count}",
                          line=len(lines))
-    mat = sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(m, n)))
-    return "coordinate", mat
+    return _assemble(rows, cols, vals, m, n)
 
 
-_MAX_DIM = np.iinfo(np.intp).max
+def _assemble(rows, cols, vals, m, n):
+    """CSR of 0-based entries, duplicates summed and zeros kept."""
+    return sp.csr_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(m, n)))
 
 
-def _parse_dims(toks, lineno):
+def _parse_dims(toks, lineno, limit):
     m = _parse_count(toks[0], lineno)
     n = _parse_count(toks[1], lineno)
     if m < 1 or n < 1:
         raise ParseError(f"dimensions must be positive, got {m}x{n}",
                          line=lineno)
-    if max(m, n) > _MAX_DIM:
-        raise ParseError(f"dimensions {m}x{n} exceed the index limit "
-                         f"{_MAX_DIM}", line=lineno)
+    if max(m, n) > limit:
+        raise ParseError(f"dimensions {m}x{n} exceed the limit {limit}",
+                         line=lineno)
     return m, n
 
 
@@ -177,19 +258,21 @@ def write_matrix_market(path, a, fmt=None):
         fmt = "coordinate" if sp.issparse(a) else "array"
     if fmt not in ("array", "coordinate"):
         raise InvalidInput(f"unknown format {fmt!r}")
+    # %r of a Python float is its shortest round-trip repr
+    if fmt == "array":
+        dense = np.asarray(a.toarray() if sp.issparse(a) else a, dtype=float)
+        m, n = dense.shape
+        size = f"{m} {n}"
+        body = map("%r\n".__mod__, dense.ravel(order="F").tolist())
+    else:
+        coo = sp.coo_matrix(a)
+        size = f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"
+        body = map("%d %d %r\n".__mod__,
+                   zip((coo.row + 1).tolist(), (coo.col + 1).tolist(),
+                       coo.data.astype(float).tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"%%MatrixMarket matrix {fmt} real general\n")
-        if fmt == "array":
-            dense = a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
-            m, n = dense.shape
-            f.write(f"{m} {n}\n")
-            for v in dense.ravel(order="F"):
-                f.write(repr(float(v)) + "\n")
-        else:
-            coo = sp.coo_matrix(a)
-            f.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-            for i, jj, v in zip(coo.row, coo.col, coo.data):
-                f.write(f"{i + 1} {jj + 1} {repr(float(v))}\n")
+        f.write(f"%%MatrixMarket matrix {fmt} real general\n{size}\n")
+        f.write("".join(body))
 
 
 _STEP_FILE = re.compile(r"step_(\d+)\.mtx")

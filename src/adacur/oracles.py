@@ -7,6 +7,7 @@ an instrumented run reports exactly how much of the matrix was seen.
 """
 
 import copy
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -185,6 +186,15 @@ class SparseOracle(MatrixOracle):
         self._csr = s.tocsr().astype(float)
         self._csc = self._csr.tocsc()
 
+    @functools.cached_property
+    def _csc_t(self):
+        """``A.T`` as a view on ``_csc``'s arrays, built on first use.
+
+        scipy's checks on building it cost more than a small product,
+        and many oracles never take one.
+        """
+        return self._csc.T
+
     @property
     def nnz(self):
         return self._csr.nnz
@@ -193,7 +203,7 @@ class SparseOracle(MatrixOracle):
         return self._csr @ x
 
     def _rmatmat(self, x):
-        return self._csc.T @ x
+        return self._csc_t @ x
 
     def _rows(self, idx):
         return self._csr[idx, :].toarray()

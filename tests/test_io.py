@@ -1,6 +1,7 @@
 """Tests for matrix file reading/writing and trace CSV round trips."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,17 +9,19 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from adacur import fileio
 from adacur.driver import StepTrace
 from adacur.errors import InvalidInput, ParseError
 from adacur.fileio import (
     CSV_HEADER,
+    MAX_COORDINATE_DIM,
     load_sequence_dir,
     read_matrix_market,
     read_trace_csv,
     write_matrix_market,
     write_trace_csv,
 )
-from adacur.oracles import DenseOracle, ParamMatrixSequence
+from adacur.oracles import DenseOracle, ParamMatrixSequence, SparseOracle
 
 
 class TestMatrixMarket:
@@ -176,6 +179,201 @@ def test_mutated_lines_raise_only_parse_error(tmp_path, line, data):
         pass
 
 
+def assert_bitwise_equal(a, b):
+    """Same matrix type, shape, dtypes and bits (NaN and -0.0 included)."""
+    assert type(a) is type(b) and a.shape == b.shape
+    if sp.issparse(a):
+        for name in ("indices", "indptr"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype
+            np.testing.assert_array_equal(x, y)
+        a, b = a.data, b.data
+    assert a.dtype == b.dtype == np.float64
+    assert a.flags.f_contiguous == b.flags.f_contiguous
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def scan_only(text):
+    """Read ``text`` with the line scan alone, bypassing the bulk parse."""
+    lines = text.splitlines()
+    fmt, size, start = fileio._read_head(lines)
+    return fmt, fileio._scan_body(fmt, size, lines, start, len(text))
+
+
+def outcome(read, arg):
+    """``(format, matrix)`` of a read, or ``(None, (detail, line))``."""
+    try:
+        return read(arg)
+    except ParseError as exc:
+        return None, (exc.detail, exc.line)
+
+
+def assert_bulk_agrees_with_scan(path):
+    """The reader and the bulk parse each agree with the line scan.
+
+    Returns whether the bulk parse accepted the body.
+    """
+    text = path.read_text(encoding="utf-8")
+    fast, slow = outcome(read_matrix_market, path), outcome(scan_only, text)
+    assert fast[0] == slow[0]
+    if slow[0] is None:
+        assert fast[1] == slow[1]
+    else:
+        assert_bitwise_equal(fast[1], slow[1])
+    lines = text.splitlines()
+    try:
+        fmt, size, start = fileio._read_head(lines)
+    except ParseError:
+        return False
+    bulk = fileio._bulk_body(fmt, size, lines, start)
+    if bulk is not None:
+        assert slow[0] is not None
+        assert_bitwise_equal(bulk, slow[1])
+    return bulk is not None
+
+
+@pytest.mark.parametrize("line", ["size", "entry"])
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_lines_bulk_matches_scan(tmp_path, line, data):
+    path = tmp_path / "mut.mtx"
+    path.write_text(data.draw(mutated_mtx(line)), encoding="utf-8")
+    assert_bulk_agrees_with_scan(path)
+
+
+COORD_12 = "%%MatrixMarket matrix coordinate real general\n12 12 {nnz}\n"
+ARRAY_2X1 = "%%MatrixMarket matrix array real general\n2 1\n"
+
+
+@pytest.mark.parametrize("text, bulk", [
+    # ragged lines whose token counts add up to two full entries
+    (COORD_12.format(nnz=2) + "1 1\n2 2 3.0 4.0\n", False),
+    (COORD_12.format(nnz=1) + "1 1 1.5 % note\n", False),
+    (COORD_12.format(nnz=1) + "1.0 1 1.5\n", False),
+    (COORD_12.format(nnz=1) + "+1 1 1.5\n", True),
+    (COORD_12.format(nnz=1) + "1_0 1 1.5\n", False),
+    (COORD_12.format(nnz=1) + "١ 1 1.5\n", False),
+    (COORD_12.format(nnz=1) + "1 \U0010ffff 1.5\n", False),
+    (COORD_12.format(nnz=1) + "1 1 1_0.5\n", False),
+    (COORD_12.format(nnz=3) + "1 1 nan\n2 1 -nan\n3 3 -0\n", True),
+    (COORD_12.format(nnz=2) + "1 1 1e400\n1 1 -1e400\n", True),
+    (COORD_12.format(nnz=2) + "1 1 1.5\n\n", False),
+    (COORD_12.format(nnz=2) + "13 1 1.5\n1 1 1.0\n", False),
+    (COORD_12.format(nnz=2) + "1 1 1.5\n% a comment\n", False),
+    (COORD_12.format(nnz=1) + "1 1 1.5 # note\n", False),
+    (COORD_12.format(nnz=0), False),
+    (ARRAY_2X1 + "1.0\n2.0\n", True),
+    (ARRAY_2X1 + "1.0 2.0\n3.0 4.0\n", False),
+    (ARRAY_2X1 + "1_0.5\n2.0\n", False),
+    (ARRAY_2X1 + "1.0\n\n", False),
+    (ARRAY_2X1 + "nan\n-0\n", True),
+])
+def test_targeted_bodies_bulk_matches_scan(tmp_path, text, bulk):
+    path = tmp_path / "t.mtx"
+    path.write_text(text, encoding="utf-8")
+    assert assert_bulk_agrees_with_scan(path) == bulk
+
+
+def test_well_formed_files_skip_line_scan(tmp_path, monkeypatch):
+    # the scan costs about a microsecond per token; well-formed files
+    # must never reach it
+    def no_scan(*args):
+        raise AssertionError("line scan used for a well-formed file")
+
+    rng = np.random.default_rng(3)
+    flat = rng.choice(100 * 50, size=2000, replace=False)
+    coo = sp.coo_matrix((rng.standard_normal(2000), divmod(flat, 50)),
+                        shape=(100, 50))
+    dense = rng.standard_normal((300, 100))
+    write_matrix_market(tmp_path / "c.mtx", coo)
+    write_matrix_market(tmp_path / "a.mtx", dense)
+    monkeypatch.setattr(fileio, "_scan_body", no_scan)
+    _, back = read_matrix_market(tmp_path / "c.mtx")
+    assert_bitwise_equal(back, coo.tocsr())
+    _, back = read_matrix_market(tmp_path / "a.mtx")
+    np.testing.assert_array_equal(back, dense)
+
+
+EDGE_VALUES = [-0.0, 5e-324, np.inf, -np.inf, np.nan, 1e-05, 1e+16, 0.0]
+# a decimal file keeps no NaN payload or sign, so the NaN drawn is the
+# canonical one
+VALUES = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False))
+
+
+@st.composite
+def small_matrices(draw):
+    """A small dense matrix and a mask of the entries a sparse copy stores."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    vals = draw(st.lists(VALUES, min_size=m * n, max_size=m * n))
+    mask = draw(st.lists(st.booleans(), min_size=m * n, max_size=m * n))
+    return (np.array(vals, dtype=float).reshape(m, n),
+            np.array(mask).reshape(m, n))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mat=small_matrices())
+def test_round_trip_bitwise(tmp_path, mat):
+    dense, mask = mat
+    path = tmp_path / "rt.mtx"
+    write_matrix_market(path, dense)
+    fmt, back = read_matrix_market(path)
+    assert fmt == "array"
+    assert_bitwise_equal(back, np.asfortranarray(dense))
+    # stored entries, explicit zeros among them, survive as stored
+    rows, cols = np.nonzero(mask)
+    sparse = sp.csr_matrix((dense[rows, cols], (rows, cols)),
+                           shape=dense.shape)
+    write_matrix_market(path, sparse)
+    fmt, back = read_matrix_market(path)
+    assert fmt == "coordinate" and back.nnz == mask.sum()
+    assert_bitwise_equal(back, sparse)
+
+
+# Exact writer output for two small matrices, pinned so that a change of
+# format shows.
+GOLDEN_ARRAY = ("%%MatrixMarket matrix array real general\n2 3\n"
+                "-0.0\nnan\n5e-324\n1e-05\ninf\n1e+16\n")
+GOLDEN_COORDINATE = ("%%MatrixMarket matrix coordinate real general\n"
+                     "3 3 4\n1 2 0.0\n1 1 -inf\n3 3 0.1\n3 2 2.5e-308\n")
+
+
+def test_writer_bytes_match_golden(tmp_path):
+    write_matrix_market(tmp_path / "a.mtx",
+                        [[-0.0, 5e-324, np.inf], [np.nan, 1e-05, 1e+16]])
+    coo = sp.csr_matrix(([0.0, -np.inf, 0.1, 2.5e-308], [1, 0, 2, 1],
+                         [0, 2, 2, 4]), shape=(3, 3))
+    write_matrix_market(tmp_path / "c.mtx", coo)
+    assert (tmp_path / "a.mtx").read_bytes() == GOLDEN_ARRAY.encode()
+    assert (tmp_path / "c.mtx").read_bytes() == GOLDEN_COORDINATE.encode()
+
+
+class TestCoordinateSizeLimit:
+    def write(self, tmp_path, size):
+        path = tmp_path / "big.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"{size}\n1 1 1.0\n", encoding="utf-8")
+        return path
+
+    def test_huge_dimension_fails_before_allocating(self, tmp_path):
+        assert MAX_COORDINATE_DIM >= 10 ** 8
+        path = self.write(tmp_path, f"{10 ** 12} 2 1")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=f"{10 ** 12}x2") as info:
+                read_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert info.value.line == 2
+        assert peak < 2 ** 20
+
+    def test_million_rows_read(self, tmp_path):
+        _, back = read_matrix_market(self.write(tmp_path, f"{10 ** 6} 2 1"))
+        assert back.shape == (10 ** 6, 2) and back.nnz == 1
+
+
 class TestSequenceDir:
     def make_dir(self, tmp_path, count=4, with_params=True):
         rng = np.random.default_rng(0)
@@ -256,6 +454,23 @@ class TestSequenceDir:
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(InvalidInput):
             load_sequence_dir(str(tmp_path))
+
+
+class TestSparseOracle:
+    def test_products_bitwise_and_counted(self):
+        rng = np.random.default_rng(11)
+        a = sp.random(300, 100, density=0.13, random_state=rng, format="csr")
+        orc = SparseOracle(a)
+        x, y = rng.standard_normal((300, 16)), rng.standard_normal(300)
+        for _ in range(2):
+            assert_bitwise_equal(orc.rmatmat(x), a.T @ x)
+        # one transposed view, built once, on the CSC arrays
+        assert orc._csc_t is orc._csc_t
+        assert np.shares_memory(orc._csc_t.data, orc._csc.data)
+        assert_bitwise_equal(orc.rmatvec(y), a.T @ y)
+        assert_bitwise_equal(orc.matmat(x[:100]), a @ x[:100])
+        c = orc.counters
+        assert (c.matvecs, c.rmatvecs, c.entries_read) == (16, 33, 0)
 
 
 class TestParamMatrixSequence:
