@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import (InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch,
                      check_int, warn_caller)
-from .linalg import (cpqr, eps_rank_from_rdiag, lu_pivots, lu_row_id, srrqr,
+from .linalg import (cpqr, eps_rank_from_rdiag, lu_pivots, srrqr,
                      stable_cur_eval)
 from .normest import estimate_cur_error
 from .oversample import oversample_rows_multi
@@ -137,29 +137,6 @@ def _grow(ids, row_id, count):
     if count <= 0:
         return ids
     return np.concatenate([ids, oversample_rows_multi(row_id, ids, count)])
-
-
-def _scratch_cross(oracle, cfg, seed, extra_rows, extra_cols=0):
-    """Indices from scratch: sketched rank, pivots, grown index sets.
-
-    Returns ``(rows, cols, rank, col_block, row_block)``: the first
-    ``rank`` rows and columns are the pivots, then up to ``extra_rows``
-    rows grown on the row ID the row pivots came from and up to
-    ``extra_cols`` columns grown on the row ID of ``row_block.T``. The
-    blocks, A[:, pivot cols] and A[pivot rows, :] (None unless columns
-    were grown), go back to become C and R, so each is read once.
-    """
-    m, n = oracle.shape
-    sel, c, row_id = rand_pivot_rankest(oracle, _rank_tol(cfg, n), seed)
-    r = int(sel.cols.size)
-    if r == 0:
-        return sel.rows, sel.cols, 0, None, None
-    rows = _grow(sel.rows, row_id, min(extra_rows, m - r))
-    cols, rblk = sel.cols, None
-    if min(extra_cols, n - r) > 0:
-        rblk = oracle.row_block(sel.rows)
-        cols = _grow(cols, lu_row_id(rblk.T), min(extra_cols, n - r))
-    return rows, cols, r, c, rblk
 
 
 def _extract_factors(oracle, sel, col_block=None, row_block=None):
@@ -321,11 +298,21 @@ def _estimate(oracle, cfg, j, fac, reuse=None):
 
 
 def _scratch_step(oracle, cfg, j, reuse=None):
-    """Recompute the indices from scratch and estimate the error."""
-    rows, cols, r, c, _ = _scratch_cross(
-        oracle, cfg, derive_seed(cfg.seed, j, 0x5C), cfg.oversample)
-    fac = _extract_factors(oracle, IndexSelection(rows[:r], cols, rows[r:]),
-                           c)
+    """Recompute the indices from scratch and estimate the error.
+
+    The extra rows are oversampled on the row ID the row pivots came
+    from, and the column block read for the pivots becomes C.
+    """
+    m, n = oracle.shape
+    sel, c, row_id = rand_pivot_rankest(oracle, _rank_tol(cfg, n),
+                                        derive_seed(cfg.seed, j, 0x5C))
+    r = sel.rows.size
+    if r:
+        # the grown copy, as sel.rows is a view of the pivoting's m-long
+        # permutation, which the factors would otherwise keep
+        rows = _grow(sel.rows, row_id, min(cfg.oversample, m - r))
+        sel = IndexSelection(rows[:r], sel.cols, rows[r:])
+    fac = _extract_factors(oracle, sel, c)
     est = _estimate(oracle, cfg, j, fac, reuse)
     return fac, "RECOMPUTE", 0.0 if est is None else est.rel_error
 

@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driver import (CURFactors, _check_config, _extract_factors, _grow,
-                     _order_cross, _rank_tol, _scratch_cross, _track)
+                     _order_cross, _rank_tol, _track)
 from .errors import NonFiniteSnapshot, warn_caller
-# srrqr, rand_pivot_rankest and the oversampling routines are called in
-# the driver module only; bench/tracing.py wraps them here too and
-# requires the attributes.
+# srrqr and the oversampling routines are called in the driver module
+# only; bench/tracing.py wraps them here too and requires the attributes.
 from .linalg import lu_row_id, srrqr  # noqa: F401
 from .oversample import oversample_rows, oversample_rows_multi  # noqa: F401
-from .pivoting import IndexSelection, rand_pivot_rankest  # noqa: F401
+from .pivoting import IndexSelection, rand_pivot_rankest
 from .sketch import derive_seed
 
 __all__ = ["FastConfig", "fastadacur_run"]
@@ -61,18 +60,19 @@ def _finite(block, what):
 def fastadacur_run(seq, cfg):
     """Track ``seq`` without error estimation; one (factors, trace) per step.
 
-    Step 1 selects indices from scratch as the certified drivers do
-    (action RECOMPUTE), grown to rank+buffer columns and
-    rank+buffer+oversample rows. Later steps act on the core block
-    only, ordered as :func:`driver._order_cross` orders a cross: sRRQR
-    for the columns and the rank r0, LUPP for the rows. The action is
-    TRUNCATE when the revealed rank did not grow, EXPAND when it did
-    (replenishing indices through trailing-subspace oversampling on
-    the already-fetched factor blocks). In the trace, h1 accumulates
-    TRUNCATE and h2 EXPAND actions from step 2 on; est_rel_err is
-    always None. A non-finite entry in a block the step reads (the
-    core, C or R) raises :class:`NonFiniteSnapshot`; one elsewhere
-    goes unseen.
+    A step with no tracked cross (the first step, or a later one whose
+    cross emptied) selects pivots from scratch as the certified drivers
+    do (action RECOMPUTE). Otherwise the core block alone is ordered as
+    :func:`driver._order_cross` orders a cross: sRRQR for the columns
+    and the rank r0, LUPP for the rows. The action is TRUNCATE when the
+    revealed rank did not grow and EXPAND when it did. Whenever the rank
+    grows, RECOMPUTE and EXPAND alike, the sets are replenished to
+    r0+buffer columns and r0+buffer+oversample rows: rows by
+    oversampling on the row ID of C = A[:, cols], columns on the row ID
+    of R's rows transposed. In the trace, h1 accumulates TRUNCATE and h2
+    EXPAND and RECOMPUTE actions from step 2 on; est_rel_err is always
+    None. A non-finite entry in a block the step reads (the core, C or
+    R) raises :class:`NonFiniteSnapshot`; one elsewhere goes unseen.
     """
     b, p = cfg.buffer, cfg.oversample
     i_idx = j_idx = np.array([], dtype=np.intp)
@@ -81,52 +81,40 @@ def fastadacur_run(seq, cfg):
     def step(j, oracle):
         nonlocal i_idx, j_idx, r
         m, n = oracle.shape
-        cblk = rblk = None
-        if j == 0:
-            i_idx, j_idx, r, cblk, rblk = _scratch_cross(
-                oracle, cfg, derive_seed(cfg.seed, 0xFA), p + b, b)
+        cblk = rblk = row_id = None
+        if j_idx.size == 0:
+            sel, cblk, row_id = rand_pivot_rankest(
+                oracle, _rank_tol(cfg, n), derive_seed(cfg.seed, 0xFA))
+            i_idx, j_idx, r0 = sel.rows, sel.cols, sel.cols.size
             action = "RECOMPUTE"
-            p_eff = min(p, i_idx.size - r)
-            if rblk is not None and p_eff > 0 and cfg.store_factors:
-                # R: the pivot rows read to grow the columns, then extras
-                rblk = np.vstack([rblk, oracle.row_block(i_idx[r:r + p_eff])])
         else:
-            if i_idx.size == 0 or j_idx.size == 0:
-                r0, i_perm, j_perm = 0, i_idx, j_idx
-            else:
-                core = _finite(oracle.submatrix(i_idx, j_idx), "core")
-                i_perm, j_perm, r0 = _order_cross(i_idx, j_idx, core,
-                                                  _rank_tol(cfg, n))
+            core = _finite(oracle.submatrix(i_idx, j_idx), "core")
+            i_idx, j_idx, r0 = _order_cross(i_idx, j_idx, core,
+                                            _rank_tol(cfg, n))
+            action = "TRUNCATE" if r0 <= r else "EXPAND"
 
-            if r0 <= r:
-                action = "TRUNCATE"
-                i_idx = i_perm[:min(r0 + b + p, i_perm.size)]
-                j_idx = j_perm[:min(r0 + b, j_perm.size)]
-                p_eff = min(p, i_idx.size - r0)
-            else:
-                action = "EXPAND"
-                need_rows = min(r0 + b + p, m) - i_perm.size
-                need_cols = min(r0 + b, n) - j_perm.size
+        if r0 <= r:
+            i_idx, j_idx = i_idx[:r0 + b + p], j_idx[:r0 + b]
+        else:
+            if action == "EXPAND":
                 if r0 + b + p > m or r0 + b > n:
                     warn_caller("tracked index sets clamped to the matrix "
                                 "dimensions")
-                p_eff = min(p, i_perm.size - r0)
-                i_lead = i_perm[:r0 + p_eff]
-                j_lead = j_perm[:r0]
-                # the factor blocks double as the oversampling inputs,
-                # so expansion reads nothing beyond them
-                cblk = _finite(oracle.col_block(j_lead), "column block")
-                rblk = _finite(oracle.row_block(i_lead), "row block")
-                i_idx, j_idx = i_perm, j_perm
-                if need_rows > 0:
-                    i_idx = _grow(i_perm, lu_row_id(cblk), need_rows)
-                if need_cols > 0:
-                    # lu_row_id needs a tall block; past n lead rows the
-                    # first n give a square one, whose basis is all of R^n
-                    j_idx = _grow(j_perm, lu_row_id(rblk[:n].T), need_cols)
-            r = r0
-
-        fac_sel = IndexSelection(i_idx[:r], j_idx[:r], i_idx[r:r + p_eff])
+                cblk = _finite(oracle.col_block(j_idx[:r0]), "column block")
+            need_rows = min(r0 + b + p, m) - i_idx.size
+            if need_rows > 0:
+                if row_id is None:
+                    row_id = lu_row_id(cblk)
+                i_idx = _grow(i_idx, row_id, need_rows)
+            # R, read once: its rows grow the columns, then it becomes
+            # the factor. lu_row_id needs a tall block; past n rows the
+            # first n give a square one, whose basis is all of R^n
+            rblk = _finite(oracle.row_block(i_idx[:r0 + p]), "row block")
+            need_cols = min(r0 + b, n) - j_idx.size
+            if need_cols > 0:
+                j_idx = _grow(j_idx, lu_row_id(rblk[:n].T), need_cols)
+        r = r0
+        fac_sel = IndexSelection(i_idx[:r], j_idx[:r], i_idx[r:r + p])
         if not cfg.store_factors:
             return CURFactors(None, None, None, fac_sel), action, None
         fac = _extract_factors(oracle, fac_sel, cblk, rblk)

@@ -4,12 +4,12 @@ The Matrix Market support is deliberately small: real general
 matrices in array or coordinate format, with parse failures reported
 by line number and explicitly stored zeros kept as structural entries
 (scipy's reader offers neither). A well-formed body, one value or entry
-per line, is parsed in one ``np.loadtxt`` call; any other body falls
-back to a line-by-line scan that yields the same matrix or the
-:class:`ParseError` naming the bad line. A coordinate size line above
-:data:`MAX_COORDINATE_DIM` rows or columns is refused before anything
-is allocated. The writer formats a whole body in one join. CSV traces
-round-trip losslessly.
+per line between any blank and comment lines, is parsed in one
+``np.loadtxt`` call; any other body falls back to a line-by-line scan
+that yields the same matrix or the :class:`ParseError` naming the bad
+line. A coordinate size line above :data:`MAX_COORDINATE_DIM` rows or
+columns is refused before anything is allocated. The writer formats a
+whole body in one join. CSV traces round-trip losslessly.
 """
 
 import csv
@@ -119,15 +119,19 @@ def _read_head(lines):
 def _bulk_body(fmt, size, lines, start):
     """Parse a body of one value or entry per line in one numpy call.
 
-    Returns None for any body it does not take as well formed: comment
-    or blank lines, a line count other than the declared one, ragged
-    lines, non-ASCII text, an index out of range, or any token numpy
-    rejects (it is stricter than ``int()`` and ``float()``, for ``1_0``
-    say). The line scan then gives the same matrix or the error with its
-    line, so whatever this returns equals the scan's result bit for bit.
+    Blank and comment lines are dropped, as the scan skips them, when
+    the body's line count is not the declared one. Returns None for any
+    body it does not take as well formed: a data line count other than
+    the declared one, ragged lines, non-ASCII text, an index out of
+    range, or any token numpy rejects (it is stricter than ``int()`` and
+    ``float()``, for ``1_0`` say). The line scan then gives the same
+    matrix or the error with its line, so whatever this returns equals
+    the scan's result bit for bit.
     """
     body = lines[start:]
     count = size[0] * size[1] if fmt == "array" else size[2]
+    if len(body) != count:
+        body = [line for line in body if line.strip()[:1] not in ("", "%")]
     # numpy 2.4's integer parser can crash on a non-ASCII character (a
     # segfault for U+10FFFF in an index field), so only ASCII goes to it
     if count == 0 or len(body) != count or not all(map(str.isascii, body)):
@@ -341,10 +345,18 @@ def load_sequence_dir(path):
 # -- CSV traces ----------------------------------------------------------
 
 def _format_field(field, value):
-    """One value as a CSV cell; floats round-trip, a missing one is ''."""
+    """One value as a CSV cell; floats round-trip, a missing one is ''.
+
+    A cell holding a comma, a quote or a line break is quoted. The csv
+    module's writer would leave a lone carriage return bare, and its
+    reader would then end the row there.
+    """
     if field.type in (float, float | None):
         return "" if value is None else repr(float(value))
-    return value
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _parse_field(field, text):
@@ -361,11 +373,10 @@ def write_trace_csv(traces, path):
     round-trip decimals. Unwritable paths raise the propagated OSError.
     """
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
+        f.write(CSV_HEADER + "\n")
         for tr in traces:
-            writer.writerow([_format_field(fld, getattr(tr, fld.name))
-                             for fld in _FIELDS])
+            f.write(",".join(_format_field(fld, getattr(tr, fld.name))
+                             for fld in _FIELDS) + "\n")
 
 
 def read_trace_csv(path):

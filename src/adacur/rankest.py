@@ -15,8 +15,8 @@ replaced by exact rows, since near-square random factors distort
 small singular values badly while saving nothing. And if the cap
 ``s_max`` is hit while every sketched singular value still exceeds the
 tolerance, the estimate is unresolved: :class:`RankTolNotResolved` is
-raised carrying the partial estimate, unless both sides were exact and
-the (now exactly known) count fits within the cap.
+raised carrying the partial estimate, unless the count is final (both
+sides exact, or full rank min(m, n)) and fits within the cap.
 """
 
 import numbers
@@ -131,7 +131,10 @@ def estimate_rank(oracle, abs_tol, seed, s_max=None):
         s = min(2 * s, s_max)
 
     count = int(np.count_nonzero(sig > abs_tol))
-    resolved = smin < abs_tol or (left_exact and right_exact and count <= s_max)
+    # the count is final once both sides are exact, or once it is full
+    # rank, which no larger sketch can exceed
+    final = (left_exact and right_exact) or count == min(m, n)
+    resolved = smin < abs_tol or (final and count <= s_max)
     rank = count if resolved else min(count, s_max)
     est = RankEstimate(rank=rank, sketch_size=x.shape[0], row_sketch=x,
                        sketch_singular_values=sig)

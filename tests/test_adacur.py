@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from adacur import driver
+from adacur import driver, pivoting
 from adacur.driver import (
     AdaCurConfig,
     adacur_run,
@@ -22,6 +22,7 @@ from adacur.problems import (
     make_synthetic_expm,
     true_relative_error,
 )
+from adacur.rankest import estimate_rank
 from adacur.sketch import derive_seed
 
 from conftest import assert_traces_match
@@ -375,9 +376,11 @@ class TestWarningsNameCaller:
         (recompute_baseline_run, AdaCurConfig(tol=1e-8, oversample=5)),
         (fastadacur_run, FastConfig(tol=1e-8, oversample=5)),
     ], ids=["adacur", "baseline", "fastadacur"])
-    def test_rank_tolerance_unresolved(self, run, cfg):
+    def test_rank_tolerance_unresolved(self, run, cfg, monkeypatch):
         # a 1e12-scaled rank-5 matrix: rounding noise sits far above the
-        # absolute rank tolerance, so the sketch cap is reached
+        # absolute rank tolerance, so a sketch cap of 8 is reached
+        monkeypatch.setattr(pivoting, "estimate_rank",
+                            lambda *args: estimate_rank(*args, s_max=8))
         rng = np.random.default_rng(0)
         a = 1e12 * (rng.standard_normal((300, 5))
                     @ rng.standard_normal((5, 100)))
@@ -386,6 +389,21 @@ class TestWarningsNameCaller:
             run(seq, cfg)
         assert {w.filename for w in rec
                 if "unresolved" in str(w.message)} == {__file__}
+
+    @pytest.mark.parametrize("shape", [(10, 1000), (1000, 10)])
+    @pytest.mark.parametrize("run, cfg", [
+        (recompute_baseline_run, AdaCurConfig(tol=1e-8, oversample=5)),
+        (fastadacur_run, FastConfig(tol=1e-8, oversample=5)),
+    ], ids=["baseline", "fastadacur"])
+    def test_full_rank_input_is_resolved(self, run, cfg, shape):
+        # a rank count of min(m, n) cannot grow: no unresolved warning
+        a = np.random.default_rng(4).standard_normal(shape)
+        seq = ParamMatrixSequence([0.0, 1.0], lambda j: DenseOracle(a),
+                                  shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(seq, cfg)
+        assert [tr.rank for _, tr in res] == [10, 10]
 
 
 class TestBookkeeping:

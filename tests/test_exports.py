@@ -26,8 +26,7 @@ def test_all_names_resolve(name):
 # Imported names no code uses, kept only because bench/tracing.py
 # installs its wrappers on them; deleting the tracer deletes this list.
 TRACER_ONLY_IMPORTS = {
-    "adacur.fast": {"oversample_rows", "oversample_rows_multi",
-                    "rand_pivot_rankest", "srrqr"},
+    "adacur.fast": {"oversample_rows", "oversample_rows_multi", "srrqr"},
     "adacur.normest": {"stable_cur_eval"},
     "adacur.pivoting": {"cpqr"},
 }

@@ -113,6 +113,26 @@ class TestTracking:
         assert traces[-1].h2_cum == n_expand
         assert n_expand >= 1
 
+    def test_empty_cross_is_reselected(self):
+        # a zero first snapshot leaves nothing to track; the next step
+        # selects its cross from scratch, counted in h2
+        rng = np.random.default_rng(0)
+        mats = [np.zeros((60, 40))] + [
+            rng.standard_normal((60, 8)) @ rng.standard_normal((8, 40))
+            for _ in range(4)]
+        seq = ParamMatrixSequence(np.arange(5.0),
+                                  lambda j: DenseOracle(mats[j]), (60, 40))
+        res = fastadacur_run(seq, FastConfig(tol=1e-8, seed=0))
+        traces = [t for _, t in res]
+        assert [t.rank for t in traces] == [0, 8, 8, 8, 8]
+        assert [t.action for t in traces] == ["RECOMPUTE"] * 2 + \
+            ["TRUNCATE"] * 3
+        assert [(t.h1_cum, t.h2_cum) for t in traces] == [
+            (0, 0), (0, 1), (1, 1), (2, 1), (3, 1)]
+        for j, (fac, _) in enumerate(res[1:], start=1):
+            assert true_relative_error(seq.oracle(j),
+                                       fac.operator()) <= 1e-10
+
     def test_clamp_warning_names_caller(self):
         # rank 2 -> 7 on a 12x10 matrix: rank + buffer exceeds n
         rng = np.random.default_rng(3)

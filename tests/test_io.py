@@ -268,6 +268,10 @@ ARRAY_2X1 = "%%MatrixMarket matrix array real general\n2 1\n"
     (ARRAY_2X1 + "1_0.5\n2.0\n", False),
     (ARRAY_2X1 + "1.0\n\n", False),
     (ARRAY_2X1 + "nan\n-0\n", True),
+    # blank and comment lines between well-formed data lines
+    (COORD_12.format(nnz=2) + "1 1 1.5\n% a comment\n2 2 1.0\n\n", True),
+    (ARRAY_2X1 + "% c\n1.0\n\n2.0\n", True),
+    (COORD_12.format(nnz=2) + "% c\n1 1 1.5\n2 x 1.0\n", False),
 ])
 def test_targeted_bodies_bulk_matches_scan(tmp_path, text, bulk):
     path = tmp_path / "t.mtx"
@@ -275,12 +279,13 @@ def test_targeted_bodies_bulk_matches_scan(tmp_path, text, bulk):
     assert assert_bulk_agrees_with_scan(path) == bulk
 
 
+def no_scan(*args):
+    raise AssertionError("line scan used for a well-formed file")
+
+
 def test_well_formed_files_skip_line_scan(tmp_path, monkeypatch):
     # the scan costs about a microsecond per token; well-formed files
     # must never reach it
-    def no_scan(*args):
-        raise AssertionError("line scan used for a well-formed file")
-
     rng = np.random.default_rng(3)
     flat = rng.choice(100 * 50, size=2000, replace=False)
     coo = sp.coo_matrix((rng.standard_normal(2000), divmod(flat, 50)),
@@ -293,6 +298,28 @@ def test_well_formed_files_skip_line_scan(tmp_path, monkeypatch):
     assert_bitwise_equal(back, coo.tocsr())
     _, back = read_matrix_market(tmp_path / "a.mtx")
     np.testing.assert_array_equal(back, dense)
+
+
+def test_blank_and_comment_lines_skip_line_scan(tmp_path, monkeypatch):
+    # files from other tools annotate the body or end with a blank line
+    coord = (COORD_12.format(nnz=3)
+             + "1 1 1.5\n% a comment\n2 3 -2.0\n\n3 3 0.0\n\n")
+    array = ARRAY_2X1 + "1.0\n  % indented\n\n2.0\n\n"
+    want = [scan_only(text)[1] for text in (coord, array)]
+    monkeypatch.setattr(fileio, "_scan_body", no_scan)
+    for text, mat in zip((coord, array), want):
+        path = tmp_path / "t.mtx"
+        path.write_text(text, encoding="utf-8")
+        assert_bitwise_equal(read_matrix_market(path)[1], mat)
+
+
+def test_bad_entry_after_comment_names_its_line(tmp_path):
+    path = tmp_path / "t.mtx"
+    path.write_text(COORD_12.format(nnz=2) + "% c\n\n1 1 1.5\n2 x 1.0\n",
+                    encoding="utf-8")
+    with pytest.raises(ParseError) as info:
+        read_matrix_market(path)
+    assert info.value.line == 6
 
 
 EDGE_VALUES = [-0.0, 5e-324, np.inf, -np.inf, np.nan, 1e-05, 1e+16, 0.0]

@@ -277,13 +277,13 @@ class TestInterpolativeBasis:
 
     @pytest.mark.parametrize("m, n, r, warned", [
         (50, 40, 2, set()),
-        (300, 100, 5, {"rank tolerance unresolved"}),
+        (300, 100, 5, set()),
     ])
     def test_numerically_singular_r11(self, m, n, r, warned):
         # 1e12 scaling puts rounding noise far above the absolute rank
-        # tolerance: the rank estimate reaches n, so the leading block of
-        # the pivoting factor is numerically singular; a repeated column
-        # on top
+        # tolerance: the rank estimate reaches n (a final count, so no
+        # warning), and the leading block of the pivoting factor is
+        # numerically singular; a repeated column on top
         rng = np.random.default_rng(0)
         a = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
         a[:, 1] = a[:, 0]

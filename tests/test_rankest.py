@@ -1,5 +1,7 @@
 """Tests for sketch-based rank estimation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,18 @@ class TestEstimateRank:
         assert est.row_sketch.shape[1] == 50
         s = np.linalg.svd(est.row_sketch, compute_uv=False)
         assert s[8] <= 1e-10 * s[0]
+
+    @pytest.mark.parametrize("shape", [(10, 1000), (1000, 10)])
+    def test_full_rank_count_is_final(self, shape):
+        # a count of min(m, n) cannot grow, so it resolves the estimate;
+        # a cap below min(m, n) still leaves it unresolved
+        orc = DenseOracle(np.random.default_rng(5).standard_normal(shape))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert estimate_rank(orc, 1e-8, seed=0).rank == 10
+        with pytest.raises(RankTolNotResolved) as info:
+            estimate_rank(orc, 1e-8, seed=0, s_max=8)
+        assert info.value.estimate.rank == 8
 
     def test_exact_saturation_small_matrix(self):
         # once the sketch covers the whole dimension the answer is exact
