@@ -12,8 +12,7 @@ from their submodules as well.
 from .driver import (AdaCurConfig, CURFactors, StepTrace, adacur_run,
                      recompute_baseline_run, refine_indices)
 from .errors import (IntegratorAccuracy, InvalidInput, NonConvergence,
-                     NonFiniteSnapshot, ParseError, RankTolNotResolved,
-                     ZeroMatrixSketch)
+                     NonFiniteSnapshot, ParseError, ZeroMatrixSketch)
 from .fast import FastConfig, fastadacur_run
 from .fileio import (load_sequence_dir, read_matrix_market, read_trace_csv,
                      write_matrix_market, write_trace_csv)
@@ -38,8 +37,7 @@ __all__ = [
     "recompute_baseline_run", "refine_indices",
     "FastConfig", "fastadacur_run",
     "IntegratorAccuracy", "InvalidInput", "NonConvergence",
-    "NonFiniteSnapshot", "ParseError", "RankTolNotResolved",
-    "ZeroMatrixSketch",
+    "NonFiniteSnapshot", "ParseError", "ZeroMatrixSketch",
     "load_sequence_dir", "read_matrix_market", "read_trace_csv",
     "write_matrix_market", "write_trace_csv",
     "LowRankOperator", "cpqr", "eps_rank_from_rdiag", "srrqr",

@@ -318,7 +318,7 @@ def _scratch_step(oracle, cfg, j, reuse=None):
 
 
 def _adaptive_step(oracle, cfg, j, sel):
-    """Reuse ``sel``, else refine it (with escalation), else recompute."""
+    """Reuse ``sel``, else refine it if non-empty, else recompute."""
     fac = _extract_factors(oracle, sel)
     est = _estimate(oracle, cfg, j, fac)
     if est is None:
@@ -328,6 +328,8 @@ def _adaptive_step(oracle, cfg, j, sel):
         return _extract_factors(oracle, IndexSelection.empty()), action, 0.0
     if est.rel_error <= cfg.tol:
         return fac, "REUSE", est.rel_error
+    if sel.is_empty:
+        return _scratch_step(oracle, cfg, j, reuse=est.pack)
     fac_new, est_new, ok = refine_indices(oracle, sel, est.pack, cfg)
     if not ok and cfg.escalate_s:
         pack = est.pack

@@ -45,17 +45,6 @@ class NonConvergence(RuntimeError):
     """An iteration exceeded its safeguard limit."""
 
 
-class RankTolNotResolved(RuntimeError):
-    """Rank estimation hit its sketch-size cap before the tolerance resolved.
-
-    Carries the partial estimate so callers can proceed with it.
-    """
-
-    def __init__(self, message, estimate):
-        super().__init__(message)
-        self.estimate = estimate
-
-
 class ZeroMatrixSketch(RuntimeError):
     """The norm-estimation sketch of the matrix is identically zero."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, RankTolNotResolved, warn_caller
+from .errors import InvalidInput
 # cpqr is no longer called here; the name stays because bench/tracing.py
 # installs its cpqr wrapper on pivoting.cpqr and requires the attribute.
 from .linalg import cpqr, lu_pivots, lu_row_id  # noqa: F401
@@ -118,9 +118,7 @@ def rand_pivot_rankest(oracle, abs_tol, seed):
 
     Runs :func:`estimate_rank` and feeds its accumulated row sketch
     straight into :func:`rand_pivot`, so no second sketch of A is
-    drawn. If the rank estimator cannot resolve the tolerance within
-    its sketch cap, a warning is issued and the partial estimate is
-    used.
+    drawn.
 
     Returns ``(selection, col_block, row_id)``: the column block
     ``A[:, cols]`` read for the row pivots and its row interpolative
@@ -130,12 +128,6 @@ def rand_pivot_rankest(oracle, abs_tol, seed):
     once and factors it once. A zero-rank estimate yields an empty
     selection and None for both.
     """
-    try:
-        est = estimate_rank(oracle, abs_tol, derive_seed(seed, 0x11E5))
-    except RankTolNotResolved as exc:
-        warn_caller(
-            f"rank tolerance unresolved, proceeding with rank "
-            f"{exc.estimate.rank}: {exc}", RuntimeWarning)
-        est = exc.estimate
+    est = estimate_rank(oracle, abs_tol, derive_seed(seed, 0x11E5))
     return _rand_pivot_block(oracle, est.rank, derive_seed(seed, 0x9B1D),
                              presketch=est.row_sketch)

@@ -9,14 +9,13 @@ the cheap choice. The sketch grows by doubling s, appending rows to
 the existing sketches, until its smallest singular value falls below
 the tolerance, which certifies that the whole tail has been seen.
 
-Two practical rules round out the corner cases. A sketched side whose
-row count comes within a factor two of the dimension it compresses is
-replaced by exact rows, since near-square random factors distort
-small singular values badly while saving nothing. And if the cap
-``s_max`` is hit while every sketched singular value still exceeds the
-tolerance, the estimate is unresolved: :class:`RankTolNotResolved` is
-raised carrying the partial estimate, unless the count is final (both
-sides exact, or full rank min(m, n)) and fits within the cap.
+A sketched side whose row count comes within a factor two of the
+dimension it compresses is replaced by exact rows, since near-square
+random factors distort small singular values badly while saving
+nothing. The loop also stops once both sides are exact, when the count
+is exact, and at s = min(m, n), where no count can grow further; every
+run therefore ends with one result, the count of sketched singular
+values above the tolerance.
 """
 
 import numbers
@@ -24,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidInput, NonFiniteSnapshot, RankTolNotResolved,
-                     check_int)
+from .errors import InvalidInput, NonFiniteSnapshot, check_int
 from .sketch import SketchPack, SparseSignEmbedding, derive_seed, row_sketch
 
 __all__ = ["RankEstimate", "estimate_rank"]
@@ -54,7 +52,7 @@ class RankEstimate:
 _S_INIT = 8
 
 
-def estimate_rank(oracle, abs_tol, seed, s_max=None):
+def estimate_rank(oracle, abs_tol, seed):
     """Estimate the abs_tol-rank of the matrix behind ``oracle``.
 
     Parameters
@@ -65,22 +63,18 @@ def estimate_rank(oracle, abs_tol, seed, s_max=None):
         Positive singular-value threshold.
     seed : int
         Seed for both embeddings; fixed seed gives a fixed estimate.
-    s_max : int, optional
-        Sketch-size cap, at most min(m, n). Defaults to min(m, n).
 
     Returns
     -------
     RankEstimate
+        Its rank is the count of sketched singular values above
+        ``abs_tol``, at most min(m, n).
 
     Raises
     ------
     NonFiniteSnapshot
         If the sketch holds a NaN or infinite entry, as it does when A
         holds one.
-    RankTolNotResolved
-        If s reaches ``s_max`` with the smallest sketched singular
-        value still at or above ``abs_tol``. The exception carries the
-        partial estimate (rank capped at s_max).
     """
     m, n = oracle.shape
     if (isinstance(abs_tol, bool) or not isinstance(abs_tol, numbers.Real)
@@ -88,13 +82,11 @@ def estimate_rank(oracle, abs_tol, seed, s_max=None):
         raise InvalidInput(
             f"abs_tol must be a positive finite real, got {abs_tol!r}")
     check_int("seed", seed)
-    s_max = min(m, n) if s_max is None else check_int("s_max", s_max)
-    if not 1 <= s_max <= min(m, n):
-        raise InvalidInput(f"s_max must lie in [1, {min(m, n)}]")
 
     seed_left = derive_seed(seed, 0x1EF7)
     seed_right = derive_seed(seed, 0x516B)
-    s = min(_S_INIT, s_max)
+    s_top = min(m, n)
+    s = min(_S_INIT, s_top)
     pack = None       # unscaled row sketch, grown by appending
     a_rows = None     # cached exact rows once the left side saturates
     g2 = None         # right embedding, grown by appending
@@ -125,21 +117,10 @@ def estimate_rank(oracle, abs_tol, seed, s_max=None):
         if not np.isfinite(y).all():
             raise NonFiniteSnapshot("rank sketch holds non-finite entries")
         sig = np.linalg.svd(y, compute_uv=False)
-        smin = sig[-1]
-        if smin < abs_tol or s >= s_max:
+        if sig[-1] < abs_tol or (left_exact and right_exact) or s >= s_top:
             break
-        s = min(2 * s, s_max)
+        s = min(2 * s, s_top)
 
-    count = int(np.count_nonzero(sig > abs_tol))
-    # the count is final once both sides are exact, or once it is full
-    # rank, which no larger sketch can exceed
-    final = (left_exact and right_exact) or count == min(m, n)
-    resolved = smin < abs_tol or (final and count <= s_max)
-    rank = count if resolved else min(count, s_max)
-    est = RankEstimate(rank=rank, sketch_size=x.shape[0], row_sketch=x,
-                       sketch_singular_values=sig)
-    if not resolved:
-        raise RankTolNotResolved(
-            f"sketch cap s_max={s_max} reached with smallest sketched "
-            f"singular value {smin:.3e} >= abs_tol={abs_tol:.3e}", est)
-    return est
+    return RankEstimate(rank=int(np.count_nonzero(sig > abs_tol)),
+                        sketch_size=x.shape[0], row_sketch=x,
+                        sketch_singular_values=sig)

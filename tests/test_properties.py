@@ -1,4 +1,5 @@
-"""Property tests: invariants the drivers and the trace CSV keep on any input.
+"""Property tests: invariants the drivers, the rank estimator and the
+trace CSV keep on any input.
 
 The driver examples are small random low-rank sequences (at most 24×24,
 four steps), so each example runs in milliseconds and the whole module
@@ -16,6 +17,7 @@ from adacur.driver import (AdaCurConfig, StepTrace, adacur_run,
 from adacur.fast import FastConfig, fastadacur_run
 from adacur.fileio import read_trace_csv, write_trace_csv
 from adacur.oracles import DenseOracle, ParamMatrixSequence
+from adacur.rankest import estimate_rank
 
 DRIVER_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -84,6 +86,26 @@ def test_fastadacur_invariants(mats, tol, b, p, seed):
     for fac, tr in res:
         if tr.rank:
             assert fac.selection.extra_rows.size == min(p, m - tr.rank)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(m=st.integers(1, 40), n=st.integers(1, 40), r=st.integers(0, 40),
+       scale=st.floats(-12, 12).map(lambda e: 10.0 ** e),
+       abs_tol=st.sampled_from([1e-8, 1e-2, 1.0]), seed=st.integers(0, 3))
+def test_estimate_rank_counts_sketch(m, n, r, scale, abs_tol, seed):
+    # one outcome at any shape and scale: the count of sketched singular
+    # values above the tolerance, never more than min(m, n)
+    rng = np.random.default_rng(seed)
+    a = scale * (rng.standard_normal((m, r)) @ rng.standard_normal((r, n)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = estimate_rank(DenseOracle(a), abs_tol, seed)
+        again = estimate_rank(DenseOracle(a), abs_tol, seed)
+    sig = est.sketch_singular_values
+    assert est.rank == np.count_nonzero(sig > abs_tol) <= min(m, n)
+    assert again.rank == est.rank
+    np.testing.assert_array_equal(again.sketch_singular_values, sig)
+    np.testing.assert_array_equal(again.row_sketch, est.row_sketch)
 
 
 OPTIONAL_FLOATS = st.none() | st.floats()

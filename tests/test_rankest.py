@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from adacur.errors import InvalidInput, RankTolNotResolved
+from adacur.errors import InvalidInput
 from adacur.oracles import DenseOracle
 from adacur.rankest import estimate_rank
 from adacur.sketch import GaussianEmbedding, SparseSignEmbedding, derive_seed
@@ -18,19 +18,20 @@ def diag_oracle(diag, m, n):
     return DenseOracle(a)
 
 
-def redrawn_estimate(oracle, abs_tol, seed, s_init=8, s_max=None,
+def redrawn_estimate(oracle, abs_tol, seed, s_init=8,
                      embedding=SparseSignEmbedding):
     """Reference loop: both embeddings redrawn from their seeds each round.
 
     Each round draws fresh ``embedding`` instances of the round's size
     for both sides and sketches A with the left one's new rows only.
-    Returns the final (row_sketch, singular values) pair.
+    It stops below the tolerance, once both sides are exact, or at
+    s = min(m, n). Returns the final (row_sketch, singular values) pair.
     """
     m, n = oracle.shape
-    s_max = min(m, n) if s_max is None else s_max
+    s_top = min(m, n)
     seed_left = derive_seed(seed, 0x1EF7)
     seed_right = derive_seed(seed, 0x516B)
-    s = min(s_init, s_max)
+    s = min(s_init, s_top)
     x_raw = None
     while True:
         if 2 * s >= m:
@@ -49,14 +50,17 @@ def redrawn_estimate(oracle, abs_tol, seed, s_init=8, s_max=None,
             g2 = embedding(2 * s, n, seed_right).raw
             y = (x @ g2.T) / np.sqrt(2 * s)
         sig = np.linalg.svd(y, compute_uv=False)
-        if sig[-1] < abs_tol or s >= s_max:
+        if sig[-1] < abs_tol or (2 * s >= m and 4 * s >= n) or s >= s_top:
             return x, sig
-        s = min(2 * s, s_max)
+        s = min(2 * s, s_top)
 
 
 class TestGrownEmbeddings:
+    # the last case is square and full rank: both sides go exact at
+    # s = 32, below s = min(m, n) = 40, and the loop stops there
     @pytest.mark.parametrize("m,n,r", [(400, 300, 20), (300, 200, 40),
-                                       (500, 90, 12), (120, 400, 25)])
+                                       (500, 90, 12), (120, 400, 25),
+                                       (40, 40, 40)])
     def test_matches_redrawn_reference(self, m, n, r):
         gen = np.random.default_rng(m + n + r)
         a = gen.standard_normal((m, r)) @ gen.standard_normal((r, n))
@@ -67,16 +71,6 @@ class TestGrownEmbeddings:
             np.testing.assert_array_equal(est.sketch_singular_values, sig)
             assert est.sketch_size == x.shape[0]
             assert est.rank == np.count_nonzero(sig > 1e-6) == r
-
-    def test_unresolved_matches_redrawn_reference(self):
-        gen = np.random.default_rng(3)
-        a = gen.standard_normal((400, 300))
-        with pytest.raises(RankTolNotResolved) as info:
-            estimate_rank(DenseOracle(a), 1e-6, seed=1, s_max=40)
-        x, sig = redrawn_estimate(DenseOracle(a), 1e-6, 1, s_max=40)
-        np.testing.assert_array_equal(info.value.estimate.row_sketch, x)
-        np.testing.assert_array_equal(
-            info.value.estimate.sketch_singular_values, sig)
 
 
 class TestSketchQuality:
@@ -105,8 +99,7 @@ class TestArguments:
     @pytest.mark.parametrize("kwargs", [
         dict(abs_tol=True), dict(abs_tol="1e-6"), dict(abs_tol=np.nan),
         dict(abs_tol=np.inf), dict(abs_tol=0.0), dict(seed=1.5),
-        dict(seed=True), dict(seed="1"), dict(s_max=10.0), dict(s_max=True),
-        dict(s_max=0), dict(s_max=31)])
+        dict(seed=True), dict(seed="1")])
     def test_bad_argument_rejected(self, kwargs):
         orc = DenseOracle(np.eye(30))
         with pytest.raises(InvalidInput):
@@ -114,8 +107,8 @@ class TestArguments:
 
     def test_numpy_scalars_pass(self):
         orc = DenseOracle(np.eye(30))
-        est = estimate_rank(orc, np.float32(0.5), np.int64(1), np.int32(30))
-        assert est.rank == estimate_rank(orc, 0.5, 1, 30).rank == 30
+        est = estimate_rank(orc, np.float32(0.5), np.int64(1))
+        assert est.rank == estimate_rank(orc, 0.5, 1).rank == 30
 
 
 class TestEstimateRank:
@@ -133,14 +126,9 @@ class TestEstimateRank:
         assert hits >= 18
 
     def test_full_rank_identity_is_resolved_or_flagged(self):
-        # a 10x10 identity at tolerance 0.5 has full rank; the estimator
-        # must either say 10 (exact path) or admit it could not resolve
-        orc = DenseOracle(np.eye(10))
-        try:
-            est = estimate_rank(orc, 0.5, seed=0)
-            assert est.rank == 10
-        except RankTolNotResolved as exc:
-            assert exc.estimate.rank <= 10
+        # a 10x10 identity at tolerance 0.5 has full rank, which the
+        # exact path counts
+        assert estimate_rank(DenseOracle(np.eye(10)), 0.5, seed=0).rank == 10
 
     def test_monotone_in_tolerance(self, rng):
         a = rng.standard_normal((100, 80)) @ np.diag(np.logspace(0, -12, 80))
@@ -153,10 +141,7 @@ class TestEstimateRank:
 
     def test_rank_never_exceeds_sketch(self, rng):
         a = rng.standard_normal((60, 60))
-        try:
-            est = estimate_rank(DenseOracle(a), 1e-3, seed=1)
-        except RankTolNotResolved as exc:
-            est = exc.estimate
+        est = estimate_rank(DenseOracle(a), 1e-3, seed=1)
         assert est.rank <= est.sketch_size
 
     def test_matvec_budget_is_sketch_rows(self, rng):
@@ -180,15 +165,11 @@ class TestEstimateRank:
 
     @pytest.mark.parametrize("shape", [(10, 1000), (1000, 10)])
     def test_full_rank_count_is_final(self, shape):
-        # a count of min(m, n) cannot grow, so it resolves the estimate;
-        # a cap below min(m, n) still leaves it unresolved
+        # a count of min(m, n) cannot grow, so it ends the estimate
         orc = DenseOracle(np.random.default_rng(5).standard_normal(shape))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert estimate_rank(orc, 1e-8, seed=0).rank == 10
-        with pytest.raises(RankTolNotResolved) as info:
-            estimate_rank(orc, 1e-8, seed=0, s_max=8)
-        assert info.value.estimate.rank == 8
 
     def test_exact_saturation_small_matrix(self):
         # once the sketch covers the whole dimension the answer is exact
