@@ -391,6 +391,24 @@ class TestWarningsNameCaller:
         shrunk = [w for w in rec if "shrinking" in str(w.message)]
         assert {w.filename for w in shrunk} == {__file__}
 
+    @pytest.mark.parametrize("run, cfg", [
+        (adacur_run, AdaCurConfig(tol=1e-8, oversample=5)),
+        (recompute_baseline_run, AdaCurConfig(tol=1e-8, oversample=5)),
+        (fastadacur_run, FastConfig(tol=1e-8, oversample=5)),
+    ], ids=["adacur", "baseline", "fastadacur"])
+    def test_noise_above_tolerance_is_silent(self, run, cfg):
+        # a 1e12-scaled rank-5 matrix: rounding noise sits far above the
+        # absolute rank tolerance, so the sketch grows to s = min(m, n)
+        # and its full count is the rank, without a warning
+        rng = np.random.default_rng(0)
+        a = 1e12 * (rng.standard_normal((300, 5))
+                    @ rng.standard_normal((5, 100)))
+        seq = ParamMatrixSequence([0.0], lambda j: DenseOracle(a), a.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(seq, cfg)
+        assert [(tr.rank, tr.action) for _, tr in res] == [(100, "RECOMPUTE")]
+
     @pytest.mark.parametrize("shape", [(10, 1000), (1000, 10)])
     @pytest.mark.parametrize("run, cfg", [
         (recompute_baseline_run, AdaCurConfig(tol=1e-8, oversample=5)),

@@ -1,5 +1,6 @@
 """Tests for sketch-based rank estimation."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -110,6 +111,13 @@ class TestArguments:
         est = estimate_rank(orc, np.float32(0.5), np.int64(1))
         assert est.rank == estimate_rank(orc, 0.5, 1).rank == 30
 
+    def test_signature_is_oracle_tol_seed(self):
+        # the sketch bound is internal: no fourth argument is taken
+        params = inspect.signature(estimate_rank).parameters
+        assert list(params) == ["oracle", "abs_tol", "seed"]
+        with pytest.raises(TypeError):
+            estimate_rank(DenseOracle(np.eye(30)), 0.5, 1, 30)
+
 
 class TestEstimateRank:
     def test_zero_matrix(self):
@@ -170,6 +178,33 @@ class TestEstimateRank:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert estimate_rank(orc, 1e-8, seed=0).rank == 10
+
+    @pytest.mark.parametrize("shape, r, svd_shapes", [
+        ((400, 300), 20, [(8, 16), (16, 32), (32, 64)]),
+        ((40, 40), 40, [(8, 16), (16, 40), (40, 40)]),
+        ((1000, 10), 10, [(8, 10), (10, 10)]),
+    ], ids=["below_tolerance", "both_sides_exact", "min_dimension"])
+    def test_stopping_rule(self, shape, r, svd_shapes, monkeypatch):
+        # the loop stops at the first of: smallest sketched singular value
+        # below abs_tol, both sides exact (s = 32 for 40x40, before
+        # s = min(m, n) = 40), s = min(m, n); no round follows the stop
+        gen = np.random.default_rng(sum(shape) + r)
+        a = gen.standard_normal((shape[0], r)) @ gen.standard_normal(
+            (r, shape[1]))
+        svd = np.linalg.svd
+        seen = []
+
+        def counted_svd(y, *args, **kwargs):
+            seen.append(y.shape)
+            return svd(y, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        est = estimate_rank(DenseOracle(a), 1e-6, seed=0)
+        assert seen == svd_shapes
+        assert est.rank == r
+        assert est.sketch_size == svd_shapes[-1][0]
+        below = est.sketch_singular_values[-1] < 1e-6
+        assert below == (r < min(shape))
 
     def test_exact_saturation_small_matrix(self):
         # once the sketch covers the whole dimension the answer is exact
