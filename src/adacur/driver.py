@@ -4,9 +4,10 @@ Per parameter value the driver first tries to reuse the previous
 step's row/column indices, certifying them with a sketched relative
 error estimate. If the estimate exceeds the tolerance it refines the
 index sets in place (append residual-guided pivots, order the enlarged
-cross as the fast driver orders its core, truncate to the new rank); if
-even that fails it recomputes the indices from scratch. The counters h1
-and h2 track how often the two repair paths fire after the first step.
+cross as the fast driver orders its core, truncate to the new rank)
+with its sketch doubled up to four times until an attempt passes, or
+else recomputes the indices from scratch. The counters h1 and h2
+track how often the two repair paths fire after the first step.
 """
 
 import numbers
@@ -42,7 +43,7 @@ def _check_config(cfg, **least):
         check_int(name, getattr(cfg, name), low)
     if not isinstance(cfg.tol, numbers.Real) or not 0.0 < cfg.tol < 1.0:
         raise InvalidInput(f"tol must be a real in (0, 1), got {cfg.tol!r}")
-    for name in ("escalate_s", "true_error", "store_factors"):
+    for name in ("true_error", "store_factors"):
         value = getattr(cfg, name, False)
         if not isinstance(value, (bool, np.bool_)):
             raise InvalidInput(f"{name} must be a bool, got {value!r}")
@@ -55,9 +56,9 @@ class AdaCurConfig:
     ``tol`` is the relative Frobenius error target; ``err_samples`` the
     sketch rows used for certification; ``oversample`` the number of
     extra rows kept beyond the square cross. The rank-truncation
-    tolerance is 0.5 * tol / sqrt(n).
-    ``escalate_s`` retries a failed refinement with a doubled sketch
-    (up to four doublings) before falling back to recomputation.
+    tolerance is 0.5 * tol / sqrt(n). A failed refinement is retried
+    with ``err_samples`` doubled, up to four times, before the step
+    recomputes.
     ``true_error`` additionally records the exact relative error per
     step (reads the full matrix; for reporting only). With
     ``store_factors`` off the returned factors carry indices only,
@@ -68,7 +69,6 @@ class AdaCurConfig:
     err_samples: int = 5
     oversample: int = 0
     seed: int = 0
-    escalate_s: bool = False
     true_error: bool = False
     store_factors: bool = True
 
@@ -228,12 +228,6 @@ def refine_indices(oracle, sel, pack, cfg):
     return fac, est, est.rel_error <= cfg.tol
 
 
-def _grow_pack(oracle, pack, new_rows, fac):
-    """Double-size replacement pack for ``fac``; only fresh rows touch A."""
-    return estimate_cur_error(oracle, fac.selection.cols, fac.r,
-                              reuse=pack.grown(oracle, new_rows)).pack
-
-
 _H1_ACTIONS = ("MINOR_MOD", "TRUNCATE")
 _H2_ACTIONS = ("RECOMPUTE", "EXPAND")
 
@@ -317,8 +311,12 @@ def _scratch_step(oracle, cfg, j, reuse=None):
     return fac, "RECOMPUTE", 0.0 if est is None else est.rel_error
 
 
+# Refinement attempts see s, 2s, 4s, 8s and 16s sketch rows.
+_DOUBLINGS = 4
+
+
 def _adaptive_step(oracle, cfg, j, sel):
-    """Reuse ``sel``, else refine it if non-empty, else recompute."""
+    """Reuse ``sel``, else refine it at growing sketches, else recompute."""
     fac = _extract_factors(oracle, sel)
     est = _estimate(oracle, cfg, j, fac)
     if est is None:
@@ -328,19 +326,17 @@ def _adaptive_step(oracle, cfg, j, sel):
         return _extract_factors(oracle, IndexSelection.empty()), action, 0.0
     if est.rel_error <= cfg.tol:
         return fac, "REUSE", est.rel_error
-    if sel.is_empty:
-        return _scratch_step(oracle, cfg, j, reuse=est.pack)
-    fac_new, est_new, ok = refine_indices(oracle, sel, est.pack, cfg)
-    if not ok and cfg.escalate_s:
+    if not sel.is_empty:
         pack = est.pack
-        for _ in range(4):
-            pack = _grow_pack(oracle, pack, 2 * pack.embedding.sketch_rows,
-                              fac)
+        for attempt in range(1 + _DOUBLINGS):
+            if attempt:
+                # the reused factors' residual on the taller sketch
+                grown = pack.grown(oracle, 2 * pack.embedding.sketch_rows)
+                pack = estimate_cur_error(oracle, sel.cols, fac.r,
+                                          reuse=grown).pack
             fac_new, est_new, ok = refine_indices(oracle, sel, pack, cfg)
             if ok:
-                break
-    if ok:
-        return fac_new, "MINOR_MOD", est_new.rel_error
+                return fac_new, "MINOR_MOD", est_new.rel_error
     return _scratch_step(oracle, cfg, j, reuse=est.pack)
 
 

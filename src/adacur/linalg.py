@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import blas, lapack
 
-from .errors import InvalidInput, NonConvergence
+from .errors import InvalidInput, NonConvergence, check_int
 
 __all__ = [
     "PivotedQR",
@@ -119,8 +119,8 @@ def srrqr(a, f=2.0, k=None):
     if k is None:
         k = eps_rank_from_rdiag(base.r, _EPS * max(base.r.shape))
     else:
-        k = int(k)
-        if not 1 <= k <= min(m, n):
+        k = check_int("k", k, 1)
+        if k > min(m, n):
             raise InvalidInput(f"k must lie in [1, {min(m, n)}], got {k}")
     if k == 0 or k >= n:
         return base

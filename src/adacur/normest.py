@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch
+from .errors import (InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch,
+                     check_int)
 # stable_cur_eval is not called here; the name stays because
 # bench/tracing.py installs its wrapper on normest.stable_cur_eval and
 # requires the attribute.
@@ -86,9 +87,8 @@ def estimate_cur_error(oracle, cols, r, s=5, seed=0, reuse=None):
             raise InvalidInput("reused sketch does not match oracle rows")
         xs = reuse.row_sketch
     else:
-        if s < 1:
-            raise InvalidInput(f"sketch size s must be >= 1, got {s}")
-        emb = GaussianEmbedding(int(s), m, derive_seed(seed, 0xE557))
+        emb = GaussianEmbedding(check_int("s", s, 1), m,
+                                derive_seed(seed, 0xE557))
         xs = row_sketch(emb, oracle)
     if r.ndim != 2 or r.shape[1] != xs.shape[1]:
         raise InvalidInput(f"row block shape {r.shape} does not match "

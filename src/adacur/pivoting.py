@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_int
 # cpqr is no longer called here; the name stays because bench/tracing.py
 # installs its cpqr wrapper on pivoting.cpqr and requires the attribute.
 from .linalg import cpqr, lu_pivots, lu_row_id  # noqa: F401
@@ -93,8 +93,8 @@ def rand_pivot(oracle, r, seed, presketch=None):
 def _rand_pivot_block(oracle, r, seed, presketch=None):
     """:func:`rand_pivot` returning what :func:`rand_pivot_rankest` does."""
     m, n = oracle.shape
-    r = int(r)
-    if r < 0 or r > min(m, n):
+    r = check_int("r", r, 0)
+    if r > min(m, n):
         raise InvalidInput(f"r must lie in [0, {min(m, n)}], got {r}")
     if r == 0:
         return IndexSelection.empty(), None, None

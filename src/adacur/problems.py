@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .errors import IntegratorAccuracy, InvalidInput
+from .errors import IntegratorAccuracy, InvalidInput, check_int
 from .oracles import DenseOracle, LowRankPlusSparseOracle, ParamMatrixSequence
 from .sketch import derive_seed
 
@@ -283,6 +283,7 @@ def true_relative_error(oracle, approx, block_rows=256):
     blocks of ``block_rows`` rows; meant for validation, not for the
     algorithms' cost budgets.
     """
+    check_int("block_rows", block_rows, 1)
     op = approx.operator() if hasattr(approx, "operator") else approx
     m, n = oracle.shape
     if op.shape != (m, n):

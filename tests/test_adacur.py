@@ -11,7 +11,7 @@ from adacur.driver import (
     adacur_run,
     recompute_baseline_run,
 )
-from adacur.errors import InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch
+from adacur.errors import InvalidInput, NonFiniteSnapshot
 from adacur.fast import FastConfig, fastadacur_run
 from adacur.linalg import eps_rank_from_rdiag, lu_pivots, srrqr
 from adacur.normest import estimate_cur_error
@@ -55,7 +55,7 @@ class TestConfig:
             AdaCurConfig(tol=1e-8, **{name: value})
 
     @pytest.mark.parametrize("name,value", [
-        ("escalate_s", None), ("true_error", 2), ("store_factors", "no"),
+        ("true_error", 2), ("true_error", None), ("store_factors", "no"),
         ("store_factors", 1)])
     def test_non_bool_flags_rejected(self, name, value):
         with pytest.raises(InvalidInput, match=name):
@@ -67,10 +67,9 @@ class TestConfig:
             AdaCurConfig(tol=tol)
 
     def test_numpy_bools_and_floats_accepted(self):
-        cfg = AdaCurConfig(tol=np.float32(1e-6), escalate_s=np.bool_(True),
-                           true_error=np.bool_(False),
+        cfg = AdaCurConfig(tol=np.float32(1e-6), true_error=np.bool_(False),
                            store_factors=np.bool_(True))
-        assert cfg.escalate_s and cfg.store_factors and not cfg.true_error
+        assert cfg.store_factors and not cfg.true_error
 
     def test_numpy_integers_accepted(self):
         cfg = AdaCurConfig(tol=1e-8, err_samples=np.int64(4),
@@ -143,12 +142,12 @@ class TestRefinementOrder:
         # refinement orders its enlarged cross as fastadacur orders its
         # core: one sRRQR of the cross orders the columns and gives the
         # rank, and LUPP of the column-ordered cross orders the rows;
-        # with escalation one step here takes three attempts, two failing
+        # one step here takes three attempts, two failing
         base = make_schrodinger(n=32, q=21, seed=0)
         seq = ParamMatrixSequence(
             base.params, lambda j: RecordingOracle(base.oracle(j).array),
             base.shape)
-        cfg = AdaCurConfig(tol=1e-8, oversample=3, seed=0, escalate_s=True)
+        cfg = AdaCurConfig(tol=1e-8, oversample=3, seed=0)
         refine = driver.refine_indices
         qr_inputs, attempts = [], []
 
@@ -307,15 +306,23 @@ class TestAdaptivity:
     def test_escalation_swaps_recompute_for_refinement(self):
         # the adversarial block ramp raises the rank by 10 in one step;
         # a 5-row residual sketch cannot append enough indices, so the
-        # plain driver recomputes, while sketch escalation refines
+        # refinement retries on a doubled sketch instead of recomputing
         seq = make_adversarial(seed=0, q=41)
-        base = AdaCurConfig(tol=1e-4, err_samples=5, oversample=5, seed=1)
-        esc = AdaCurConfig(tol=1e-4, err_samples=5, oversample=5, seed=1,
-                           escalate_s=True)
-        tr_base = [t for _, t in adacur_run(seq, base)]
-        tr_esc = [t for _, t in adacur_run(seq, esc)]
-        assert tr_base[-1].h2_cum == 1 and tr_base[-1].h1_cum == 0
-        assert tr_esc[-1].h2_cum == 0 and tr_esc[-1].h1_cum == 1
+        cfg = AdaCurConfig(tol=1e-4, err_samples=5, oversample=5, seed=1)
+        traces = [t for _, t in adacur_run(seq, cfg)]
+        assert traces[-1].h2_cum == 0 and traces[-1].h1_cum == 1
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_schrodinger_refines_within_tolerance(self, seed):
+        # with a failed refinement retried on doubled sketches, no step
+        # after the first recomputes and every exact error stays within
+        # 2 tol
+        seq = make_schrodinger(n=128, seed=0)
+        cfg = AdaCurConfig(tol=1e-10, err_samples=5, oversample=5,
+                           seed=seed, true_error=True)
+        traces = [t for _, t in adacur_run(seq, cfg)]
+        assert traces[-1].h2_cum == 0
+        assert max(t.true_rel_err for t in traces) <= 2 * cfg.tol
 
     @pytest.mark.parametrize("run,cfg,actions,ranks,h1,h2", [
         (adacur_run, AdaCurConfig(tol=1e-8, seed=0),
@@ -385,7 +392,7 @@ class TestWarningsNameCaller:
 
     def test_shrinking_oversampling(self):
         seq = make_schrodinger(n=32, q=11, seed=0)
-        cfg = AdaCurConfig(tol=1e-10, oversample=3, seed=0, escalate_s=True)
+        cfg = AdaCurConfig(tol=1e-10, oversample=3, seed=0)
         with pytest.warns(UserWarning, match="shrinking oversampling") as rec:
             adacur_run(seq, cfg)
         shrunk = [w for w in rec if "shrinking" in str(w.message)]
@@ -507,19 +514,20 @@ class TestBookkeeping:
     @pytest.mark.parametrize("problem", sorted(PROBLEMS))
     def test_estimate_is_of_returned_factors(self, problem, run, seed):
         # the recorded estimate is a fresh estimate, at the step's sketch
-        # seed, of exactly the factors the step returns
+        # seed, of exactly the factors the step returns: with the step's
+        # s = err_samples rows, or with s doubled k <= 4 times if the
+        # step refined on a grown sketch
         seq = _sequence(problem)
         cfg = AdaCurConfig(tol=PROBLEMS[problem][1], oversample=3,
                            seed=seed)
         for j, (fac, tr) in enumerate(run(seq, cfg)):
-            try:
-                want = estimate_cur_error(
-                    seq.oracle(j), fac.selection.cols, fac.r,
-                    s=cfg.err_samples,
-                    seed=derive_seed(cfg.seed, j, 0xE5)).rel_error
-            except ZeroMatrixSketch:
-                want = 0.0
-            assert tr.est_rel_err == want, (j, tr.action)
+            ks = [k for k in range(driver._DOUBLINGS + 1)
+                  if tr.est_rel_err == estimate_cur_error(
+                      seq.oracle(j), fac.selection.cols, fac.r,
+                      s=cfg.err_samples << k,
+                      seed=derive_seed(cfg.seed, j, 0xE5)).rel_error]
+            assert len(ks) == 1, (j, tr.action, ks)
+            assert ks[0] == 0 or tr.action == "MINOR_MOD", (j, ks)
 
 
 class TestRecomputeBaseline:

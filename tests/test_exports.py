@@ -1,7 +1,9 @@
-"""Every name in a package module's ``__all__`` must exist, and every
-name a module imports must be used or exported."""
+"""Every name in a package module's ``__all__`` must exist, every name
+a module imports must be used or exported, and the driver configs have
+exactly the fields listed here."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -9,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import adacur
+from adacur.driver import AdaCurConfig
+from adacur.fast import FastConfig
 
 MODULES = ["adacur"] + [f"adacur.{info.name}"
                         for info in pkgutil.iter_modules(adacur.__path__)]
@@ -48,3 +52,18 @@ def unused_imports(module):
 def test_no_unused_imports(name):
     got = unused_imports(importlib.import_module(name))
     assert got == TRACER_ONLY_IMPORTS.get(name, set())
+
+
+# Each config field is an option every caller can set; a new one has
+# to be added here, so that it is argued for in review.
+CONFIG_FIELDS = {
+    AdaCurConfig: ("tol", "err_samples", "oversample", "seed", "true_error",
+                   "store_factors"),
+    FastConfig: ("tol", "buffer", "oversample", "seed", "store_factors"),
+}
+
+
+@pytest.mark.parametrize("config", CONFIG_FIELDS, ids=lambda c: c.__name__)
+def test_config_fields_pinned(config):
+    got = tuple(field.name for field in dataclasses.fields(config))
+    assert got == CONFIG_FIELDS[config]

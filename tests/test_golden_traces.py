@@ -30,15 +30,13 @@ from adacur.problems import (make_adversarial, make_schrodinger,
 
 GOLDEN = Path(__file__).parent / "data" / "golden_traces.json"
 
-# problem -> (sequence builder, tol, escalate_s)
+# problem -> (sequence builder, tol)
 PROBLEMS = {
-    "synthetic": (lambda: make_synthetic_expm(n=60, q=11, seed=0), 1e-8,
-                  False),
-    "schrodinger": (lambda: make_schrodinger(n=32, q=11, seed=0), 1e-10,
-                    True),
-    "adversarial": (lambda: make_adversarial(seed=0, q=21), 1e-4, False),
+    "synthetic": (lambda: make_synthetic_expm(n=60, q=11, seed=0), 1e-8),
+    "schrodinger": (lambda: make_schrodinger(n=32, q=11, seed=0), 1e-10),
+    "adversarial": (lambda: make_adversarial(seed=0, q=21), 1e-4),
     "speed": (lambda: make_speed_problem(m=600, n=200, r=20, q=6, seed=0),
-              1e-6, False),
+              1e-6),
 }
 DRIVERS = ("adacur", "baseline", "fastadacur")
 SEEDS = (0, 3)
@@ -53,13 +51,13 @@ def _sequence(problem):
 def run_case(case):
     """Trace of one ``problem/driver/seed`` case, without ``wall_ms``."""
     problem, driver, seed = case.split("/")
-    _, tol, escalate = PROBLEMS[problem]
+    _, tol = PROBLEMS[problem]
     if driver == "fastadacur":
         cfg = FastConfig(tol=tol, buffer=4, oversample=2, seed=int(seed))
         run = fastadacur_run
     else:
         cfg = AdaCurConfig(tol=tol, oversample=3, seed=int(seed),
-                           escalate_s=escalate, true_error=True)
+                           true_error=True)
         run = adacur_run if driver == "adacur" else recompute_baseline_run
     traces = []
     for _, tr in run(_sequence(problem), cfg):

@@ -193,6 +193,17 @@ class TestSrrqr:
         a = rng.standard_normal((30, 30))
         assert_r_factor(srrqr(a, f=2.0, k=12), a)
 
+    @pytest.mark.parametrize("k", [2.5, True, 0, 7, "2"])
+    def test_bad_leading_size_rejected(self, rng, k):
+        with pytest.raises(InvalidInput, match="k must"):
+            srrqr(rng.standard_normal((6, 5)), k=k)
+
+    def test_numpy_leading_size_accepted(self, rng):
+        a = rng.standard_normal((12, 10))
+        got, want = srrqr(a, k=np.int64(4)), srrqr(a, k=4)
+        np.testing.assert_array_equal(got.pivots, want.pivots)
+        np.testing.assert_array_equal(got.r, want.r)
+
     def test_graded_matrix_defeats_plain_pivoting_not_srrqr(self):
         # Kahan-type matrix: classic worst case for column pivoting
         n, k, f = 50, 25, 2.0

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adacur.driver import _extract_factors
-from adacur.errors import NonFiniteSnapshot, ZeroMatrixSketch
+from adacur.errors import InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch
 from adacur.linalg import stable_cur_eval
 from adacur.normest import estimate_cur_error
 from adacur.oracles import DenseOracle
@@ -55,6 +55,21 @@ class TestEstimateCurError:
         with pytest.raises(ZeroMatrixSketch):
             estimate_cur_error(orc, sel.cols, _extract_factors(orc, sel).r,
                                s=5, seed=0)
+
+    @pytest.mark.parametrize("s", [0, -1, 2.5, True, "5"])
+    def test_bad_sketch_size_rejected(self, rng, s):
+        a = flat_rank_r(rng, 30, 20, 3)
+        sel = IndexSelection(np.arange(3), np.arange(3),
+                             np.array([], dtype=np.intp))
+        with pytest.raises(InvalidInput, match="s must be"):
+            estimate(a, sel, s=s)
+
+    def test_numpy_sketch_size_accepted(self, rng):
+        a = rng.standard_normal((30, 20))
+        sel = IndexSelection(np.arange(3), np.arange(3),
+                             np.array([], dtype=np.intp))
+        assert (estimate(a, sel, s=np.int64(4)).rel_error
+                == estimate(a, sel, s=4).rel_error)
 
     def test_factor_two_agreement(self, rng):
         # undersized CUR with stabilizing extra rows: the residual has

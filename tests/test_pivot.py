@@ -131,6 +131,19 @@ class TestRandPivot:
             rand_pivot(orc, 6, seed=3, presketch=sketch)
         assert orc.counters.rmatvecs == 0
 
+    @pytest.mark.parametrize("r", [2.7, True, -1, 41, "3"])
+    def test_bad_count_rejected(self, rng, r):
+        orc = DenseOracle(rank_r_matrix(rng, 50, 40, 6))
+        with pytest.raises(InvalidInput, match="r must"):
+            rand_pivot(orc, r, seed=3)
+        assert orc.counters.rmatvecs == 0
+
+    def test_numpy_count_accepted(self, rng):
+        orc = DenseOracle(rank_r_matrix(rng, 50, 40, 6))
+        got, want = rand_pivot(orc, np.int32(4), 3), rand_pivot(orc, 4, 3)
+        np.testing.assert_array_equal(got.rows, want.rows)
+        np.testing.assert_array_equal(got.cols, want.cols)
+
     def test_presketch_avoids_new_matvecs(self, rng):
         a = rank_r_matrix(rng, 50, 40, 6)
         orc = DenseOracle(a)

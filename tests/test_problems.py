@@ -5,6 +5,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from adacur.errors import InvalidInput
+from adacur.linalg import LowRankOperator
 from adacur.oracles import DenseOracle, LowRankPlusSparseOracle
 from adacur.problems import (
     make_adversarial,
@@ -232,14 +234,12 @@ class TestSpeedProblem:
 class TestTrueRelativeError:
     def test_zero_error_for_identical(self, rng):
         a = rng.standard_normal((30, 20))
-        from adacur.linalg import LowRankOperator
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         op = LowRankOperator(u * s, vt)
         assert true_relative_error(DenseOracle(a), op) <= 1e-14
 
     def test_blocksize_independent(self, rng):
         a = rng.standard_normal((70, 40))
-        from adacur.linalg import LowRankOperator
         u, s, vt = np.linalg.svd(a, full_matrices=False)
         op = LowRankOperator(u[:, :5] * s[:5], vt[:5])
         e1 = true_relative_error(DenseOracle(a), op, block_rows=7)
@@ -247,6 +247,17 @@ class TestTrueRelativeError:
         np.testing.assert_allclose(e1, e2, rtol=1e-12)
 
     def test_zero_matrix_gives_zero(self):
-        from adacur.linalg import LowRankOperator
         op = LowRankOperator(np.zeros((10, 1)), np.zeros((1, 8)))
         assert true_relative_error(DenseOracle(np.zeros((10, 8))), op) == 0.0
+
+    @pytest.mark.parametrize("block_rows", [-1, 0, 2.5, True, "8"])
+    def test_bad_block_rows_rejected(self, rng, block_rows):
+        op = LowRankOperator(np.zeros((12, 1)), np.zeros((1, 8)))
+        with pytest.raises(InvalidInput, match="block_rows"):
+            true_relative_error(DenseOracle(rng.standard_normal((12, 8))),
+                                op, block_rows=block_rows)
+
+    def test_numpy_block_rows_accepted(self, rng):
+        op = LowRankOperator(np.zeros((12, 1)), np.zeros((1, 8)))
+        orc = DenseOracle(rng.standard_normal((12, 8)))
+        assert true_relative_error(orc, op, block_rows=np.int64(5)) == 1.0
