@@ -70,16 +70,17 @@ def build_parser():
 
 
 def _build_sequence(ns):
-    steps = ns.steps
+    # forward only the sizes given, so the defaults live in `problems`
+    q = {} if ns.steps is None else {"q": ns.steps}
+    n = {} if ns.n is None else {"n": ns.n}
     if ns.problem == "synthetic":
-        return make_synthetic_expm(n=ns.n or 200, q=steps or 101,
-                                   seed=ns.seed)
+        return make_synthetic_expm(seed=ns.seed, **n, **q)
     if ns.problem == "schrodinger":
-        return make_schrodinger(n=ns.n or 128, q=steps or 101, seed=ns.seed)
+        return make_schrodinger(seed=ns.seed, **n, **q)
     if ns.problem == "adversarial":
-        return make_adversarial(seed=ns.seed, q=steps or 101)
+        return make_adversarial(seed=ns.seed, **q)
     if ns.problem == "speed":
-        return make_speed_problem(q=steps or 51, seed=ns.seed)
+        return make_speed_problem(seed=ns.seed, **q)
     if ns.dir is None:
         raise InvalidInput("--problem from-dir requires --dir")
     return load_sequence_dir(ns.dir)

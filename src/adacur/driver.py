@@ -3,11 +3,12 @@
 Per parameter value the driver first tries to reuse the previous
 step's row/column indices, certifying them with a sketched relative
 error estimate. If the estimate exceeds the tolerance it refines the
-index sets in place (append residual-guided pivots, order the enlarged
-cross as the fast driver orders its core, truncate to the new rank)
-with its sketch doubled up to four times until an attempt passes, or
-else recomputes the indices from scratch. The counters h1 and h2
-track how often the two repair paths fire after the first step.
+index sets in place (append residual-guided columns, read the enlarged
+column block once, grow rows on it, order its cross as the fast driver
+orders its core, truncate to the new rank) with its sketch doubled up
+to four times until an attempt passes, or else recomputes the indices
+from scratch. The counters h1 and h2 track how often the two repair
+paths fire after the first step.
 """
 
 import numbers
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch,
-                     check_int, warn_caller)
-from .linalg import (cpqr, eps_rank_from_rdiag, lu_pivots, srrqr,
+                     check_int)
+from .linalg import (cpqr, eps_rank_from_rdiag, lu_pivots, lu_row_id, srrqr,
                      stable_cur_eval)
 from .normest import estimate_cur_error
 from .oversample import oversample_rows_multi
@@ -177,53 +178,42 @@ def _order_cross(rows, cols, g, rank_tol):
 def refine_indices(oracle, sel, pack, cfg):
     """Minor modification of an index selection against the residual.
 
-    Appends residual-guided column pivots and matching row pivots from
-    the unchosen index sets (column-pivoted QR of the residual sketch
-    and of the new columns), orders the enlarged cross by
-    :func:`_order_cross`, truncates to the revealed rank (keeping
-    ``oversample`` extra rows), and re-estimates the error reusing the
-    pack's matrix sketch.
+    Appends residual-guided columns J1, from column-pivoted QR of the
+    residual sketch on the unchosen columns (one per sketch row), and
+    reads the enlarged column block A[:, J + J1] once. Every other
+    step works on that block: ``|J1|`` new rows grow by :func:`_grow`
+    on its row ID (of its first m columns if it is wide), the enlarged
+    cross is its row slice and is ordered by :func:`_order_cross` and
+    truncated to the revealed rank, the kept columns become C, and
+    ``oversample`` extra rows grow on C's row ID as a recompute grows
+    them. The error is re-estimated reusing the pack's matrix sketch.
 
     Returns the refined selection's :class:`CURFactors`, the new error
     estimate, and whether the estimate meets the tolerance. The
     estimate scores those factors from the pack's matrix sketch and
-    their row block, so a caller that keeps them reads C and R once;
-    ``factors.selection`` is the refined selection.
+    their row block, so an attempt reads one column block and one row
+    block; ``factors.selection`` is the refined selection.
     """
     if pack.residual_sketch is None:
         raise InvalidInput("pack must carry a residual sketch")
     m, n = oracle.shape
     es = pack.residual_sketch
-    s_piv = es.shape[0]
-
-    chosen_rows = sel.all_rows
+    rows = sel.all_rows
     unchosen_cols = np.setdiff1d(np.arange(n), sel.cols)
     j1 = np.array([], dtype=np.intp)
     if unchosen_cols.size:
-        piv = cpqr(es[:, unchosen_cols]).pivots
-        j1 = unchosen_cols[piv[:min(s_piv, unchosen_cols.size)]]
-    unchosen_rows = np.setdiff1d(np.arange(m), chosen_rows)
-    i1 = np.array([], dtype=np.intp)
-    if unchosen_rows.size and j1.size:
-        blk = oracle.submatrix(unchosen_rows, j1)
-        piv = cpqr(blk.T).pivots
-        i1 = unchosen_rows[piv[:min(s_piv, unchosen_rows.size)]]
-
-    rows2 = np.concatenate([chosen_rows, i1])
-    cols2 = np.concatenate([sel.cols, j1])
-    rows2, cols2, r_new = _order_cross(rows2, cols2,
-                                       oracle.submatrix(rows2, cols2),
-                                       _rank_tol(cfg, n))
-
-    p_eff = cfg.oversample
-    if r_new + p_eff > rows2.size:
-        p_eff = rows2.size - r_new
-        warn_caller(
-            f"refinement has only {rows2.size} candidate rows; "
-            f"shrinking oversampling to {p_eff} for this step")
-    sel_new = IndexSelection(rows2[:r_new], cols2[:r_new],
-                             rows2[r_new:r_new + p_eff])
-    fac = _extract_factors(oracle, sel_new)
+        j1 = unchosen_cols[cpqr(es[:, unchosen_cols]).pivots[:es.shape[0]]]
+    cols = np.concatenate([sel.cols, j1])
+    blk = oracle.col_block(cols)
+    rows = _grow(rows, lu_row_id(blk[:, :m]), min(j1.size, m - rows.size))
+    # order column positions in blk, so the kept ones slice C out of it
+    rows, pos, rank = _order_cross(rows, np.arange(cols.size), blk[rows],
+                                   _rank_tol(cfg, n))
+    rows, c = rows[:rank], blk[:, pos[:rank]]
+    if rank:
+        rows = _grow(rows, lu_row_id(c), min(cfg.oversample, m - rank))
+    sel_new = IndexSelection(rows[:rank], cols[pos[:rank]], rows[rank:])
+    fac = _extract_factors(oracle, sel_new, c)
     est = estimate_cur_error(oracle, sel_new.cols, fac.r, reuse=pack)
     return fac, est, est.rel_error <= cfg.tol
 
@@ -302,8 +292,6 @@ def _scratch_step(oracle, cfg, j, reuse=None):
                                         derive_seed(cfg.seed, j, 0x5C))
     r = sel.rows.size
     if r:
-        # the grown copy, as sel.rows is a view of the pivoting's m-long
-        # permutation, which the factors would otherwise keep
         rows = _grow(sel.rows, row_id, min(cfg.oversample, m - r))
         sel = IndexSelection(rows[:r], sel.cols, rows[r:])
     fac = _extract_factors(oracle, sel, c)

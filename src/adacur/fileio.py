@@ -285,11 +285,13 @@ _STEP_FILE = re.compile(r"step_(\d+)\.mtx")
 def load_sequence_dir(path):
     """Build a matrix sequence from ``step_<k>.mtx`` files in a directory.
 
-    Files are ordered by the integer k in their names. An optional
-    ``params.txt`` supplies one parameter value per line (finite and
-    strictly increasing); without it the parameters are the k values
-    themselves. Sparse files become sparse-matvec oracles, dense files
-    are held densified.
+    Files are ordered by the integer k in their names; two names with
+    the same k (``step_1.mtx`` and ``step_01.mtx``) raise
+    :class:`InvalidInput` naming both. An optional ``params.txt``
+    supplies one parameter value per line (finite and strictly
+    increasing); without it the parameters are the k values themselves.
+    Sparse files become sparse-matvec oracles, dense files are held
+    densified.
     """
     root = Path(path)
     if not root.is_dir():
@@ -297,8 +299,13 @@ def load_sequence_dir(path):
     found = {}
     for entry in root.iterdir():
         match = _STEP_FILE.fullmatch(entry.name)
-        if match:
-            found[int(match.group(1))] = entry
+        if not match:
+            continue
+        k = int(match.group(1))
+        if k in found:
+            names = sorted([found[k].name, entry.name])
+            raise InvalidInput(f"{names[0]} and {names[1]} are both step {k}")
+        found[k] = entry
     if not found:
         raise InvalidInput(f"no step_<k>.mtx files in {path}")
     keys = sorted(found)

@@ -107,10 +107,11 @@ def _rand_pivot_block(oracle, r, seed, presketch=None):
     if x.shape[0] < r:
         raise InvalidInput(
             f"presketch has {x.shape[0]} rows, fewer than r={r}")
-    cols = lu_pivots(x[:r].T)[:r]
+    # copies, so a selection does not keep the LU permutations alive
+    cols = lu_pivots(x[:r].T)[:r].copy()
     c = oracle.col_block(cols)
     row_id = lu_row_id(c)
-    return IndexSelection(rows=row_id[0][:r], cols=cols), c, row_id
+    return IndexSelection(rows=row_id[0][:r].copy(), cols=cols), c, row_id
 
 
 def rand_pivot_rankest(oracle, abs_tol, seed):

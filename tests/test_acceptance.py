@@ -70,8 +70,12 @@ def synthetic_svd_spectra(synthetic_runs):
 
 
 @pytest.fixture(scope="module")
-def schrodinger_h2():
-    """Final h2 per (p, s, seed) on the Schrödinger problem."""
+def schrodinger_repairs():
+    """Final h1 + h2 per (p, s, seed) on the Schrödinger problem.
+
+    Refinement repairs every step here, so h2 alone is 0 throughout;
+    the repair count h1 + h2 is what oversampling and sketch size move.
+    """
     grid = [(0, 5), (5, 5), (10, 5), (10, 10), (10, 20)]
     out = {}
     for seed in range(10):
@@ -80,7 +84,7 @@ def schrodinger_h2():
             cfg = AdaCurConfig(tol=1e-10, err_samples=s, oversample=p,
                                seed=seed)
             res = adacur_run(seq, cfg)
-            out[p, s, seed] = res[-1][1].h2_cum
+            out[p, s, seed] = res[-1][1].h1_cum + res[-1][1].h2_cum
     return out
 
 
@@ -121,20 +125,23 @@ class TestToleranceAndRank:
 
 
 class TestRecomputationTrends:
-    def test_c3_oversampling_reduces_recomputation(self, schrodinger_h2):
-        med = [float(np.median([schrodinger_h2[p, 5, k] for k in range(10)]))
+    def test_c3_oversampling_reduces_recomputation(self,
+                                                   schrodinger_repairs):
+        med = [float(np.median([schrodinger_repairs[p, 5, k]
+                                for k in range(10)]))
                for p in (0, 5, 10)]
-        ok = med[0] >= med[1] >= med[2]
+        ok = med[0] >= med[1] >= med[2] and med[0] > med[2]
         assert report("C3 oversampling trend", ok,
-                      f"median h2 over p in {{0,5,10}}: {med}")
+                      f"median h1 + h2 over p in {{0,5,10}}: {med}")
 
-    def test_c4_error_samples_reduce_recomputation(self, schrodinger_h2):
-        med = [float(np.median([schrodinger_h2[10, s, k]
+    def test_c4_error_samples_reduce_recomputation(self,
+                                                   schrodinger_repairs):
+        med = [float(np.median([schrodinger_repairs[10, s, k]
                                 for k in range(10)]))
                for s in (5, 10, 20)]
-        ok = med[0] >= med[1] >= med[2]
+        ok = med[0] >= med[1] >= med[2] and med[0] > med[2]
         assert report("C4 error-sample trend", ok,
-                      f"median h2 over s in {{5,10,20}}: {med}")
+                      f"median h1 + h2 over s in {{5,10,20}}: {med}")
 
 
 class TestEstimatorTheory:

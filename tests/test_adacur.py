@@ -13,19 +13,20 @@ from adacur.driver import (
 )
 from adacur.errors import InvalidInput, NonFiniteSnapshot
 from adacur.fast import FastConfig, fastadacur_run
-from adacur.linalg import eps_rank_from_rdiag, lu_pivots, srrqr
+from adacur.linalg import eps_rank_from_rdiag, lu_pivots, lu_row_id, srrqr
 from adacur.normest import estimate_cur_error
 from adacur.oracles import DenseOracle, ParamMatrixSequence
+from adacur.oversample import oversample_rows_multi
 from adacur.problems import (
     make_adversarial,
     make_schrodinger,
+    make_speed_problem,
     make_synthetic_expm,
     true_relative_error,
 )
 from adacur.sketch import derive_seed
 
 from conftest import assert_traces_match
-from test_fastadacur import RecordingOracle
 from test_golden_traces import PROBLEMS, _sequence
 
 
@@ -79,15 +80,23 @@ class TestConfig:
 
 
 class FetchCountingOracle(DenseOracle):
-    """Dense oracle that counts its column- and row-block fetches."""
+    """Dense oracle that counts its column-block, row-block and
+    submatrix fetches, and records the columns of each column fetch."""
 
     def __init__(self, a):
         super().__init__(a)
         self.col_fetches = 0
         self.row_fetches = 0
+        self.sub_fetches = 0
+        self.col_reads = []
+
+    def _submatrix(self, rows, cols):
+        self.sub_fetches += 1
+        return super()._submatrix(rows, cols)
 
     def _cols(self, idx):
         self.col_fetches += 1
+        self.col_reads.append(idx)
         return super()._cols(idx)
 
     def _rows(self, idx):
@@ -136,51 +145,125 @@ class TestScratchReads:
                    for orc, (_, tr) in zip(oracles[1:], res[1:])}
         assert fetches == {("REUSE", 1, 1), ("MINOR_MOD", 2, 2)}
 
+    def test_refinement_attempt_reads_one_column_and_one_row_block(
+            self, monkeypatch):
+        # an attempt reads C+ = A[:, J + J1] and the refined R, and
+        # slices its cross out of C+: m |J + J1| + |I'| n entries
+        base = make_schrodinger(n=32, q=21, seed=0)
+        seq = ParamMatrixSequence(
+            base.params, lambda j: FetchCountingOracle(base.oracle(j).array),
+            base.shape)
+        refine = driver.refine_indices
+        reads = []
+
+        def counting(oracle, sel, pack, cfg):
+            def tally():
+                return np.array([oracle.col_fetches, oracle.row_fetches,
+                                 oracle.sub_fetches,
+                                 oracle.counters.entries_read])
+            before = tally()
+            out = refine(oracle, sel, pack, cfg)
+            m, n = oracle.shape
+            j1 = min(pack.residual_sketch.shape[0], n - sel.cols.size)
+            entries = (m * (sel.cols.size + j1)
+                       + out[0].selection.all_rows.size * n)
+            reads.append((tuple(tally() - before), (1, 1, 0, entries)))
+            return out
+
+        monkeypatch.setattr(driver, "refine_indices", counting)
+        adacur_run(seq, AdaCurConfig(tol=1e-8, oversample=3, seed=2))
+        assert len(reads) == 5
+        for got, want in reads:
+            assert got == want
+
+
+def record_refinements(monkeypatch, seq, cfg):
+    """Run adacur on ``seq``; per refinement attempt, what it did.
+
+    Each record holds the refined selection and the selection it
+    refined, the columns of the attempt's column-block reads, the
+    inputs of its ``cpqr`` and ``srrqr`` calls, the rows and the cross
+    it handed to ``_order_cross``, and its residual sketch.
+    """
+    refine, order = driver.refine_indices, driver._order_cross
+    calls = {"cpqr": [], "srrqr": [], "order": []}
+
+    def counting(name, fn):
+        def wrapped(a, **kw):
+            calls[name].append(a)
+            return fn(a, **kw)
+        return wrapped
+
+    def ordering(rows, cols, g, rank_tol):
+        calls["order"].append((rows, g))
+        return order(rows, cols, g, rank_tol)
+
+    attempts = []
+
+    def recording(oracle, sel, pack, cfg):
+        marks = {k: len(v) for k, v in calls.items()}
+        reads = len(oracle.col_reads)
+        out = refine(oracle, sel, pack, cfg)
+        rec = {k: v[marks[k]:] for k, v in calls.items()}
+        rec.update(new=out[0].selection, old=sel, oracle=oracle,
+                   col_reads=oracle.col_reads[reads:],
+                   residual=pack.residual_sketch)
+        attempts.append(rec)
+        return out
+
+    monkeypatch.setattr(driver, "cpqr", counting("cpqr", driver.cpqr))
+    monkeypatch.setattr(driver, "srrqr", counting("srrqr", srrqr))
+    monkeypatch.setattr(driver, "_order_cross", ordering)
+    monkeypatch.setattr(driver, "refine_indices", recording)
+    adacur_run(seq, cfg)
+    return attempts
+
 
 class TestRefinementOrder:
     def test_cross_ordered_by_one_srrqr_and_lupp(self, monkeypatch):
-        # refinement orders its enlarged cross as fastadacur orders its
-        # core: one sRRQR of the cross orders the columns and gives the
-        # rank, and LUPP of the column-ordered cross orders the rows;
-        # one step here takes three attempts, two failing
+        # an attempt reads C+ = A[:, J + J1] once, J1 from cpqr of the
+        # residual sketch; new rows grow on C+'s row ID, one sRRQR of the
+        # cross C+[I + I1] orders the columns and gives the rank, LUPP of
+        # the column-ordered cross orders the rows, and the extra rows
+        # grow on the row ID of the kept columns; one step here takes
+        # three attempts, two failing
         base = make_schrodinger(n=32, q=21, seed=0)
         seq = ParamMatrixSequence(
-            base.params, lambda j: RecordingOracle(base.oracle(j).array),
+            base.params,
+            lambda j: FetchCountingOracle(base.oracle(j).array),
             base.shape)
-        cfg = AdaCurConfig(tol=1e-8, oversample=3, seed=0)
-        refine = driver.refine_indices
-        qr_inputs, attempts = [], []
-
-        def counting(a, **kw):
-            qr_inputs.append(a)
-            return srrqr(a, **kw)
-
-        def recording(oracle, sel, pack, cfg):
-            start = len(qr_inputs)
-            out = refine(oracle, sel, pack, cfg)
-            rows, cols = oracle.reads[-1]  # the cross is read last
-            attempts.append((qr_inputs[start:], rows, cols,
-                             oracle.array[np.ix_(rows, cols)],
-                             out[0].selection))
-            return out
-
-        monkeypatch.setattr(driver, "srrqr", counting)
-        monkeypatch.setattr(driver, "refine_indices", recording)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # oversampling may shrink
-            adacur_run(seq, cfg)
+        cfg = AdaCurConfig(tol=1e-8, oversample=3, seed=2)
+        attempts = record_refinements(monkeypatch, seq, cfg)
         assert len(attempts) == 5
-        for inputs, rows, cols, g, sel in attempts:
-            assert len(inputs) == 1
-            np.testing.assert_array_equal(inputs[0], g)
+        assert [len(a["new"].extra_rows) for a in attempts] == [3] * 5
+        for at in attempts:
+            a, old, new = at["oracle"].array, at["old"], at["new"]
+            m, n = a.shape
+            unchosen = np.setdiff1d(np.arange(n), old.cols)
+            assert len(at["cpqr"]) == 1 and len(at["srrqr"]) == 1
+            np.testing.assert_array_equal(at["cpqr"][0],
+                                          at["residual"][:, unchosen])
+            (cols,) = at["col_reads"]
+            j1 = cols[old.cols.size:]
+            np.testing.assert_array_equal(cols[:old.cols.size], old.cols)
+            assert j1.size == min(at["residual"].shape[0], unchosen.size)
+            (rows, g), = at["order"]
+            old_rows = old.all_rows
+            np.testing.assert_array_equal(rows, np.concatenate([
+                old_rows, oversample_rows_multi(
+                    lu_row_id(a[:, cols[:m]]), old_rows,
+                    min(j1.size, m - old_rows.size))]))
+            np.testing.assert_array_equal(g, a[np.ix_(rows, cols)])
+            np.testing.assert_array_equal(at["srrqr"][0], g)
             qr = srrqr(g)
-            row_order = rows[lu_pivots(g[:, qr.pivots])]
-            r, p = sel.cols.size, sel.extra_rows.size
-            assert r == eps_rank_from_rdiag(qr.r, driver._rank_tol(cfg, 32))
-            np.testing.assert_array_equal(sel.cols, cols[qr.pivots][:r])
-            np.testing.assert_array_equal(sel.rows, row_order[:r])
-            np.testing.assert_array_equal(sel.extra_rows,
-                                          row_order[r:r + p])
+            r = new.cols.size
+            assert r == eps_rank_from_rdiag(qr.r, driver._rank_tol(cfg, n))
+            np.testing.assert_array_equal(new.cols, cols[qr.pivots][:r])
+            np.testing.assert_array_equal(
+                new.rows, rows[lu_pivots(g[:, qr.pivots])][:r])
+            np.testing.assert_array_equal(
+                new.extra_rows, oversample_rows_multi(
+                    lu_row_id(a[:, new.cols]), new.rows, cfg.oversample))
 
 
 class TestConstantSequence:
@@ -267,6 +350,20 @@ class TestFactorLayout:
             if tr.action in ("MINOR_MOD", "RECOMPUTE") and tr.rank > 0:
                 assert sel.extra_rows.size == p
 
+    @pytest.mark.parametrize("run, cfg", [
+        (adacur_run, AdaCurConfig(tol=1e-6)),
+        (recompute_baseline_run, AdaCurConfig(tol=1e-6)),
+        (fastadacur_run, FastConfig(tol=1e-6, buffer=0)),
+    ], ids=["adacur", "baseline", "fastadacur"])
+    def test_selection_owns_its_indices(self, run, cfg):
+        # with no rows grown a selection holds the pivoting's r pivots;
+        # as views they would keep its m- and n-long LU permutations
+        seq = make_speed_problem(m=600, n=200, r=20, q=2, seed=0)
+        for fac, _ in run(seq, cfg):
+            for idx in (fac.selection.rows, fac.selection.cols):
+                held = idx if idx.base is None else idx.base
+                assert held.size == idx.size > 0
+
     def test_store_factors_off(self):
         seq = constant_rank_sequence(q=4)
         on = adacur_run(seq, AdaCurConfig(tol=1e-6, seed=0))
@@ -302,6 +399,19 @@ class TestAdaptivity:
         ranks = [tr.rank for _, tr in res]
         assert ranks[-1] >= ranks[0]
         assert max(ranks) > min(ranks)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sparse_drift_refines_within_tolerance(self, seed):
+        # sparse noise at 1e-6 grows the rank step by step; refinement
+        # must follow it without a recompute and stay within tol
+        seq = make_speed_problem(m=800, n=200, r=20, q=8, seed=seed,
+                                 delta=1e-6, density=1e-3)
+        cfg = AdaCurConfig(tol=1e-6, err_samples=10, oversample=10,
+                           seed=seed + 1, true_error=True,
+                           store_factors=False)
+        traces = [t for _, t in adacur_run(seq, cfg)]
+        assert traces[-1].h2_cum == 0
+        assert max(t.true_rel_err for t in traces) <= cfg.tol
 
     def test_escalation_swaps_recompute_for_refinement(self):
         # the adversarial block ramp raises the rank by 10 in one step;
@@ -388,15 +498,7 @@ class TestAdaptivity:
 
 
 class TestWarningsNameCaller:
-    """Package warnings point at the caller's line, not inside adacur."""
-
-    def test_shrinking_oversampling(self):
-        seq = make_schrodinger(n=32, q=11, seed=0)
-        cfg = AdaCurConfig(tol=1e-10, oversample=3, seed=0)
-        with pytest.warns(UserWarning, match="shrinking oversampling") as rec:
-            adacur_run(seq, cfg)
-        shrunk = [w for w in rec if "shrinking" in str(w.message)]
-        assert {w.filename for w in shrunk} == {__file__}
+    """Inputs the drivers resolve without a warning."""
 
     @pytest.mark.parametrize("run, cfg", [
         (adacur_run, AdaCurConfig(tol=1e-8, oversample=5)),

@@ -46,6 +46,15 @@ class TestExitCodes:
         assert run_cli("--help") == 0
         assert "--problem" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("args", [
+        ("--problem", "synthetic", "--n", "0", "--steps", "5"),
+        ("--problem", "adversarial", "--steps", "0")],
+        ids=["n", "steps"])
+    def test_zero_size_is_forwarded_and_rejected(self, capsys, args):
+        # a zero is the user's value, not a request for the default
+        assert run_cli(*args) == 2
+        assert "error: need" in capsys.readouterr().err
+
     def test_bad_seed_range(self, capsys):
         assert run_cli("--problem", "synthetic", "--n", "30",
                        "--steps", "5", "--seeds", "5..1") == 2

@@ -423,6 +423,14 @@ class TestSequenceDir:
         np.testing.assert_array_equal(
             seq.oracle(3).col_block(np.arange(3)), mats[10])
 
+    def test_same_step_twice_rejected(self, tmp_path):
+        # step_1 and step_01 both parse to k = 1; neither may drop out
+        self.make_dir(tmp_path, count=2, with_params=False)
+        write_matrix_market(str(tmp_path / "step_01.mtx"), np.eye(6, 5))
+        with pytest.raises(InvalidInput) as info:
+            load_sequence_dir(str(tmp_path))
+        assert str(info.value) == "step_01.mtx and step_1.mtx are both step 1"
+
     def test_params_file_used(self, tmp_path):
         self.make_dir(tmp_path)
         seq = load_sequence_dir(str(tmp_path))

@@ -39,7 +39,7 @@ def run_tracked(run, cfg, mats):
     seq = ParamMatrixSequence(np.arange(len(mats), dtype=float),
                               lambda j: oracles[j], mats[0].shape)
     with warnings.catch_warnings():
-        # clamped sets and shrunk oversampling are expected at these sizes
+        # fastadacur's clamped index sets are expected at these sizes
         warnings.simplefilter("ignore")
         return run(seq, cfg), oracles
 
