@@ -14,9 +14,12 @@ so with U = R[:, J]
 
     G (A - C pinv(U) R) = X - (X[:, J] pinv(U)) R,
 
-which needs X, the row block R and U's truncated SVD only. Scoring
-another selection of the same matrix reuses X: it costs no matvecs
-and reads nothing beyond that selection's row block.
+which needs X and the row block R only. X[:, J] pinv(U) comes from
+:func:`~adacur.linalg.times_pinv`: a pivoted QR of U and a triangular
+inverse when a norm bound on that inverse proves that the truncated
+SVD's drop rule would drop nothing, and that truncated SVD otherwise.
+Scoring another selection of the same matrix reuses X: it costs no
+matvecs and reads nothing beyond that selection's row block.
 """
 
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ from .errors import (InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch,
 # stable_cur_eval is not called here; the name stays because
 # bench/tracing.py installs its wrapper on normest.stable_cur_eval and
 # requires the attribute.
-from .linalg import stable_cur_eval, truncated_svd  # noqa: F401
+from .linalg import stable_cur_eval, times_pinv  # noqa: F401
 from .sketch import GaussianEmbedding, SketchPack, derive_seed, row_sketch
 
 __all__ = ["ErrorEstimate", "estimate_cur_error"]
@@ -47,7 +50,8 @@ def estimate_cur_error(oracle, cols, r, s=5, seed=0, reuse=None):
 
     The CUR approximation is the one ``CURFactors.operator()`` builds:
     C = A[:, cols], U = r[:, cols], and pinv(U) truncated as
-    :func:`~adacur.linalg.truncated_svd` does. C itself is not needed.
+    :func:`~adacur.linalg.truncated_svd` does, applied by
+    :func:`~adacur.linalg.times_pinv`. C itself is not needed.
 
     Parameters
     ----------
@@ -101,10 +105,8 @@ def estimate_cur_error(oracle, cols, r, s=5, seed=0, reuse=None):
     u = r[:, cols]
     if not np.isfinite(u).all():
         raise NonFiniteSnapshot("row block holds non-finite entries")
-    p, sv, vt = truncated_svd(u)
     # X[:, J] pinv(U), (s, i): the residual sketch is X minus it times R
-    coef = ((xs[:, cols] @ vt.T) / sv) @ p.T
-    es = xs - coef @ r
+    es = xs - times_pinv(xs[:, cols], u) @ r
     rel = float(np.linalg.norm(es) / xs_norm)
     if not np.isfinite(rel):
         raise NonFiniteSnapshot("row block holds non-finite entries")

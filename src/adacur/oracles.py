@@ -215,8 +215,25 @@ class SparseOracle(MatrixOracle):
         return self._csr[rows, :][:, cols].toarray()
 
 
+def _ranges(starts, counts):
+    """``range(s, s + c)`` for each pair, concatenated, with each item's pair.
+
+    Returns ``(owner, value)``: item t is ``value[t]``, drawn from pair
+    ``owner[t]``.
+    """
+    owner = np.repeat(np.arange(counts.size), counts)
+    offset = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+    return owner, starts[owner] + offset
+
+
 class LowRankPlusSparseOracle(MatrixOracle):
     """Oracle for ``U @ diag(sigma) @ V.T + S`` that never densifies.
+
+    The sparse term is kept as one canonical CSR matrix (duplicates
+    summed, columns sorted within a row) and the row of each stored
+    entry. A block is the low-rank GEMM with only the stored entries
+    that fall inside it added in place, so a block costs O(nnz) on top
+    of the GEMM, and no dense copy of S's part of it is made.
 
     Parameters
     ----------
@@ -241,16 +258,22 @@ class LowRankPlusSparseOracle(MatrixOracle):
         self.sigma = sigma
         self.v = v
         self._us = u * sigma  # (m, r), premultiplied once
-        self._sparse = self._sparse_term(s)
+        self._set_sparse(s)
 
-    def _sparse_term(self, s):
-        """``s`` as a :class:`SparseOracle`, or None; read via its hooks."""
+    def _set_sparse(self, s):
+        """Keep ``s`` (or None) as canonical CSR, its transpose and rows."""
         if s is None:
-            return None
-        term = SparseOracle(s)
-        if term.shape != self.shape:
+            self._csr = self._csr_t = self._srow = None
+            return
+        if not sp.issparse(s):
+            raise InvalidInput("sparse term must be a scipy sparse matrix")
+        if s.shape != self.shape:
             raise InvalidInput("sparse term shape mismatch")
-        return term
+        csr = s.tocsr(copy=True).astype(float, copy=False)
+        csr.sum_duplicates()
+        self._csr = csr
+        self._csr_t = csr.T  # a view on csr's arrays
+        self._srow = np.repeat(np.arange(self.nrows), np.diff(csr.indptr))
 
     def with_sparse(self, s):
         """Oracle for the same low-rank part plus the sparse term ``s``.
@@ -262,42 +285,61 @@ class LowRankPlusSparseOracle(MatrixOracle):
         """
         new = copy.copy(self)
         new.counters = OracleCounters()
-        new._sparse = self._sparse_term(s)
+        new._set_sparse(s)
         return new
 
     @property
     def nnz(self):
-        return 0 if self._sparse is None else self._sparse.nnz
+        return 0 if self._csr is None else self._csr.nnz
 
     def _matmat(self, x):
         y = self._us @ (self.v.T @ x)
-        if self._sparse is not None:
-            y += self._sparse._matmat(x)
+        if self._csr is not None:
+            y += self._csr @ x
         return y
 
     def _rmatmat(self, x):
         y = self.v @ (self._us.T @ x)
-        if self._sparse is not None:
-            y += self._sparse._rmatmat(x)
+        if self._csr is not None:
+            y += self._csr_t @ x
         return y
 
-    def _rows(self, idx):
-        out = self._us[idx, :] @ self.v.T
-        if self._sparse is not None:
-            out += self._sparse._rows(idx)
+    def _add_sparse(self, out, rows=None, cols=None):
+        """Add ``S[rows][:, cols]`` into ``out`` in place; None is every index.
+
+        Only the stored entries inside the block are touched. Each
+        (row, column) of the block meets at most one of them, as the CSR
+        form is canonical, so the indexed addition never collides, also
+        for repeated indices.
+        """
+        if self._csr is None:
+            return out
+        ptr, data = self._csr.indptr, self._csr.data
+        if rows is None:
+            at_row, k = self._srow, np.arange(data.size)
+        else:
+            at_row, k = _ranges(ptr[rows], ptr[rows + 1] - ptr[rows])
+        at_col = self._csr.indices[k]
+        if cols is not None:
+            # column c sits at argsort(cols)[first[c]:][:hits[c]], and
+            # entry k lands at each of its column's positions
+            hits = np.bincount(cols, minlength=self.ncols)
+            first = np.cumsum(hits) - hits
+            t, slot = _ranges(first[at_col], hits[at_col])
+            at_row, k = at_row[t], k[t]
+            at_col = np.argsort(cols, kind="stable")[slot]
+        out[at_row, at_col] += data[k]
         return out
+
+    def _rows(self, idx):
+        return self._add_sparse(self._us[idx, :] @ self.v.T, rows=idx)
 
     def _cols(self, idx):
-        out = self._us @ self.v[idx, :].T
-        if self._sparse is not None:
-            out += self._sparse._cols(idx)
-        return out
+        return self._add_sparse(self._us @ self.v[idx, :].T, cols=idx)
 
     def _submatrix(self, rows, cols):
-        out = self._us[rows, :] @ self.v[cols, :].T
-        if self._sparse is not None:
-            out += self._sparse._submatrix(rows, cols)
-        return out
+        return self._add_sparse(self._us[rows, :] @ self.v[cols, :].T,
+                                rows, cols)
 
 
 class ParamMatrixSequence:

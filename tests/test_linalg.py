@@ -17,6 +17,8 @@ from adacur.linalg import (
     lu_row_id,
     srrqr,
     stable_cur_eval,
+    times_pinv,
+    truncated_svd,
 )
 
 
@@ -314,3 +316,55 @@ class TestStableCurEval:
         op = stable_cur_eval(a[:, cols], a[np.ix_(rows, cols)], a[rows, :])
         err = np.linalg.norm(a - op.left @ op.right)
         assert err <= 1e-10 * np.linalg.norm(a)
+
+
+def svd_times_pinv(x, u):
+    """``x @ pinv(u)`` through the truncated SVD alone."""
+    p, s, vt = truncated_svd(u)
+    return ((x @ vt.T) / s) @ p.T
+
+
+def core_with_spectrum(rng, i, j, s):
+    """An i-by-j core with singular values s and random singular vectors."""
+    p = np.linalg.qr(rng.standard_normal((i, j)))[0]
+    q = np.linalg.qr(rng.standard_normal((j, j)))[0]
+    return (p * s) @ q.T
+
+
+class TestTimesPinv:
+    def test_well_conditioned_tall_core_takes_qr(self, rng, monkeypatch):
+        u = core_with_spectrum(rng, 102, 92, np.logspace(0, -6, 92))
+        x = rng.standard_normal((10, 92))
+        want = svd_times_pinv(x, u)
+        # the QR path never reaches the SVD
+        monkeypatch.setattr("adacur.linalg.truncated_svd", None)
+        got = times_pinv(x, u)
+        assert got.shape == (10, 102)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_square_core_is_its_inverse(self, rng):
+        u = rng.standard_normal((7, 7)) + 7 * np.eye(7)
+        np.testing.assert_allclose(times_pinv(np.eye(7), u), np.linalg.inv(u),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_value_below_drop_threshold_takes_svd(self, rng):
+        # one singular value at half the cut eps * max(U.shape) * sigma_max
+        i, j = 60, 40
+        s = np.logspace(0, -3, j)
+        s[-1] = 0.5 * np.finfo(float).eps * i
+        u = core_with_spectrum(rng, i, j, s)
+        assert truncated_svd(u)[1].size == j - 1
+        x = rng.standard_normal((5, j))
+        assert times_pinv(x, u).tobytes() == svd_times_pinv(x, u).tobytes()
+
+    def test_wide_core_takes_svd(self, rng):
+        u = rng.standard_normal((6, 9))
+        x = rng.standard_normal((4, 9))
+        assert times_pinv(x, u).tobytes() == svd_times_pinv(x, u).tobytes()
+
+    @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 0), (0, 4)])
+    def test_zero_or_empty_core_gives_zero(self, rng, shape):
+        x = rng.standard_normal((3, shape[1]))
+        got = times_pinv(x, np.zeros(shape))
+        assert got.tobytes() == svd_times_pinv(x, np.zeros(shape)).tobytes()
+        np.testing.assert_array_equal(got, np.zeros((3, shape[0])))

@@ -210,8 +210,7 @@ class TestSpeedProblem:
         orcs = [seq.oracle(j) for j in range(4)]
         for orc in orcs:
             assert orc._us is orcs[0]._us
-            s = None if orc._sparse is None else orc._sparse._csr
-            fresh = LowRankPlusSparseOracle(orc.u, orc.sigma, orc.v, s)
+            fresh = LowRankPlusSparseOracle(orc.u, orc.sigma, orc.v, orc._csr)
             for name, args in [("row_block", (rows,)), ("col_block", (cols,)),
                                ("submatrix", (rows, cols)), ("matmat", (x,)),
                                ("rmatmat", (y,))]:
