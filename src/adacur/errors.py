@@ -41,6 +41,28 @@ def check_int(name, value, low=None):
     return int(value)
 
 
+def check_indices(name, idx, bound=None):
+    """``idx`` as a 1-d intp array, once it holds indices in [0, bound).
+
+    A scalar is one index, and an empty array of any dtype passes.
+    More than one dimension, a non-integer dtype (bools included) or a
+    negative index raises :class:`InvalidInput` naming ``name``, as does
+    an index at or above ``bound`` when one is given.
+    """
+    idx = np.atleast_1d(np.asarray(idx))
+    if idx.ndim > 1:
+        raise InvalidInput(f"{name} must be 1-d, got shape {idx.shape}")
+    if idx.size == 0:
+        return idx.astype(np.intp)
+    if idx.dtype.kind not in "iu":
+        raise InvalidInput(f"{name} must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.intp)
+    if idx.min() < 0 or (bound is not None and idx.max() >= bound):
+        span = "[0, inf)" if bound is None else f"[0, {bound})"
+        raise InvalidInput(f"{name} out of range {span}")
+    return idx
+
+
 class NonConvergence(RuntimeError):
     """An iteration exceeded its safeguard limit."""
 

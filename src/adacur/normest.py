@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch,
-                     check_int)
+                     check_indices, check_int)
 # stable_cur_eval is not called here; the name stays because
 # bench/tracing.py installs its wrapper on normest.stable_cur_eval and
 # requires the attribute.
@@ -57,7 +57,7 @@ def estimate_cur_error(oracle, cols, r, s=5, seed=0, reuse=None):
     ----------
     oracle : MatrixOracle
     cols : ndarray of int
-        Selected column indices J.
+        Selected column indices J, 1-d and in [0, n).
     r : ndarray
         Row block A[rows, :] of the selection, shape (i, n), extra rows
         included.
@@ -76,6 +76,8 @@ def estimate_cur_error(oracle, cols, r, s=5, seed=0, reuse=None):
 
     Raises
     ------
+    InvalidInput
+        If ``cols`` is not a 1-d array of integer indices in [0, n).
     ZeroMatrixSketch
         If the matrix sketch is identically zero, which leaves the
         relative error undefined.
@@ -85,6 +87,7 @@ def estimate_cur_error(oracle, cols, r, s=5, seed=0, reuse=None):
         sketch non-finite, so this also catches those outside R.
     """
     m = oracle.nrows
+    cols = check_indices("cols", cols, oracle.ncols)
     if reuse is not None:
         emb = reuse.embedding
         if emb.dim != m:

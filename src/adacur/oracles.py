@@ -4,15 +4,18 @@ Every algorithm in this package touches matrices only through
 :class:`MatrixOracle`, which meters matrix-vector products and entry
 reads. That keeps the cost claims of the adaptive drivers testable:
 an instrumented run reports exactly how much of the matrix was seen.
+
+A sparse matrix is read in one way: :class:`SparseOracle` is the rank-0
+case of :class:`LowRankPlusSparseOracle`, which adds only the stored
+entries inside a block into it.
 """
 
 import copy
-import functools
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidInput
+from .errors import InvalidInput, check_indices, check_int
 
 __all__ = [
     "OracleCounters",
@@ -41,18 +44,6 @@ class OracleCounters:
     def __repr__(self):
         return (f"OracleCounters(matvecs={self.matvecs}, "
                 f"rmatvecs={self.rmatvecs}, entries_read={self.entries_read})")
-
-
-def _index_array(idx, bound, what):
-    idx = np.atleast_1d(np.asarray(idx))
-    if idx.size == 0:
-        return idx.astype(np.intp)
-    if idx.dtype.kind not in "iu":
-        raise InvalidInput(f"{what} indices must be integers")
-    idx = idx.astype(np.intp)
-    if idx.min() < 0 or idx.max() >= bound:
-        raise InvalidInput(f"{what} index out of range [0, {bound})")
-    return idx
 
 
 class MatrixOracle:
@@ -132,20 +123,20 @@ class MatrixOracle:
 
     def row_block(self, idx):
         """Return the dense row block ``A[idx, :]``."""
-        idx = _index_array(idx, self.nrows, "row")
+        idx = check_indices("row indices", idx, self.nrows)
         self.counters.entries_read += idx.size * self.ncols
         return self._rows(idx)
 
     def col_block(self, idx):
         """Return the dense column block ``A[:, idx]``."""
-        idx = _index_array(idx, self.ncols, "column")
+        idx = check_indices("column indices", idx, self.ncols)
         self.counters.entries_read += idx.size * self.nrows
         return self._cols(idx)
 
     def submatrix(self, rows, cols):
         """Return the dense submatrix ``A[np.ix_(rows, cols)]``."""
-        rows = _index_array(rows, self.nrows, "row")
-        cols = _index_array(cols, self.ncols, "column")
+        rows = check_indices("row indices", rows, self.nrows)
+        cols = check_indices("column indices", cols, self.ncols)
         self.counters.entries_read += rows.size * cols.size
         return self._submatrix(rows, cols)
 
@@ -176,45 +167,6 @@ class DenseOracle(MatrixOracle):
         return self.array[np.ix_(rows, cols)]
 
 
-class SparseOracle(MatrixOracle):
-    """Oracle over a scipy sparse matrix; blocks densify on extraction."""
-
-    def __init__(self, s):
-        if not sp.issparse(s):
-            raise InvalidInput("SparseOracle expects a scipy sparse matrix")
-        super().__init__(s.shape)
-        self._csr = s.tocsr().astype(float)
-        self._csc = self._csr.tocsc()
-
-    @functools.cached_property
-    def _csc_t(self):
-        """``A.T`` as a view on ``_csc``'s arrays, built on first use.
-
-        scipy's checks on building it cost more than a small product,
-        and many oracles never take one.
-        """
-        return self._csc.T
-
-    @property
-    def nnz(self):
-        return self._csr.nnz
-
-    def _matmat(self, x):
-        return self._csr @ x
-
-    def _rmatmat(self, x):
-        return self._csc_t @ x
-
-    def _rows(self, idx):
-        return self._csr[idx, :].toarray()
-
-    def _cols(self, idx):
-        return self._csc[:, idx].toarray()
-
-    def _submatrix(self, rows, cols):
-        return self._csr[rows, :][:, cols].toarray()
-
-
 def _ranges(starts, counts):
     """``range(s, s + c)`` for each pair, concatenated, with each item's pair.
 
@@ -230,19 +182,23 @@ class LowRankPlusSparseOracle(MatrixOracle):
     """Oracle for ``U @ diag(sigma) @ V.T + S`` that never densifies.
 
     The sparse term is kept as one canonical CSR matrix (duplicates
-    summed, columns sorted within a row) and the row of each stored
-    entry. A block is the low-rank GEMM with only the stored entries
-    that fall inside it added in place, so a block costs O(nnz) on top
-    of the GEMM, and no dense copy of S's part of it is made.
+    summed, columns sorted within a row) and that matrix's CSC copy,
+    both built once. A block is the low-rank GEMM with only the stored
+    entries that fall inside it added in place: a row or submatrix read
+    walks the requested rows of the CSR form, a column read the
+    requested columns of the CSC form. So a block costs the GEMM plus
+    the stored entries of the rows or columns it names, and no dense
+    copy of S's part of it is made.
 
     Parameters
     ----------
     u, v : ndarray
-        Factor matrices of shape (m, r) and (n, r).
+        Factor matrices of shape (m, r) and (n, r); r may be 0.
     sigma : ndarray
         The r factor weights.
     s : sparse matrix or None
-        Optional sparse perturbation of shape (m, n).
+        Optional sparse perturbation of shape (m, n); None is an empty
+        one.
     """
 
     def __init__(self, u, sigma, v, s=None):
@@ -261,10 +217,9 @@ class LowRankPlusSparseOracle(MatrixOracle):
         self._set_sparse(s)
 
     def _set_sparse(self, s):
-        """Keep ``s`` (or None) as canonical CSR, its transpose and rows."""
+        """Keep ``s`` (None is empty) as canonical CSR and its CSC copy."""
         if s is None:
-            self._csr = self._csr_t = self._srow = None
-            return
+            s = sp.csr_matrix(self.shape)
         if not sp.issparse(s):
             raise InvalidInput("sparse term must be a scipy sparse matrix")
         if s.shape != self.shape:
@@ -272,8 +227,8 @@ class LowRankPlusSparseOracle(MatrixOracle):
         csr = s.tocsr(copy=True).astype(float, copy=False)
         csr.sum_duplicates()
         self._csr = csr
-        self._csr_t = csr.T  # a view on csr's arrays
-        self._srow = np.repeat(np.arange(self.nrows), np.diff(csr.indptr))
+        self._csc = csr.tocsc()
+        self._csc_t = self._csc.T  # A.T as a CSR view on _csc's arrays
 
     def with_sparse(self, s):
         """Oracle for the same low-rank part plus the sparse term ``s``.
@@ -290,35 +245,29 @@ class LowRankPlusSparseOracle(MatrixOracle):
 
     @property
     def nnz(self):
-        return 0 if self._csr is None else self._csr.nnz
+        """Stored entries of the sparse term, after duplicates are summed."""
+        return self._csr.nnz
 
     def _matmat(self, x):
         y = self._us @ (self.v.T @ x)
-        if self._csr is not None:
-            y += self._csr @ x
+        y += self._csr @ x
         return y
 
     def _rmatmat(self, x):
         y = self.v @ (self._us.T @ x)
-        if self._csr is not None:
-            y += self._csr_t @ x
+        y += self._csc_t @ x
         return y
 
-    def _add_sparse(self, out, rows=None, cols=None):
-        """Add ``S[rows][:, cols]`` into ``out`` in place; None is every index.
+    def _add_sparse(self, out, rows, cols=None):
+        """Add ``S[rows][:, cols]`` into ``out`` in place; None is every column.
 
-        Only the stored entries inside the block are touched. Each
+        Only the stored entries of the requested rows are walked. Each
         (row, column) of the block meets at most one of them, as the CSR
         form is canonical, so the indexed addition never collides, also
         for repeated indices.
         """
-        if self._csr is None:
-            return out
-        ptr, data = self._csr.indptr, self._csr.data
-        if rows is None:
-            at_row, k = self._srow, np.arange(data.size)
-        else:
-            at_row, k = _ranges(ptr[rows], ptr[rows + 1] - ptr[rows])
+        ptr = self._csr.indptr
+        at_row, k = _ranges(ptr[rows], ptr[rows + 1] - ptr[rows])
         at_col = self._csr.indices[k]
         if cols is not None:
             # column c sits at argsort(cols)[first[c]:][:hits[c]], and
@@ -328,18 +277,38 @@ class LowRankPlusSparseOracle(MatrixOracle):
             t, slot = _ranges(first[at_col], hits[at_col])
             at_row, k = at_row[t], k[t]
             at_col = np.argsort(cols, kind="stable")[slot]
-        out[at_row, at_col] += data[k]
+        out[at_row, at_col] += self._csr.data[k]
         return out
 
     def _rows(self, idx):
-        return self._add_sparse(self._us[idx, :] @ self.v.T, rows=idx)
+        return self._add_sparse(self._us[idx, :] @ self.v.T, idx)
 
     def _cols(self, idx):
-        return self._add_sparse(self._us @ self.v[idx, :].T, cols=idx)
+        # the CSC twin of _add_sparse's row walk
+        out = self._us @ self.v[idx, :].T
+        ptr = self._csc.indptr
+        at_col, k = _ranges(ptr[idx], ptr[idx + 1] - ptr[idx])
+        out[self._csc.indices[k], at_col] += self._csc.data[k]
+        return out
 
     def _submatrix(self, rows, cols):
         return self._add_sparse(self._us[rows, :] @ self.v[cols, :].T,
                                 rows, cols)
+
+
+class SparseOracle(LowRankPlusSparseOracle):
+    """Oracle over a scipy sparse matrix: the rank-0 low-rank-plus-sparse case.
+
+    Blocks come out dense, with only the stored entries inside them
+    written, and products go through the sparse forms; ``nnz`` counts
+    the stored entries after duplicates are summed.
+    """
+
+    def __init__(self, s):
+        if not sp.issparse(s):
+            raise InvalidInput("SparseOracle expects a scipy sparse matrix")
+        m, n = s.shape
+        super().__init__(np.empty((m, 0)), np.empty(0), np.empty((n, 0)), s)
 
 
 class ParamMatrixSequence:
@@ -352,7 +321,8 @@ class ParamMatrixSequence:
     provider : callable
         Maps a step index j to a fresh :class:`MatrixOracle` for A(t_j).
     shape : tuple
-        Common (m, n) of every matrix in the sequence.
+        Common (m, n) of every matrix in the sequence, two positive
+        integers.
     cache_oracles : bool
         Keep constructed oracles (and their counters) for re-inspection.
         Disable for sequences too large to hold in memory at once.
@@ -367,9 +337,12 @@ class ParamMatrixSequence:
             raise InvalidInput(f"params[{bad[0]}] is not finite")
         if params.size > 1 and not np.all(np.diff(params) > 0):
             raise InvalidInput("params must be strictly increasing")
+        if np.shape(shape) != (2,):
+            raise InvalidInput(f"shape must be a pair (m, n), got {shape!r}")
         self.params = params
         self.provider = provider
-        self.shape = (int(shape[0]), int(shape[1]))
+        self.shape = (check_int("shape[0]", shape[0], 1),
+                      check_int("shape[1]", shape[1], 1))
         self.cache_oracles = cache_oracles
         self._cache = {}
 

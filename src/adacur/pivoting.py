@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, check_int
+from .errors import InvalidInput, check_indices, check_int
 # cpqr is no longer called here; the name stays because bench/tracing.py
 # installs its cpqr wrapper on pivoting.cpqr and requires the attribute.
 from .linalg import cpqr, lu_pivots, lu_row_id  # noqa: F401
@@ -23,10 +23,6 @@ from .rankest import estimate_rank
 from .sketch import GaussianEmbedding, derive_seed, row_sketch
 
 __all__ = ["IndexSelection", "rand_pivot", "rand_pivot_rankest"]
-
-
-def _as_index(arr):
-    return np.asarray(arr, dtype=np.intp).reshape(-1)
 
 
 @dataclass
@@ -43,9 +39,9 @@ class IndexSelection:
     extra_rows: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
 
     def __post_init__(self):
-        self.rows = _as_index(self.rows)
-        self.cols = _as_index(self.cols)
-        self.extra_rows = _as_index(self.extra_rows)
+        self.rows = check_indices("rows", self.rows)
+        self.cols = check_indices("cols", self.cols)
+        self.extra_rows = check_indices("extra_rows", self.extra_rows)
         for name, idx in (("rows", self.rows), ("cols", self.cols),
                           ("extra_rows", self.extra_rows)):
             if idx.size and np.unique(idx).size != idx.size:

@@ -86,9 +86,8 @@ def make_synthetic_expm(n=200, q=101, seed=0):
     The skew exponentials are evaluated through one real Schur
     factorization per W and closed-form 2x2 rotation blocks per t.
     """
-    if n < 2 or q < 1:
-        raise InvalidInput("need n >= 2 and q >= 1")
-    rng = np.random.default_rng(derive_seed(seed, 0x5E17))
+    n, q = check_int("n", n, 2), check_int("q", q, 1)
+    rng = np.random.default_rng(derive_seed(check_int("seed", seed), 0x5E17))
     g1 = rng.standard_normal((n, n))
     g2 = rng.standard_normal((n, n))
     z1, pairs1 = _skew_schur(0.5 * (g1 - g1.T))
@@ -130,9 +129,10 @@ def make_schrodinger(n=128, q=101, seed=0, t_end=0.1, zero_potential=False):
     ``zero_potential=True`` drops the V term, for which the flow has
     the closed form ``expm(t D / 2) A0 expm(t D / 2)`` used by tests.
     """
-    if n < 2 or q < 2:
-        raise InvalidInput("need n >= 2 and q >= 2")
-    rng = np.random.default_rng(derive_seed(seed, 0x5C40))
+    n, q = check_int("n", n, 2), check_int("q", q, 2)
+    if not 0.0 < t_end < np.inf:
+        raise InvalidInput(f"t_end must be finite and positive, got {t_end!r}")
+    rng = np.random.default_rng(derive_seed(check_int("seed", seed), 0x5C40))
     sig0 = np.power(10.0, -np.arange(1, n + 1, dtype=float))
     a0 = (_haar(n, rng) * sig0[None, :]) @ _haar(n, rng).T
     d_mat = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
@@ -202,9 +202,8 @@ def make_adversarial(seed=0, q=101):
     algorithm that never looks outside its index set cannot notice the
     switch, while error-estimating algorithms track it.
     """
-    if q < 2:
-        raise InvalidInput("need q >= 2")
-    rng = np.random.default_rng(derive_seed(seed, 0xADE2))
+    q = check_int("q", q, 2)
+    rng = np.random.default_rng(derive_seed(check_int("seed", seed), 0xADE2))
     a1 = rng.standard_normal((100, 20))
     a2 = rng.standard_normal((200, 10))
     params = np.linspace(0.0, 100.0, q)
@@ -236,8 +235,14 @@ def make_speed_problem(m=5000, n=1000, r=100, q=51, seed=0,
     sequential access. The sequence does not cache oracles (a full
     cache of cumulative sparse terms would be quadratic in q).
     """
+    m, n, r = check_int("m", m, 1), check_int("n", n, 1), check_int("r", r, 1)
+    q, seed = check_int("q", q, 1), check_int("seed", seed)
     if min(m, n) <= r:
         raise InvalidInput("need r < min(m, n)")
+    if not 0.0 < density <= 1.0:
+        raise InvalidInput(f"density must lie in (0, 1], got {density!r}")
+    if not np.isfinite(delta):
+        raise InvalidInput(f"delta must be finite, got {delta!r}")
     rng = np.random.default_rng(derive_seed(seed, 0x59EE))
     u = np.linalg.qr(rng.standard_normal((m, r)))[0]
     v = np.linalg.qr(rng.standard_normal((n, r)))[0]

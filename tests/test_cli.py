@@ -46,14 +46,16 @@ class TestExitCodes:
         assert run_cli("--help") == 0
         assert "--problem" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("args", [
-        ("--problem", "synthetic", "--n", "0", "--steps", "5"),
-        ("--problem", "adversarial", "--steps", "0")],
+    @pytest.mark.parametrize("args, message", [
+        (("--problem", "synthetic", "--n", "0", "--steps", "5"),
+         "error: n must be an integer >= 2, got 0"),
+        (("--problem", "adversarial", "--steps", "0"),
+         "error: q must be an integer >= 2, got 0")],
         ids=["n", "steps"])
-    def test_zero_size_is_forwarded_and_rejected(self, capsys, args):
+    def test_zero_size_is_forwarded_and_rejected(self, capsys, args, message):
         # a zero is the user's value, not a request for the default
         assert run_cli(*args) == 2
-        assert "error: need" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_bad_seed_range(self, capsys):
         assert run_cli("--problem", "synthetic", "--n", "30",

@@ -64,6 +64,14 @@ class TestEstimateCurError:
         with pytest.raises(InvalidInput, match="s must be"):
             estimate(a, sel, s=s)
 
+    @pytest.mark.parametrize("cols", [[-1], [20], [1.5], [True],
+                                      [[1, 2]], np.array([[3]])])
+    def test_bad_cols_rejected(self, rng, cols):
+        # [-1] would otherwise score the selection [19] of this matrix
+        a = rng.standard_normal((30, 20))
+        with pytest.raises(InvalidInput, match="cols"):
+            estimate_cur_error(DenseOracle(a), cols, a[:3, :], s=5, seed=0)
+
     def test_numpy_sketch_size_accepted(self, rng):
         a = rng.standard_normal((30, 20))
         sel = IndexSelection(np.arange(3), np.arange(3),

@@ -33,19 +33,32 @@ class TestIndexSelection:
         assert not sel.is_empty
 
     @settings(max_examples=100, deadline=None)
-    @given(rows=st.lists(st.integers(0, 30), max_size=8),
-           cols=st.lists(st.integers(0, 30), max_size=8),
-           extra=st.lists(st.integers(0, 30), max_size=8))
+    @given(rows=st.lists(st.integers(-3, 30), max_size=8),
+           cols=st.lists(st.integers(-3, 30), max_size=8),
+           extra=st.lists(st.integers(-3, 30), max_size=8))
     def test_accepts_exactly_the_valid_selections(self, rows, cols, extra):
         valid = (len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
                  and len(set(extra)) == len(extra)
-                 and not set(rows) & set(extra))
+                 and not set(rows) & set(extra)
+                 and min(rows + cols + extra, default=0) >= 0)
         if valid:
             sel = IndexSelection(rows, cols, extra)
             assert list(sel.all_rows) == rows + extra
         else:
             with pytest.raises(InvalidInput):
                 IndexSelection(rows, cols, extra)
+
+    @pytest.mark.parametrize("bad", [[1.5], [True], [-1], [[1, 2]],
+                                     np.array([2.0, 3.0])])
+    @pytest.mark.parametrize("field", ["rows", "cols", "extra_rows"])
+    def test_non_index_arrays_rejected(self, bad, field):
+        args = {"rows": [5], "cols": [5], "extra_rows": [6], field: bad}
+        with pytest.raises(InvalidInput, match=field):
+            IndexSelection(**args)
+
+    def test_empty_of_any_dtype_accepted(self):
+        sel = IndexSelection([], np.empty(0), np.empty(0, dtype=bool))
+        assert sel.is_empty and sel.extra_rows.dtype == np.intp
 
 
 class TestRandPivot:

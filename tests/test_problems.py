@@ -7,7 +7,8 @@ import scipy.sparse as sp
 
 from adacur.errors import InvalidInput
 from adacur.linalg import LowRankOperator
-from adacur.oracles import DenseOracle, LowRankPlusSparseOracle
+from adacur.oracles import (DenseOracle, LowRankPlusSparseOracle,
+                            ParamMatrixSequence)
 from adacur.problems import (
     make_adversarial,
     make_schrodinger,
@@ -260,3 +261,39 @@ class TestTrueRelativeError:
         op = LowRankOperator(np.zeros((12, 1)), np.zeros((1, 8)))
         orc = DenseOracle(rng.standard_normal((12, 8)))
         assert true_relative_error(orc, op, block_rows=np.int64(5)) == 1.0
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("make, kwargs, name", [
+        (make_speed_problem, {"m": 600.0}, "m"),
+        (make_speed_problem, {"n": True}, "n"),
+        (make_speed_problem, {"r": 0}, "r"),
+        (make_speed_problem, {"q": 2.0}, "q"),
+        (make_speed_problem, {"seed": 0.5}, "seed"),
+        (make_speed_problem, {"density": 2.0}, "density"),
+        (make_speed_problem, {"density": -1.0}, "density"),
+        (make_speed_problem, {"density": 0.0}, "density"),
+        (make_speed_problem, {"density": np.nan}, "density"),
+        (make_speed_problem, {"delta": np.nan}, "delta"),
+        (make_speed_problem, {"delta": np.inf}, "delta"),
+        (make_synthetic_expm, {"n": 10.0}, "n"),
+        (make_synthetic_expm, {"q": 0}, "q"),
+        (make_schrodinger, {"n": 8.0}, "n"),
+        (make_schrodinger, {"q": 1}, "q"),
+        (make_schrodinger, {"t_end": -1.0}, "t_end"),
+        (make_schrodinger, {"t_end": 0.0}, "t_end"),
+        (make_schrodinger, {"t_end": np.inf}, "t_end"),
+        (make_schrodinger, {"t_end": np.nan}, "t_end"),
+        (make_adversarial, {"q": 2.5}, "q"),
+        (make_adversarial, {"seed": "0"}, "seed"),
+    ])
+    def test_rejected_at_the_boundary(self, make, kwargs, name):
+        with pytest.raises(InvalidInput, match=f"^{name} "):
+            make(**kwargs)
+
+    @pytest.mark.parametrize("shape", [(30,), (30, 40, 1), 30, (0, 4),
+                                       (3.0, 4), (3, True)])
+    def test_bad_sequence_shape_rejected(self, shape):
+        with pytest.raises(InvalidInput, match=r"^shape\b"):
+            ParamMatrixSequence([0.0], lambda j: DenseOracle(np.eye(3)),
+                                shape)
