@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch,
-                     check_int)
+from .errors import InvalidInput, ZeroMatrixSketch, check_int
 from .linalg import (cpqr, eps_rank_from_rdiag, lu_pivots, lu_row_id, srrqr,
                      stable_cur_eval)
 from .normest import estimate_cur_error
@@ -230,9 +229,9 @@ def _track(seq, cfg, step):
     (MINOR_MOD, TRUNCATE) and h2 (RECOMPUTE, EXPAND) from step 2 on,
     records exact errors when ``cfg.true_error`` asks for them, drops
     the factor arrays unless ``cfg.store_factors`` keeps them, and
-    attaches the traces made so far to any escaping exception as
-    ``partial_trace``; a :class:`NonFiniteSnapshot` also gets the index
-    of the step that raised it.
+    attaches to any escaping exception the traces made so far as
+    ``partial_trace`` and, unless it already names one, the index of
+    the step that raised it as ``step``.
     """
     if len(seq) == 0:
         raise InvalidInput("sequence is empty")
@@ -263,7 +262,7 @@ def _track(seq, cfg, step):
                 fac = CURFactors(None, None, None, fac.selection)
             results.append((fac, trace))
     except Exception as exc:
-        if isinstance(exc, NonFiniteSnapshot) and exc.step is None:
+        if getattr(exc, "step", None) is None:
             exc.step = j
         exc.partial_trace = [tr for _, tr in results]
         raise

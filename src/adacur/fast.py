@@ -33,6 +33,9 @@ class FastConfig:
 
     ``buffer`` is the number of extra columns (and rows) tracked beyond
     the current rank; it bounds how much the rank can grow per step.
+    The columns are refilled to it whenever the rank grows; the rows
+    may run down to half of it (rounded up) beyond the oversampling
+    before they are refilled, but never below the columns.
     ``oversample`` adds rows beyond that for factor quality. The rank
     tolerance is 0.5 * tol / sqrt(n) against the core's R-factor
     diagonal. ``store_factors`` off skips factor extraction entirely;
@@ -66,13 +69,18 @@ def fastadacur_run(seq, cfg):
     :func:`driver._order_cross` orders a cross: sRRQR for the columns
     and the rank r0, LUPP for the rows. The action is TRUNCATE when the
     revealed rank did not grow and EXPAND when it did. Whenever the rank
-    grows, RECOMPUTE and EXPAND alike, the sets are replenished to
-    r0+buffer columns and r0+buffer+oversample rows: rows by
-    oversampling on the row ID of C = A[:, cols], columns on the row ID
-    of R's rows transposed. In the trace, h1 accumulates TRUNCATE and h2
-    EXPAND and RECOMPUTE actions from step 2 on; est_rel_err is always
-    None. A non-finite entry in a block the step reads (the core, C or
-    R) raises :class:`NonFiniteSnapshot`; one elsewhere goes unseen.
+    grows, RECOMPUTE and EXPAND alike, the columns are replenished to
+    r0+buffer by oversampling on the row ID of R's rows transposed. The
+    rows are replenished to r0+buffer+oversample, by oversampling on the
+    row ID of C = A[:, cols], at every RECOMPUTE and at an EXPAND whose
+    rows hold fewer than ceil(buffer/2) beyond r0+oversample or fewer
+    than r0+buffer in all. So the row buffer may run down to half
+    before it is refilled, and an EXPAND that keeps its rows reads no C
+    unless the factors need it. In the trace, h1 accumulates TRUNCATE
+    and h2 EXPAND and RECOMPUTE actions from step 2 on; est_rel_err is
+    always None. A non-finite entry in a block the step reads (the
+    core, C or R) raises :class:`NonFiniteSnapshot`; one elsewhere goes
+    unseen.
     """
     b, p = cfg.buffer, cfg.oversample
     i_idx = j_idx = np.array([], dtype=np.intp)
@@ -100,9 +108,14 @@ def fastadacur_run(seq, cfg):
                 if r0 + b + p > m or r0 + b > n:
                     warn_caller("tracked index sets clamped to the matrix "
                                 "dimensions")
-                cblk = _finite(oracle.col_block(j_idx[:r0]), "column block")
+                # the rows are refilled, through C, only once half the
+                # row buffer beyond r0 + p is spent or they would no
+                # longer cover the r0 + b columns; until then no C read
+                if i_idx.size - r0 < max(b, p + (b + 1) // 2):
+                    cblk = _finite(oracle.col_block(j_idx[:r0]),
+                                   "column block")
             need_rows = min(r0 + b + p, m) - i_idx.size
-            if need_rows > 0:
+            if need_rows > 0 and cblk is not None:
                 if row_id is None:
                     row_id = lu_row_id(cblk)
                 i_idx = _grow(i_idx, row_id, need_rows)

@@ -234,13 +234,16 @@ class LowRankPlusSparseOracle(MatrixOracle):
         """Oracle for the same low-rank part plus the sparse term ``s``.
 
         The new oracle shares this one's factors and their premultiplied
-        product, so building it costs only the sparse term's conversion;
-        it has its own counters. Blocks and products are bitwise equal
-        to those of ``LowRankPlusSparseOracle(u, sigma, v, s)``.
+        product, so building it costs only the sparse term's conversion,
+        and nothing when ``s`` is None and this oracle has no term
+        either; it has its own counters. Blocks and products are bitwise
+        equal to those of ``LowRankPlusSparseOracle(u, sigma, v, s)``,
+        and an empty term costs no product.
         """
         new = copy.copy(self)
         new.counters = OracleCounters()
-        new._set_sparse(s)
+        if s is not None or self.nnz:
+            new._set_sparse(s)
         return new
 
     @property
@@ -250,12 +253,14 @@ class LowRankPlusSparseOracle(MatrixOracle):
 
     def _matmat(self, x):
         y = self._us @ (self.v.T @ x)
-        y += self._csr @ x
+        if self.nnz:
+            y += self._csr @ x
         return y
 
     def _rmatmat(self, x):
         y = self.v @ (self._us.T @ x)
-        y += self._csc_t @ x
+        if self.nnz:
+            y += self._csc_t @ x
         return y
 
     def _add_sparse(self, out, rows, cols=None):
@@ -357,6 +362,10 @@ class ParamMatrixSequence:
         if self.cache_oracles and j in self._cache:
             return self._cache[j]
         orc = self.provider(j)
+        if not isinstance(orc, MatrixOracle):
+            raise InvalidInput(
+                f"provider returned {type(orc).__name__} at step {j}, "
+                f"expected a MatrixOracle")
         if orc.shape != self.shape:
             raise InvalidInput(
                 f"provider returned shape {orc.shape} at step {j}, "

@@ -594,6 +594,28 @@ class TestBookkeeping:
         assert str(info.value).startswith("step 3: ")
         assert [t.step for t in info.value.partial_trace] == [0, 1, 2]
 
+    @pytest.mark.parametrize("fault", ["shape", "array"])
+    @pytest.mark.parametrize("driver_name",
+                             ["adacur", "baseline", "fastadacur"])
+    def test_provider_fault_names_step(self, driver_name, fault):
+        # a bad provider result is an InvalidInput at the sequence
+        # boundary; the step loop puts its step on the exception too
+        a = constant_rank_sequence().oracle(0).array
+        bad = DenseOracle(a[:, 1:]) if fault == "shape" else a
+        seq = ParamMatrixSequence(
+            np.arange(4.0), lambda j: bad if j == 2 else DenseOracle(a),
+            a.shape)
+        run, cfg = {
+            "adacur": (adacur_run, AdaCurConfig(tol=1e-6, seed=0)),
+            "baseline": (recompute_baseline_run,
+                         AdaCurConfig(tol=1e-6, seed=0)),
+            "fastadacur": (fastadacur_run, FastConfig(tol=1e-6, seed=0)),
+        }[driver_name]
+        with pytest.raises(InvalidInput, match="at step 2") as info:
+            run(seq, cfg)
+        assert info.value.step == 2
+        assert [t.step for t in info.value.partial_trace] == [0, 1]
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(InvalidInput):
             ParamMatrixSequence([], lambda j: None, (3, 3))

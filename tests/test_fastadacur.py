@@ -287,15 +287,112 @@ class TestFactors:
 
 
 class RecordingOracle(DenseOracle):
-    """Dense oracle that records the index sets of its submatrix reads."""
+    """Dense oracle that records the index sets of its reads.
+
+    ``reads`` holds the (rows, cols) of each submatrix read and
+    ``blocks`` the (method name, indices) of each row or column block.
+    """
 
     def __init__(self, a):
         super().__init__(a)
         self.reads = []
+        self.blocks = []
 
     def submatrix(self, rows, cols):
         self.reads.append((np.asarray(rows), np.asarray(cols)))
         return super().submatrix(rows, cols)
+
+    def row_block(self, idx):
+        self.blocks.append(("row_block", np.asarray(idx)))
+        return super().row_block(idx)
+
+    def col_block(self, idx):
+        self.blocks.append(("col_block", np.asarray(idx)))
+        return super().col_block(idx)
+
+
+class TestExpandRefill:
+    """An EXPAND refills its rows only once half the row buffer is spent.
+
+    Ranks 3, 4, 5, 6, 6 at buffer 4 and oversample 2: step 0 tracks
+    3 + 4 + 2 = 9 rows, which leave 3 and then 2 spare rows beyond
+    r0 + p on the EXPANDs to ranks 4 and 5, and 1 on the one to rank 6.
+    """
+
+    B, P, M, N = 4, 2, 60, 40
+
+    def kept(self, rows, r0, p):
+        """Whether an EXPAND to rank r0 may keep ``rows`` at oversample p."""
+        return (rows.size - (r0 + p) >= (self.B + 1) // 2
+                and rows.size >= r0 + self.B)
+
+    def run(self, p=P):
+        rng = np.random.default_rng(0)
+        u = rng.standard_normal((self.M, 6))
+        v = rng.standard_normal((self.N, 6))
+        mats = [u[:, :k] @ v[:, :k].T for k in (3, 4, 5, 6, 6)]
+        seq = ParamMatrixSequence(np.arange(5.0),
+                                  lambda j: RecordingOracle(mats[j]),
+                                  (self.M, self.N))
+        res = fastadacur_run(seq, FastConfig(
+            tol=1e-8, buffer=self.B, oversample=p, seed=0,
+            store_factors=False))
+        traces = [t for _, t in res]
+        assert [t.rank for t in traces] == [3, 4, 5, 6, 6]
+        assert [t.action for t in traces] == \
+            ["RECOMPUTE"] + ["EXPAND"] * 3 + ["TRUNCATE"]
+        return seq, mats, traces
+
+    def ordered_core_rows(self, seq, mats, j):
+        """Step j's core rows in the order its cross ordering gives them."""
+        rows, cols = seq.oracle(j).reads[0]
+        core = mats[j][np.ix_(rows, cols)]
+        return rows[lu_pivots(core[:, srrqr(core).pivots])], rows, cols
+
+    @pytest.mark.parametrize("j", [1, 2])
+    def test_spare_rows_kept_without_column_read(self, j):
+        seq, mats, traces = self.run()
+        orc, r0 = seq.oracle(j), traces[j].rank
+        lead, rows, cols = self.ordered_core_rows(seq, mats, j)
+        assert self.kept(rows, r0, self.P)
+        # R alone is read: no C, so no tall row ID and no row growth
+        assert [name for name, _ in orc.blocks] == ["row_block"]
+        np.testing.assert_array_equal(orc.blocks[0][1], lead[:r0 + self.P])
+        assert traces[j].entries_read == \
+            rows.size * cols.size + (r0 + self.P) * self.N
+        # the next core reads the same rows, in this step's order, and
+        # the columns refilled to r0 + b
+        next_rows, next_cols = seq.oracle(j + 1).reads[0]
+        np.testing.assert_array_equal(next_rows, lead)
+        assert next_cols.size == r0 + self.B
+
+    def test_few_spare_rows_refill_through_c(self):
+        seq, mats, traces = self.run()
+        orc, r0 = seq.oracle(3), traces[3].rank
+        lead, rows, cols = self.ordered_core_rows(seq, mats, 3)
+        assert not self.kept(rows, r0, self.P)
+        assert [name for name, _ in orc.blocks] == ["col_block", "row_block"]
+        core = mats[3][np.ix_(rows, cols)]
+        np.testing.assert_array_equal(
+            orc.blocks[0][1], cols[srrqr(core).pivots][:r0])
+        assert traces[3].entries_read == rows.size * cols.size + \
+            self.M * r0 + (r0 + self.P) * self.N
+        next_rows, next_cols = seq.oracle(4).reads[0]
+        assert next_rows.size == r0 + self.B + self.P
+        np.testing.assert_array_equal(next_rows[:lead.size], lead)
+        assert next_cols.size == r0 + self.B
+
+    def test_rows_never_kept_below_the_columns(self):
+        # without oversampling the spare rows would leave the next core
+        # wider than tall, so every EXPAND refills the rows through C
+        seq, mats, traces = self.run(p=0)
+        for j in (1, 2, 3):
+            rows, _ = seq.oracle(j).reads[0]
+            assert not self.kept(rows, traces[j].rank, 0)
+            assert [name for name, _ in seq.oracle(j).blocks] == \
+                ["col_block", "row_block"]
+            assert seq.oracle(j + 1).reads[0][0].size == \
+                traces[j].rank + self.B
 
 
 class TestCoreFactorization:

@@ -522,6 +522,13 @@ class TestParamMatrixSequence:
             ParamMatrixSequence([0.0, 0.0], lambda j: DenseOracle(np.eye(2)),
                                 (2, 2))
 
+    def test_provider_returning_non_oracle_rejected(self):
+        # an array has the right shape but no counters; it fails at the
+        # sequence boundary, naming the step
+        seq = ParamMatrixSequence([0.0, 1.0], lambda j: np.eye(2), (2, 2))
+        with pytest.raises(InvalidInput, match="ndarray at step 1"):
+            seq.oracle(1)
+
 
 class TestTraceCsv:
     def traces(self):

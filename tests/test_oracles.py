@@ -104,6 +104,12 @@ class TestSparseReads:
         assert bare.nnz == 0 and orc.nnz == s.nnz
         assert_reads_match(bare, None, np.array([4, 4, 29]),
                            np.array([0, 10, 0]), rng)
+        # an absent term on an oracle without one shares its empty forms
+        again = bare.with_sparse(None)
+        assert again._csr is bare._csr and again._csc is bare._csc
+        assert again.counters is not bare.counters
+        assert_reads_match(again, None, np.array([0, 29]), np.array([3]),
+                           rng)
         assert_reads_match(orc, s, np.array([4, 4, 29]),
                            np.array([0, 10, 0]), rng)
 
