@@ -21,6 +21,7 @@ __all__ = [
     "cpqr",
     "srrqr",
     "lu_pivots",
+    "RowID",
     "lu_row_id",
     "eps_rank_from_rdiag",
     "LowRankOperator",
@@ -67,6 +68,11 @@ def cpqr(a):
     which downdates column norms and recomputes them when cancellation
     makes the downdated value untrustworthy. Only R and the pivots are
     kept: the Householder vectors are dropped and Q is never formed.
+    dgeqp3 reads more than its minimum workspace of 3n + 1 only in its
+    blocked code, which it runs when the block size nb its query
+    reports is below min(m, n). Otherwise the minimum gives the same
+    factor without the (n + 1) nb block, which is 1.3 MB, three times
+    the matrix, at oversampling's 10 x 4910 greedy pick.
 
     Parameters
     ----------
@@ -78,8 +84,13 @@ def cpqr(a):
     PivotedQR
     """
     a = _validate_matrix(a)
-    _, r, piv = sla.qr(a, mode="raw", pivoting=True)
-    return PivotedQR(r=r, pivots=piv.astype(np.intp), swaps=0)
+    m, n = a.shape
+    lwork = int(lapack.dgeqp3(a, lwork=-1)[3][0])
+    if (lwork - 2 * n) // (n + 1) >= min(m, n):
+        lwork = 3 * n + 1
+    qr, piv = lapack.dgeqp3(a, lwork=lwork)[:2]
+    return PivotedQR(r=np.triu(qr[:min(m, n)]),
+                     pivots=(piv - 1).astype(np.intp), swaps=0)
 
 
 def srrqr(a, f=2.0, k=None):
@@ -158,12 +169,11 @@ def srrqr(a, f=2.0, k=None):
 
 
 def _lupp(a):
-    """Packed dgetrf factors of a validated copy of ``a``, and the perm.
+    """Packed dgetrf factors of a validated ``a``, and the row order.
 
     ``a[perm[:min(m, n)]] = L @ U``, L unit lower with |L_ij| <= 1. A
     zero pivot is not an error here, so LAPACK's ``info`` is not read.
     """
-    a = _validate_matrix(a)
     lu, piv, _ = lapack.dgetrf(a)
     perm = np.arange(a.shape[0])
     for i, p in enumerate(piv):                   # LAPACK's row interchanges
@@ -176,25 +186,57 @@ def lu_pivots(a):
 
     The first j pivots depend on the first j columns of ``a`` only.
     """
-    return _lupp(a)[1]
+    return _lupp(_validate_matrix(a))[1]
+
+
+class RowID:
+    """Row interpolative decomposition of C (m, k) held as its LU factor.
+
+    ``perm`` puts the k skeleton rows first and ``lu`` is dgetrf's
+    packed (m, k) factor of C[perm], L1 unit lower in its leading k
+    rows and L2 below them. The interpolation matrix
+    ``t = L2 @ inv(L1)``, ``C[perm[k:]] = t @ C[perm[:k]]``, costs an
+    (m - k, k) array and a triangular solve of that size, so it is
+    formed only on request: reading ``t``, unpacking ``perm, t =
+    row_id`` or indexing ``row_id[1]``. Oversampling reads L1 and L2.
+    """
+
+    __slots__ = ("perm", "lu")
+
+    def __init__(self, perm, lu):
+        self.perm, self.lu = perm, lu
+
+    @property
+    def t(self):
+        k = self.lu.shape[1]
+        return blas.dtrsm(1.0, self.lu[:k], self.lu[k:], side=1, lower=1,
+                          diag=1)
+
+    def __iter__(self):
+        yield self.perm
+        yield self.t
+
+    def __getitem__(self, i):
+        # as for the pair (perm, t): 1 and -1 give t, 0 and -2 perm
+        return self.t if range(2)[i] else self.perm
 
 
 def lu_row_id(c):
     """Row interpolative decomposition of a tall block C (m, k) by LUPP.
 
     From ``C[perm] = [L1; L2] @ U``, ``C[perm[k:]] = t @ C[perm[:k]]``
-    with ``t = L2 @ inv(L1)`` of shape (m - k, k): one dgetrf and one
-    right-side unit-lower triangular solve. L1 is unit triangular, so
-    t is finite even for rank-deficient C, and |L| <= 1 keeps it small
-    in practice (Dong and Martinsson, "Simpler is better", Adv. Comput.
-    Math. 2023). Returns ``(perm, t)``, skeleton rows first in perm.
+    with ``t = L2 @ inv(L1)`` of shape (m - k, k). L1 is unit
+    triangular, so t is finite even for rank-deficient C, and |L| <= 1
+    keeps it small in practice (Dong and Martinsson, "Simpler is
+    better", Adv. Comput. Math. 2023). Returns a :class:`RowID` after
+    one dgetrf; it unpacks as ``perm, t``, skeleton rows first in perm,
+    and forms t only then.
     """
+    c = _validate_matrix(c)
+    if c.shape[1] > c.shape[0]:
+        raise InvalidInput(f"row ID needs a tall block, got shape {c.shape}")
     lu, perm = _lupp(c)
-    m, k = lu.shape
-    if k > m:
-        raise InvalidInput(f"row ID needs a tall block, got shape {lu.shape}")
-    t = blas.dtrsm(1.0, lu[:k], lu[k:], side=1, lower=1, diag=1)
-    return perm, t
+    return RowID(perm, lu)
 
 
 def eps_rank_from_rdiag(r, rel_tol):

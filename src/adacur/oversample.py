@@ -8,65 +8,85 @@ and takes greedy pivots there. Appending rows never decreases the
 smallest singular value of the restricted basis, so oversampling can
 only stabilize the core inversion.
 
-The basis comes from a row interpolative decomposition (P, T) of
+The basis comes from a row interpolative decomposition of
 C = A[:, J], ``C[P[k:]] = T C[P[:k]]``, which the caller computes with
-``linalg.lu_row_id`` (LU with partial pivoting); nothing here reads the
-matrix. With B the m-by-k matrix holding identity rows at the k pivot
-rows and the rows of T elsewhere, and L L.T = I + T.T T,
-Q = B inv(L).T is orthonormal and spans range(C). |T| stays small, so
-I + T.T T is well conditioned, and only the few rows of Q the selection
-needs are ever formed.
+``linalg.lu_row_id`` (LU with partial pivoting, ``C[P] = [L1; L2] U``,
+so T = L2 inv(L1)); nothing here reads the matrix. With B the m-by-k
+matrix holding identity rows at the k pivot rows and the rows of T
+elsewhere, and L L.T = I + T.T T, Q = B inv(L).T is orthonormal and
+spans range(C). |T| stays small, so I + T.T T is well conditioned. T
+itself is never formed: the Gram comes from L2.T L2 and two k-by-k
+solves with L1, a projection applies inv(L1) to its k-by-p right-hand
+side before one product with L2, and only the few rows of Q the
+selection needs are formed.
 
 Column oversampling is the same operation on the row ID of A[I, :].T.
 """
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg import blas, lapack
 
 from .errors import InvalidInput, check_int, warn_caller
-from .linalg import cpqr
+from .linalg import RowID, cpqr
 
 __all__ = ["oversample_rows", "oversample_rows_multi"]
 
 
 class _InterpBasis:
-    """Q = B inv(L).T from the row interpolative decomposition of C."""
+    """Q = B inv(L).T from the row interpolative decomposition of C.
+
+    ``row_id`` is a :class:`linalg.RowID`, or a plain ``(pivots, t)``
+    pair, which is the same basis with L1 = I and L2 = t.
+    """
 
     def __init__(self, row_id):
-        pivots, t = (np.asarray(x) for x in row_id)   # t: (m - k, k)
-        if (pivots.ndim != 1 or t.ndim != 2 or t.shape[1] < 1
-                or t.shape[0] != pivots.size - t.shape[1]):
-            raise InvalidInput(
-                "row_id must be (pivots, t) with pivots of length m and t "
-                f"of shape (m - k, k), k >= 1; got {pivots.shape}, {t.shape}")
-        self.m, self.k = pivots.size, t.shape[1]
-        self.t = t
+        if isinstance(row_id, RowID):
+            pivots, lu = row_id.perm, row_id.lu
+            k = lu.shape[1]
+            l1, l2 = np.array(lu[:k], order="F"), lu[k:]
+        else:
+            pivots, l2 = (np.asarray(x) for x in row_id)   # t: (m - k, k)
+            if (pivots.ndim != 1 or l2.ndim != 2 or l2.shape[1] < 1
+                    or l2.shape[0] != pivots.size - l2.shape[1]
+                    or not np.isfinite(l2).all()):
+                raise InvalidInput(
+                    "row_id must be (pivots, t) with pivots of length m and "
+                    f"finite t of shape (m - k, k), k >= 1; got "
+                    f"{pivots.shape}, {l2.shape}")
+            k = l2.shape[1]
+            l1 = np.zeros((k, k), order="F")    # unit diagonal: L1 = I
+        self.m, self.k = pivots.size, k
+        self.l1, self.l2 = l1, l2
         self.pos = np.empty_like(pivots)
         self.pos[pivots] = np.arange(pivots.size)
-        gram = t.T @ t
-        gram[np.diag_indices(self.k)] += 1.0
-        self.lt = sla.cholesky(gram)               # L.T, upper triangular
+        # I + T.T T = I + inv(L1).T (L2.T L2) inv(L1); L1 is unit lower
+        gram = blas.dtrsm(1.0, l1, l2.T @ l2, side=1, lower=1, diag=1)
+        gram = blas.dtrsm(1.0, l1, gram, lower=1, trans_a=1, diag=1)
+        gram[np.diag_indices(k)] += 1.0
+        self.lt, info = lapack.dpotrf(gram)     # L.T, upper triangular
+        if info or not np.isfinite(self.lt).all():
+            raise InvalidInput("row_id gives an I + t.T t that overflows")
 
     def rows(self, idx):
-        """Q[idx] = B[idx] inv(L).T."""
+        """Q[idx] = B[idx] inv(L).T, T's rows formed from L2's by inv(L1)."""
         k = self.k
         pos = self.pos[idx]
         lead = pos < k
         b = np.zeros((idx.size, k))                # B[idx]
         b[np.flatnonzero(lead), pos[lead]] = 1.0
-        b[~lead] = self.t[pos[~lead] - k]
-        return sla.solve_triangular(self.lt, b.T, trans="T").T
+        b[~lead] = blas.dtrsm(1.0, self.l1, self.l2[pos[~lead] - k],
+                              side=1, lower=1, diag=1)
+        return blas.dtrsm(1.0, self.lt, b, side=1)
 
     def project(self, idx, v):
         """Q[idx] @ v, as B[idx] @ (inv(L).T v) without forming B[idx]."""
         k = self.k
-        w = sla.solve_triangular(self.lt, v)       # (k, p)
-        pos = self.pos[idx]
-        lead = pos < k
-        out = np.empty((idx.size, w.shape[1]))
-        out[lead] = w[pos[lead]]
-        out[~lead] = (self.t @ w)[pos[~lead] - k]
-        return out
+        w = blas.dtrsm(1.0, self.lt, v)            # (k, p)
+        bw = np.empty((self.m, w.shape[1]))        # B @ w, in pivot order
+        bw[:k] = w
+        np.matmul(self.l2, blas.dtrsm(1.0, self.l1, w, lower=1, diag=1),
+                  out=bw[k:])
+        return bw[self.pos[idx]]
 
 
 def _unchosen(basis, rows, p):
@@ -76,7 +96,9 @@ def _unchosen(basis, rows, p):
     if p > basis.k:
         raise InvalidInput(
             f"p={p} exceeds the selected column count {basis.k}")
-    unchosen = np.setdiff1d(np.arange(basis.m), rows)
+    free = np.ones(basis.m, dtype=bool)
+    free[rows] = False
+    unchosen = np.flatnonzero(free)
     if p > unchosen.size:
         raise InvalidInput(
             f"p={p} exceeds the {unchosen.size} rows left to choose from")
@@ -99,9 +121,9 @@ def oversample_rows(row_id, rows, p):
 
     Parameters
     ----------
-    row_id : tuple of ndarray
-        ``lu_row_id(A[:, cols])`` for the selected columns: ``(pivots,
-        t)`` with ``C[pivots[k:]] = t @ C[pivots[:k]]`` for
+    row_id : RowID or tuple of ndarray
+        ``lu_row_id(A[:, cols])`` for the selected columns, or any
+        ``(pivots, t)`` with ``C[pivots[k:]] = t @ C[pivots[:k]]`` for
         C = A[:, cols], pivots of length m and t of shape (m - k, k).
     rows : array_like
         Current row selection, non-empty.

@@ -107,7 +107,7 @@ def _rand_pivot_block(oracle, r, seed, presketch=None):
     cols = lu_pivots(x[:r].T)[:r].copy()
     c = oracle.col_block(cols)
     row_id = lu_row_id(c)
-    return IndexSelection(rows=row_id[0][:r].copy(), cols=cols), c, row_id
+    return IndexSelection(rows=row_id.perm[:r].copy(), cols=cols), c, row_id
 
 
 def rand_pivot_rankest(oracle, abs_tol, seed):
@@ -119,7 +119,8 @@ def rand_pivot_rankest(oracle, abs_tol, seed):
 
     Returns ``(selection, col_block, row_id)``: the column block
     ``A[:, cols]`` read for the row pivots and its row interpolative
-    decomposition ``lu_row_id(col_block)``, whose pivots those are.
+    decomposition ``lu_row_id(col_block)``, a :class:`linalg.RowID`
+    whose pivots those are.
     From-scratch steps pass the block on to factor extraction and
     ``row_id`` to oversampling, so each step reads its column block
     once and factors it once. A zero-rank estimate yields an empty

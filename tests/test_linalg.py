@@ -8,6 +8,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adacur import linalg
 from adacur.errors import InvalidInput
 from adacur.linalg import (
     LowRankOperator,
@@ -141,6 +142,30 @@ class TestLuRowId:
     def test_wide_block_rejected(self, rng):
         with pytest.raises(InvalidInput, match="tall"):
             lu_row_id(rng.standard_normal((3, 4)))
+
+    def test_wide_block_rejected_before_factoring(self, rng, monkeypatch):
+        def factored(a):
+            raise AssertionError("wide block reached dgetrf")
+
+        monkeypatch.setattr(linalg, "_lupp", factored)
+        with pytest.raises(InvalidInput, match="tall"):
+            lu_row_id(rng.standard_normal((3, 4)))
+
+    def test_t_formed_on_request_from_the_lu_factor(self, rng):
+        # the result keeps the packed LU factor; t = L2 inv(L1) is formed
+        # only when unpacked or indexed, and indexing matches unpacking
+        c = rng.standard_normal((60, 7))
+        row_id = lu_row_id(c)
+        perm, t = row_id
+        assert row_id[0] is row_id.perm and row_id[-2] is perm
+        for got in (row_id[1], row_id[-1], row_id.t):
+            np.testing.assert_array_equal(got, t)
+        with pytest.raises(IndexError):
+            row_id[2]
+        lu = row_id.lu
+        assert lu.shape == (60, 7)
+        l1 = np.tril(lu[:7], -1) + np.eye(7)
+        np.testing.assert_allclose(t @ l1, lu[7:], atol=1e-14)
 
     def test_leading_pivots_read_leading_columns_only(self, rng):
         # why rand_pivot reads only r rows of its row sketch

@@ -1,15 +1,19 @@
 """Tests for stabilizing row oversampling."""
 
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from adacur import oversample
-from adacur.driver import AdaCurConfig, _rank_tol, recompute_baseline_run
+from adacur.driver import (AdaCurConfig, _rank_tol, adacur_run,
+                           recompute_baseline_run)
 from adacur.errors import InvalidInput
-from adacur.linalg import lu_row_id, stable_cur_eval
+from adacur.fast import FastConfig, fastadacur_run
+from adacur.linalg import RowID, lu_row_id, stable_cur_eval
 from adacur.oracles import DenseOracle, ParamMatrixSequence
 from adacur.oversample import oversample_rows, oversample_rows_multi
 from adacur.pivoting import rand_pivot, rand_pivot_rankest
@@ -234,33 +238,95 @@ class TestInterpolativeBasis:
 
     def test_picks_match_householder_on_gaussian(self, monkeypatch):
         # any row ID of C spans range(C), so its orthonormal basis differs
-        # from the Householder Q by a rotation that leaves the picks as is
+        # from the Householder Q by a rotation that leaves the picks as is;
+        # the LU factor and its explicit (perm, t) give the same basis
         for seed in range(5):
             a = np.random.default_rng(seed).standard_normal((120, 30))
             orc = DenseOracle(a)
             sel = rand_pivot(orc, 20, seed=seed)
             row_id = lu_row_id(a[:, sel.cols])
             np.testing.assert_array_equal(row_id[0][:20], sel.rows)
-            got = [oversample_rows(row_id, sel.rows, p) for p in (5, 20)]
-            got.append(oversample_rows_multi(row_id, sel.rows, 45))
             with monkeypatch.context() as mp:
                 householder_route(mp, a, sel.cols)
                 want = [oversample_rows(row_id, sel.rows, p)
                         for p in (5, 20)]
                 want.append(oversample_rows_multi(row_id, sel.rows, 45))
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, w)
+            for rid in (row_id, tuple(row_id)):
+                got = [oversample_rows(rid, sel.rows, p) for p in (5, 20)]
+                got.append(oversample_rows_multi(rid, sel.rows, 45))
+                for g, w in zip(got, want):
+                    np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("name", sorted(BLOCKS))
+    def test_lu_factor_basis_equals_explicit_t_basis(self, name):
+        # (perm, t) is the same basis with L1 = I and L2 = t
+        _, _, c, row_id = scratch_block(name)
+        idx = np.arange(c.shape[0])
+        v = np.random.default_rng(0).standard_normal((c.shape[1], 3))
+        lu_basis = oversample._InterpBasis(row_id)
+        t_basis = oversample._InterpBasis(tuple(row_id))
+        np.testing.assert_allclose(lu_basis.rows(idx), t_basis.rows(idx),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(lu_basis.project(idx, v),
+                                   t_basis.project(idx, v), rtol=0,
+                                   atol=1e-12 * np.abs(v).max())
+
+    def test_row_id_and_oversampling_memory(self):
+        # beyond the block, the row ID and ten extra rows hold the m x k
+        # LU factor and small arrays: no T, no copy of L2 and no dgeqp3
+        # block workspace for the 10 x (m - k) greedy pick
+        m, k = 5000, 90
+        c = np.random.default_rng(0).standard_normal((m, k))
+        tracemalloc.start()
+        try:
+            row_id = lu_row_id(c)
+            extra = oversample_rows_multi(row_id, row_id[0][:k], 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert extra.size == 10
+        assert peak < 1.5 * m * k * 8
+
+    def test_drivers_never_form_t(self, monkeypatch):
+        # scratch steps, refinements and EXPAND refills all oversample
+        # from the LU factor
+        def formed(self):
+            raise AssertionError("a driver formed T")
+
+        monkeypatch.setattr(RowID, "t", property(formed))
+        seq = make_synthetic_expm(n=60, q=11, seed=0)
+        cfg = AdaCurConfig(tol=1e-8, oversample=3)
+        fast_cfg = FastConfig(tol=1e-8, buffer=4, oversample=2)
+        actions = set()
+        for run, c in [(adacur_run, cfg), (recompute_baseline_run, cfg),
+                       (fastadacur_run, fast_cfg)]:
+            actions |= {tr.action for _, tr in run(seq, c)}
+        assert {"RECOMPUTE", "MINOR_MOD", "EXPAND"} <= actions
+
+    def test_unchosen_equals_setdiff(self, rng):
+        basis = SimpleNamespace(m=300, k=40)
+        for size in (1, 40, 299):
+            rows = rng.choice(300, size, replace=False)
+            got = oversample._unchosen(basis, rows, 1)
+            want = np.setdiff1d(np.arange(300), rows)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
 
     def test_mismatched_row_id_rejected(self, rng):
         # t must have one row per non-pivot row and at least one column,
-        # and the pivots must be one-dimensional
+        # finite entries and a finite Gram, and the pivots must be
+        # one-dimensional
         a = tube_matrix(rng, 40, 30, 5)
         sel = rand_pivot(DenseOracle(a), 5, seed=0)
         piv, t = col_id(a, sel.cols)
+        t_nan = t.copy()
+        t_nan[3, 1] = np.nan
         for bad in [(piv, t[1:]), (piv[:-1], t), (piv, t[:, :0]),
-                    (piv.reshape(1, -1), t), (piv, t.ravel())]:
+                    (piv.reshape(1, -1), t), (piv, t.ravel()),
+                    (piv, t_nan), (piv, t * 1e200)]:
             for over in (oversample_rows, oversample_rows_multi):
-                with pytest.raises(InvalidInput, match="row_id"):
+                with (np.errstate(over="ignore"),
+                      pytest.raises(InvalidInput, match="row_id")):
                     over(bad, sel.rows, 2)
 
     def test_exactly_singular_leading_block(self):
