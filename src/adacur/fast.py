@@ -17,7 +17,7 @@ import numpy as np
 from .driver import (CURFactors, _check_config, _extract_factors, _grow,
                      _order_cross, _rank_tol, _track)
 from .errors import NonFiniteSnapshot, warn_caller
-# srrqr and the oversampling routines are called in the driver module
+# srrqr and oversampling (both names) are called in the driver module
 # only; bench/tracing.py wraps them here too and requires the attributes.
 from .linalg import lu_row_id, srrqr  # noqa: F401
 from .oversample import oversample_rows, oversample_rows_multi  # noqa: F401
@@ -39,9 +39,11 @@ class FastConfig:
     ``oversample`` adds rows beyond that for factor quality. Nothing
     certifies this driver's error, and at the default 0 it misses the
     tolerance far more often: on ``make_synthetic_expm(n=200)`` at tol
-    1e-8 and buffer 5, 61 of 1,212 steps over problem seeds 0-11
-    exceeded tol (worst 2.52 tol) at oversample 0, none at oversample
-    5. The rank tolerance is 0.5 * tol / sqrt(n) against the core's
+    1e-8 and buffer 5, over problem seeds 0-11, 61 of 1,212 steps
+    exceeded tol (worst 2.52 tol) at oversample 0 and none (worst 0.92
+    tol) at oversample 5, with one BLAS thread; four threads round
+    differently and give 63 (worst 3.95 tol) and none (worst 0.84 tol).
+    The rank tolerance is 0.5 * tol / sqrt(n) against the core's
     R-factor diagonal. ``store_factors`` off skips factor extraction
     entirely; the per-step work is then just the core read, its strong
     rank-revealing QR and one LU factorization.

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import blas, lapack
+from scipy.linalg import lapack
 
 from .errors import InvalidInput, NonConvergence, check_int
 
@@ -194,31 +194,14 @@ class RowID:
 
     ``perm`` puts the k skeleton rows first and ``lu`` is dgetrf's
     packed (m, k) factor of C[perm], L1 unit lower in its leading k
-    rows and L2 below them. The interpolation matrix
-    ``t = L2 @ inv(L1)``, ``C[perm[k:]] = t @ C[perm[:k]]``, costs an
-    (m - k, k) array and a triangular solve of that size, so it is
-    formed only on request: reading ``t``, unpacking ``perm, t =
-    row_id`` or indexing ``row_id[1]``. Oversampling reads L1 and L2.
+    rows and L2 below them, so that ``C[perm[k:]] = t @ C[perm[:k]]``
+    with t = L2 inv(L1). t is not kept: oversampling reads L1 and L2.
     """
 
     __slots__ = ("perm", "lu")
 
     def __init__(self, perm, lu):
         self.perm, self.lu = perm, lu
-
-    @property
-    def t(self):
-        k = self.lu.shape[1]
-        return blas.dtrsm(1.0, self.lu[:k], self.lu[k:], side=1, lower=1,
-                          diag=1)
-
-    def __iter__(self):
-        yield self.perm
-        yield self.t
-
-    def __getitem__(self, i):
-        # as for the pair (perm, t): 1 and -1 give t, 0 and -2 perm
-        return self.t if range(2)[i] else self.perm
 
 
 def lu_row_id(c):
@@ -229,8 +212,7 @@ def lu_row_id(c):
     triangular, so t is finite even for rank-deficient C, and |L| <= 1
     keeps it small in practice (Dong and Martinsson, "Simpler is
     better", Adv. Comput. Math. 2023). Returns a :class:`RowID` after
-    one dgetrf; it unpacks as ``perm, t``, skeleton rows first in perm,
-    and forms t only then.
+    one dgetrf, skeleton rows first in its perm; t is never formed.
     """
     c = _validate_matrix(c)
     if c.shape[1] > c.shape[0]:

@@ -16,6 +16,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 
 @pytest.fixture
@@ -30,3 +31,14 @@ def assert_traces_match(t1, t2):
     for a, b in zip(t1, t2):
         assert (dataclasses.replace(a, wall_ms=0.0)
                 == dataclasses.replace(b, wall_ms=0.0))
+
+
+def interp_matrix(row_id):
+    """t = L2 inv(L1) of a ``linalg.RowID``, which the package never forms.
+
+    ``C[perm[k:]] = t @ C[perm[:k]]`` for the block C it was made from.
+    """
+    lu = row_id.lu
+    k = lu.shape[1]
+    return sla.solve_triangular(lu[:k], lu[k:].T, trans="T", lower=True,
+                                unit_diagonal=True).T

@@ -7,11 +7,13 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from adacur import linalg
 from adacur.errors import InvalidInput
 from adacur.linalg import (
     LowRankOperator,
+    RowID,
     cpqr,
     eps_rank_from_rdiag,
     lu_pivots,
@@ -21,6 +23,7 @@ from adacur.linalg import (
     times_pinv,
     truncated_svd,
 )
+from conftest import interp_matrix
 
 
 def assert_r_factor(fac, a):
@@ -79,14 +82,20 @@ class TestCpqr:
             assert cpqr(rng.standard_normal(shape)).r.base is None
 
 
-def assert_row_id(c, perm, t, rtol):
-    """perm permutes range(m) and C[perm[k:]] = t @ C[perm[:k]]."""
+def assert_row_id(c, row_id, rtol):
+    """perm permutes range(m), lu packs C[perm] = L U with |L| <= 1, and
+    so C[perm[k:]] = t @ C[perm[:k]] with t = L2 inv(L1)."""
     m, k = c.shape
+    perm, lu = row_id.perm, row_id.lu
     np.testing.assert_array_equal(np.sort(perm), np.arange(m))
-    assert t.shape == (m - k, k)
+    assert lu.shape == (m, k)
+    low = np.tril(lu, -1) + np.eye(m, k)
+    assert np.abs(low).max() <= 1.0 + 4 * np.finfo(float).eps
+    scale = rtol * np.linalg.norm(c)
+    assert np.linalg.norm(c[perm] - low @ np.triu(lu[:k])) <= scale
+    t = interp_matrix(row_id)
     assert np.isfinite(t).all()
-    res = np.linalg.norm(c[perm[k:]] - t @ c[perm[:k]])
-    assert res <= rtol * np.linalg.norm(c)
+    assert np.linalg.norm(c[perm[k:]] - t @ c[perm[:k]]) <= scale
 
 
 @st.composite
@@ -110,19 +119,19 @@ class TestLuRowId:
     def test_reconstruction(self, rng):
         for shape in [(1, 1), (7, 7), (50, 1), (300, 30)]:
             c = rng.standard_normal(shape)
-            assert_row_id(c, *lu_row_id(c), rtol=1e-14)
+            assert_row_id(c, lu_row_id(c), rtol=1e-14)
 
     def test_partial_pivoting_bounds_t(self, rng):
         # on a Gaussian block |t| stays near 1, as for cpqr's inv(R11) R12
-        perm, t = lu_row_id(rng.standard_normal((500, 20)))
+        t = interp_matrix(lu_row_id(rng.standard_normal((500, 20))))
         assert np.abs(t).max() <= 10.0
 
     def test_zero_block_needs_no_pivot(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            perm, t = lu_row_id(np.zeros((5, 2)))
-        np.testing.assert_array_equal(perm, np.arange(5))
-        np.testing.assert_array_equal(t, 0.0)
+            row_id = lu_row_id(np.zeros((5, 2)))
+        np.testing.assert_array_equal(row_id.perm, np.arange(5))
+        np.testing.assert_array_equal(row_id.lu, 0.0)
 
     def test_input_untouched(self, rng):
         c = rng.standard_normal((20, 4))
@@ -151,21 +160,18 @@ class TestLuRowId:
         with pytest.raises(InvalidInput, match="tall"):
             lu_row_id(rng.standard_normal((3, 4)))
 
-    def test_t_formed_on_request_from_the_lu_factor(self, rng):
-        # the result keeps the packed LU factor; t = L2 inv(L1) is formed
-        # only when unpacked or indexed, and indexing matches unpacking
+    def test_row_id_is_the_lu_factor_alone(self, rng):
+        # one dgetrf: its packed factor of C[perm] and the row order its
+        # interchanges give; t = L2 inv(L1) is not kept
         c = rng.standard_normal((60, 7))
         row_id = lu_row_id(c)
-        perm, t = row_id
-        assert row_id[0] is row_id.perm and row_id[-2] is perm
-        for got in (row_id[1], row_id[-1], row_id.t):
-            np.testing.assert_array_equal(got, t)
-        with pytest.raises(IndexError):
-            row_id[2]
-        lu = row_id.lu
-        assert lu.shape == (60, 7)
-        l1 = np.tril(lu[:7], -1) + np.eye(7)
-        np.testing.assert_allclose(t @ l1, lu[7:], atol=1e-14)
+        assert RowID.__slots__ == ("perm", "lu")
+        lu, piv, _ = lapack.dgetrf(c)
+        np.testing.assert_array_equal(row_id.lu, lu)
+        rows = np.arange(60)
+        for i, p in enumerate(piv):
+            rows[[i, p]] = rows[[p, i]]
+        np.testing.assert_array_equal(row_id.perm, rows)
 
     def test_leading_pivots_read_leading_columns_only(self, rng):
         # why rand_pivot reads only r rows of its row sketch
@@ -177,7 +183,7 @@ class TestLuRowId:
     @settings(max_examples=200, deadline=None)
     @given(tall_blocks())
     def test_row_id_property(self, c):
-        assert_row_id(c, *lu_row_id(c), rtol=1e-12)
+        assert_row_id(c, lu_row_id(c), rtol=1e-12)
 
 
 class TestSrrqr:

@@ -2,7 +2,6 @@
 
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from adacur.oversample import oversample_rows, oversample_rows_multi
 from adacur.pivoting import rand_pivot, rand_pivot_rankest
 from adacur.problems import (make_adversarial, make_schrodinger,
                              make_speed_problem, make_synthetic_expm)
+from conftest import interp_matrix
 
 
 def tube_matrix(rng, m, n, r):
@@ -73,25 +73,49 @@ class TestOversampleRows:
             assert len(extra) == p
             assert len(np.intersect1d(extra, sel.rows)) == 0
 
-    def test_p_larger_than_rank_rejected(self, rng):
+    def test_p_above_rank_runs_rounds(self, rng):
+        # p > k = |cols| picks what successive calls of at most k picks
+        # each would, every call choosing outside what came before
         a = tube_matrix(rng, 40, 30, 5)
-        orc = DenseOracle(a)
-        sel = rand_pivot(orc, 5, seed=0)
-        with pytest.raises(InvalidInput):
-            oversample_rows(col_id(a, sel.cols), sel.rows, 6)
+        sel = rand_pivot(DenseOracle(a), 5, seed=0)
+        row_id = col_id(a, sel.cols)
+        first = oversample_rows(row_id, sel.rows, 5)
+        second = oversample_rows(row_id, np.concatenate([sel.rows, first]),
+                                 1)
+        np.testing.assert_array_equal(oversample_rows(row_id, sel.rows, 6),
+                                      np.concatenate([first, second]))
 
-    @pytest.mark.parametrize("over", [oversample_rows,
-                                      oversample_rows_multi])
-    def test_bad_count_rejected(self, rng, over):
+    def test_p_above_rows_left_rejected(self, rng):
+        a = tube_matrix(rng, 8, 6, 3)
+        sel = rand_pivot(DenseOracle(a), 3, seed=8)
+        row_id = col_id(a, sel.cols)
+        assert oversample_rows(row_id, sel.rows, 5).size == 5
+        with pytest.raises(InvalidInput, match="5 rows left"):
+            oversample_rows(row_id, sel.rows, 6)
+
+    def test_bad_count_rejected(self, rng):
         # a count must be a non-negative integer; numpy integers pass
         a = tube_matrix(rng, 40, 30, 5)
         sel = rand_pivot(DenseOracle(a), 5, seed=0)
         row_id = col_id(a, sel.cols)
         for bad in (-3, -1, 2.7, 2.0, True, np.float64(2.0), "2", None):
             with pytest.raises(InvalidInput, match="non-negative integer"):
-                over(row_id, sel.rows, bad)
-        assert over(row_id, sel.rows, np.int64(2)).size == 2
-        assert over(row_id, sel.rows, np.int32(0)).size == 0
+                oversample_rows(row_id, sel.rows, bad)
+        assert oversample_rows(row_id, sel.rows, np.int64(2)).size == 2
+        assert oversample_rows(row_id, sel.rows, np.int32(0)).size == 0
+
+    @pytest.mark.parametrize("rows, match", [
+        ([0, 1, -1], "out of range"),        # not row 39
+        ([0.5, 1], "must be integers"),      # not row 0
+        ([0, 1, 40], "out of range"),        # not a bare IndexError
+        ([0, 1, 1], "must not repeat"),
+        ([], "non-empty"),
+    ])
+    def test_bad_rows_rejected(self, rng, rows, match):
+        a = tube_matrix(rng, 40, 30, 5)
+        row_id = col_id(a, [0, 1, 2])
+        with pytest.raises(InvalidInput, match=match):
+            oversample_rows(row_id, rows, 2)
 
     def test_never_degrades_base_conditioning(self, rng):
         # row augmentation can only raise the smallest singular value of
@@ -146,28 +170,23 @@ class TestOversampleRows:
         assert np.median(wins) >= 1.0
 
 
-class TestOversampleRowsMulti:
-    def test_matches_single_call(self, rng):
-        a = tube_matrix(rng, 50, 30, 5)
-        orc = DenseOracle(a)
-        sel = rand_pivot(orc, 5, seed=6)
-        multi = oversample_rows_multi(col_id(a, sel.cols), sel.rows, 4)
-        single = oversample_rows(col_id(a, sel.cols), sel.rows, 4)
-        np.testing.assert_array_equal(multi, single)
+class TestRounds:
+    def test_one_routine_under_both_names(self):
+        assert oversample_rows_multi is oversample_rows
 
     def test_exceeding_rank_splits_rounds(self, rng):
         # requests beyond the square-base cap succeed by re-basing
         a = tube_matrix(rng, 80, 30, 5)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 5, seed=7)
-        extra = oversample_rows_multi(col_id(a, sel.cols), sel.rows, 12)
+        extra = oversample_rows(col_id(a, sel.cols), sel.rows, 12)
         assert len(extra) == 12
         assert len(np.unique(extra)) == 12
         assert len(np.intersect1d(extra, sel.rows)) == 0
 
     def test_one_basis_for_all_rounds(self, rng, monkeypatch):
         # p = 12 > |cols| = 5 takes three rounds; the reference is the
-        # round loop over single-shot calls, each building its own basis
+        # round loop over calls of at most 5, each building its own basis
         a = tube_matrix(rng, 80, 30, 5)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 5, seed=7)
@@ -181,29 +200,13 @@ class TestOversampleRowsMulti:
 
         class Counting(oversample._InterpBasis):
             def __init__(self, row_id):
-                built.append(row_id[1].shape)
+                built.append(row_id.lu.shape)
                 super().__init__(row_id)
 
         monkeypatch.setattr(oversample, "_InterpBasis", Counting)
-        got = oversample_rows_multi(row_id, sel.rows, 12)
+        got = oversample_rows(row_id, sel.rows, 12)
         np.testing.assert_array_equal(got, picked)
-        assert built == [(75, 5)]
-
-    def test_exhaustion_warning_names_caller(self, rng):
-        a = tube_matrix(rng, 8, 6, 3)
-        orc = DenseOracle(a)
-        sel = rand_pivot(orc, 3, seed=8)
-        with pytest.warns(RuntimeWarning, match="exhausted") as rec:
-            oversample_rows_multi(col_id(a, sel.cols), sel.rows, 10)
-        assert [w.filename for w in rec] == [__file__]
-
-    def test_exhaustion_warns_and_returns_short(self, rng):
-        a = tube_matrix(rng, 8, 6, 3)
-        orc = DenseOracle(a)
-        sel = rand_pivot(orc, 3, seed=8)
-        with pytest.warns(RuntimeWarning):
-            extra = oversample_rows_multi(col_id(a, sel.cols), sel.rows, 10)
-        assert len(extra) == 8 - 3
+        assert built == [(80, 5)]
 
 
 # name -> (sequence, tol, driver seed): the first step's column block
@@ -238,37 +241,36 @@ class TestInterpolativeBasis:
 
     def test_picks_match_householder_on_gaussian(self, monkeypatch):
         # any row ID of C spans range(C), so its orthonormal basis differs
-        # from the Householder Q by a rotation that leaves the picks as is;
-        # the LU factor and its explicit (perm, t) give the same basis
+        # from the Householder Q by a rotation that leaves the picks as is
         for seed in range(5):
             a = np.random.default_rng(seed).standard_normal((120, 30))
             orc = DenseOracle(a)
             sel = rand_pivot(orc, 20, seed=seed)
             row_id = lu_row_id(a[:, sel.cols])
-            np.testing.assert_array_equal(row_id[0][:20], sel.rows)
+            np.testing.assert_array_equal(row_id.perm[:20], sel.rows)
             with monkeypatch.context() as mp:
                 householder_route(mp, a, sel.cols)
                 want = [oversample_rows(row_id, sel.rows, p)
-                        for p in (5, 20)]
-                want.append(oversample_rows_multi(row_id, sel.rows, 45))
-            for rid in (row_id, tuple(row_id)):
-                got = [oversample_rows(rid, sel.rows, p) for p in (5, 20)]
-                got.append(oversample_rows_multi(rid, sel.rows, 45))
-                for g, w in zip(got, want):
-                    np.testing.assert_array_equal(g, w)
+                        for p in (5, 20, 45)]
+            got = [oversample_rows(row_id, sel.rows, p) for p in (5, 20, 45)]
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
 
     @pytest.mark.parametrize("name", sorted(BLOCKS))
     def test_lu_factor_basis_equals_explicit_t_basis(self, name):
-        # (perm, t) is the same basis with L1 = I and L2 = t
+        # the basis read from L1 and L2 is B inv(L).T formed from t
         _, _, c, row_id = scratch_block(name)
-        idx = np.arange(c.shape[0])
-        v = np.random.default_rng(0).standard_normal((c.shape[1], 3))
-        lu_basis = oversample._InterpBasis(row_id)
-        t_basis = oversample._InterpBasis(tuple(row_id))
-        np.testing.assert_allclose(lu_basis.rows(idx), t_basis.rows(idx),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(lu_basis.project(idx, v),
-                                   t_basis.project(idx, v), rtol=0,
+        m, k = c.shape
+        idx = np.arange(m)
+        v = np.random.default_rng(0).standard_normal((k, 3))
+        t = interp_matrix(row_id)
+        b = np.empty((m, k))
+        b[row_id.perm] = np.vstack([np.eye(k), t])
+        low = np.linalg.cholesky(np.eye(k) + t.T @ t)
+        q = sla.solve_triangular(low, b.T, lower=True).T
+        basis = oversample._InterpBasis(row_id)
+        np.testing.assert_allclose(basis.rows(idx), q, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(basis.project(idx, v), q @ v, rtol=0,
                                    atol=1e-12 * np.abs(v).max())
 
     def test_row_id_and_oversampling_memory(self):
@@ -280,20 +282,24 @@ class TestInterpolativeBasis:
         tracemalloc.start()
         try:
             row_id = lu_row_id(c)
-            extra = oversample_rows_multi(row_id, row_id[0][:k], 10)
+            extra = oversample_rows(row_id, row_id.perm[:k], 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert extra.size == 10
         assert peak < 1.5 * m * k * 8
 
-    def test_drivers_never_form_t(self, monkeypatch):
-        # scratch steps, refinements and EXPAND refills all oversample
-        # from the LU factor
-        def formed(self):
-            raise AssertionError("a driver formed T")
+    def test_drivers_oversample_from_lu_factor(self, monkeypatch):
+        # scratch steps, refinements and EXPAND refills all hand
+        # oversampling a RowID, the only form it takes
+        built = []
 
-        monkeypatch.setattr(RowID, "t", property(formed))
+        class Recording(oversample._InterpBasis):
+            def __init__(self, row_id):
+                built.append(type(row_id))
+                super().__init__(row_id)
+
+        monkeypatch.setattr(oversample, "_InterpBasis", Recording)
         seq = make_synthetic_expm(n=60, q=11, seed=0)
         cfg = AdaCurConfig(tol=1e-8, oversample=3)
         fast_cfg = FastConfig(tol=1e-8, buffer=4, oversample=2)
@@ -302,32 +308,34 @@ class TestInterpolativeBasis:
                        (fastadacur_run, fast_cfg)]:
             actions |= {tr.action for _, tr in run(seq, c)}
         assert {"RECOMPUTE", "MINOR_MOD", "EXPAND"} <= actions
+        assert built and set(built) == {RowID}
 
     def test_unchosen_equals_setdiff(self, rng):
-        basis = SimpleNamespace(m=300, k=40)
         for size in (1, 40, 299):
             rows = rng.choice(300, size, replace=False)
-            got = oversample._unchosen(basis, rows, 1)
-            want = np.setdiff1d(np.arange(300), rows)
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+            got = np.flatnonzero(oversample._unchosen(300, rows))
+            np.testing.assert_array_equal(
+                got, np.setdiff1d(np.arange(300), rows))
 
-    def test_mismatched_row_id_rejected(self, rng):
-        # t must have one row per non-pivot row and at least one column,
-        # finite entries and a finite Gram, and the pivots must be
-        # one-dimensional
+    def test_tuple_row_id_rejected(self, rng):
+        # a RowID is the one input form: a (perm, t) pair, whatever its
+        # shapes, is not one
         a = tube_matrix(rng, 40, 30, 5)
         sel = rand_pivot(DenseOracle(a), 5, seed=0)
-        piv, t = col_id(a, sel.cols)
-        t_nan = t.copy()
-        t_nan[3, 1] = np.nan
-        for bad in [(piv, t[1:]), (piv[:-1], t), (piv, t[:, :0]),
-                    (piv.reshape(1, -1), t), (piv, t.ravel()),
-                    (piv, t_nan), (piv, t * 1e200)]:
-            for over in (oversample_rows, oversample_rows_multi):
-                with (np.errstate(over="ignore"),
-                      pytest.raises(InvalidInput, match="row_id")):
-                    over(bad, sel.rows, 2)
+        row_id = col_id(a, sel.cols)
+        pair = (row_id.perm, interp_matrix(row_id))
+        for bad in (pair, list(pair), (row_id.perm, row_id.lu), None):
+            with pytest.raises(InvalidInput, match="row_id"):
+                oversample_rows(bad, sel.rows, 2)
+
+    def test_overflowing_gram_rejected(self, rng):
+        a = tube_matrix(rng, 40, 30, 5)
+        sel = rand_pivot(DenseOracle(a), 5, seed=0)
+        row_id = col_id(a, sel.cols)
+        huge = RowID(row_id.perm, row_id.lu * 1e200)
+        with (np.errstate(over="ignore", invalid="ignore"),
+              pytest.raises(InvalidInput, match="row_id")):
+            oversample_rows(huge, sel.rows, 2)
 
     def test_exactly_singular_leading_block(self):
         # rank 1 with an exact zero column: U's second pivot is exactly
@@ -335,10 +343,12 @@ class TestInterpolativeBasis:
         c = np.column_stack([np.arange(1.0, 7.0), np.zeros(6)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            piv, t = lu_row_id(c)
+            row_id = lu_row_id(c)
+        t = interp_matrix(row_id)
         assert np.isfinite(t).all()
-        np.testing.assert_allclose(c[piv[2:]], t @ c[piv[:2]], atol=1e-14)
-        q = oversample._InterpBasis((piv, t)).rows(np.arange(6))
+        np.testing.assert_allclose(c[row_id.perm[2:]],
+                                   t @ c[row_id.perm[:2]], atol=1e-14)
+        q = oversample._InterpBasis(row_id).rows(np.arange(6))
         np.testing.assert_allclose(q.T @ q, np.eye(2), atol=1e-14)
 
     @pytest.mark.parametrize("m, n, r, warned", [

@@ -169,11 +169,11 @@ class TestRandPivot:
 class TestRandPivotRankest:
     def test_rank_two(self, rng):
         a = rank_r_matrix(rng, 50, 40, 2)
-        sel, c, (perm, t) = rand_pivot_rankest(DenseOracle(a), 1e-8, seed=0)
+        sel, c, row_id = rand_pivot_rankest(DenseOracle(a), 1e-8, seed=0)
         assert len(sel.rows) == 2 and len(sel.cols) == 2
         np.testing.assert_array_equal(c, a[:, sel.cols])
-        np.testing.assert_array_equal(perm[:2], sel.rows)
-        assert t.shape == (48, 2)
+        np.testing.assert_array_equal(row_id.perm[:2], sel.rows)
+        assert row_id.lu.shape == (50, 2)
 
     def test_zero_matrix_gives_empty_selection(self):
         sel, c, row_id = rand_pivot_rankest(DenseOracle(np.zeros((20, 20))),
