@@ -113,7 +113,8 @@ class CURFactors:
         return int(self.selection.cols.size)
 
     def operator(self):
-        """Stable factored evaluation of C pinv(U) R."""
+        """``LowRankOperator(C pinv(U), R)``, C pinv(U) as the estimator
+        scores it; its ``rank`` is the row count, extra rows included."""
         if self.c is None:
             raise InvalidInput("factors were not stored for this step")
         return stable_cur_eval(self.c, self.u, self.r)

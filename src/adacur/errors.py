@@ -90,6 +90,13 @@ class NonFiniteSnapshot(RuntimeError):
         return message if self.step is None else f"step {self.step}: {message}"
 
 
+def check_finite(what, block):
+    """``block``; a NaN or inf in it raises NonFiniteSnapshot naming what."""
+    if not np.isfinite(block).all():
+        raise NonFiniteSnapshot(f"{what} holds non-finite entries")
+    return block
+
+
 class IntegratorAccuracy(RuntimeError):
     """Step-halving check of the fixed-step integrator exceeded tolerance."""
 

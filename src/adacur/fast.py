@@ -16,7 +16,7 @@ import numpy as np
 
 from .driver import (CURFactors, _check_config, _extract_factors, _grow,
                      _order_cross, _rank_tol, _track)
-from .errors import NonFiniteSnapshot, warn_caller
+from .errors import check_finite, warn_caller
 # srrqr and oversampling (both names) are called in the driver module
 # only; bench/tracing.py wraps them here too and requires the attributes.
 from .linalg import lu_row_id, srrqr  # noqa: F401
@@ -59,13 +59,6 @@ class FastConfig:
         _check_config(self, buffer=0, oversample=0)
 
 
-def _finite(block, what):
-    """``block``, once its entries are known to be finite."""
-    if not np.isfinite(block).all():
-        raise NonFiniteSnapshot(f"{what} holds non-finite entries")
-    return block
-
-
 def fastadacur_run(seq, cfg):
     """Track ``seq`` without error estimation; one (factors, trace) per step.
 
@@ -102,7 +95,7 @@ def fastadacur_run(seq, cfg):
             i_idx, j_idx, r0 = sel.rows, sel.cols, sel.cols.size
             action = "RECOMPUTE"
         else:
-            core = _finite(oracle.submatrix(i_idx, j_idx), "core")
+            core = check_finite("core", oracle.submatrix(i_idx, j_idx))
             i_idx, j_idx, r0 = _order_cross(i_idx, j_idx, core,
                                             _rank_tol(cfg, n))
             action = "TRUNCATE" if r0 <= r else "EXPAND"
@@ -118,8 +111,8 @@ def fastadacur_run(seq, cfg):
                 # row buffer beyond r0 + p is spent or they would no
                 # longer cover the r0 + b columns; until then no C read
                 if i_idx.size - r0 < max(b, p + (b + 1) // 2):
-                    cblk = _finite(oracle.col_block(j_idx[:r0]),
-                                   "column block")
+                    cblk = check_finite("column block",
+                                        oracle.col_block(j_idx[:r0]))
             need_rows = min(r0 + b + p, m) - i_idx.size
             if need_rows > 0 and cblk is not None:
                 if row_id is None:
@@ -128,7 +121,7 @@ def fastadacur_run(seq, cfg):
             # R, read once: its rows grow the columns, then it becomes
             # the factor. lu_row_id needs a tall block; past n rows the
             # first n give a square one, whose basis is all of R^n
-            rblk = _finite(oracle.row_block(i_idx[:r0 + p]), "row block")
+            rblk = check_finite("row block", oracle.row_block(i_idx[:r0 + p]))
             need_cols = min(r0 + b, n) - j_idx.size
             if need_cols > 0:
                 j_idx = _grow(j_idx, lu_row_id(rblk[:n].T), need_cols)
@@ -137,8 +130,8 @@ def fastadacur_run(seq, cfg):
         if not cfg.store_factors:
             return CURFactors(None, None, None, fac_sel), action, None
         fac = _extract_factors(oracle, fac_sel, cblk, rblk)
-        _finite(fac.c, "column block")
-        _finite(fac.r, "row block")
+        check_finite("column block", fac.c)
+        check_finite("row block", fac.r)
         return fac, action, None
 
     return _track(seq, cfg, step)

@@ -244,8 +244,10 @@ class LowRankOperator:
 
     ``CURFactors.operator()`` builds one for exact-error reporting,
     which reads row blocks of the product, and for users of stored
-    factors. The error estimator never forms one: it scores C pinv(U) R
-    from its matrix sketch and the row block alone.
+    factors; there ``left`` is C pinv(U) and ``right`` is R, so
+    ``rank``, the inner dimension, is the number of rows of U. The
+    error estimator never forms one: it scores C pinv(U) R from its
+    matrix sketch and the row block alone.
     """
 
     def __init__(self, left, right):
@@ -303,7 +305,8 @@ def times_pinv(x, u):
     Parameters
     ----------
     x : ndarray
-        Shape (s, j).
+        Shape (s, j). Any other shape raises InvalidInput; the entries
+        of x and U are not scanned.
     u : ndarray
         Core with finite entries, shape (i, j).
 
@@ -312,6 +315,9 @@ def times_pinv(x, u):
     ndarray
         Shape (s, i).
     """
+    if np.ndim(x) != 2 or np.ndim(u) != 2 or x.shape[1] != u.shape[1]:
+        raise InvalidInput(f"x{np.shape(x)} and U{np.shape(u)} must be 2-d "
+                           "with as many columns")
     i, j = u.shape
     if 0 < j <= i:
         (qr, tau), r, piv = sla.qr(u, mode="raw", pivoting=True,
@@ -329,11 +335,12 @@ def times_pinv(x, u):
 
 
 def stable_cur_eval(c, u, r):
-    """Evaluate ``C @ pinv(U) @ R`` through a truncated SVD of U.
+    """Evaluate ``C @ pinv(U) @ R`` as ``(C pinv(U)) @ R``.
 
-    U's small singular values are dropped before inversion (see
-    :func:`truncated_svd`), so a nearly singular core cannot inject
-    noise or NaNs into the product.
+    The left factor is :func:`times_pinv` of C and U, the product the
+    error estimator scores, so U's small singular values are dropped by
+    the one rule of :func:`truncated_svd` and a nearly singular core
+    cannot inject noise or NaNs into the product.
 
     Parameters
     ----------
@@ -347,7 +354,8 @@ def stable_cur_eval(c, u, r):
     Returns
     -------
     LowRankOperator
-        Factored form of the product, rank at most min(U.shape).
+        Factored form of the product, with inner dimension (``rank``)
+        i, the number of rows of U, whatever the drop rule removes.
     """
     c = np.asarray(c, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -360,7 +368,4 @@ def stable_cur_eval(c, u, r):
     if not (np.isfinite(c).all() and np.isfinite(u).all()
             and np.isfinite(r).all()):
         raise InvalidInput("CUR blocks contain non-finite entries")
-    p, s, vt = truncated_svd(u)
-    left = (c @ vt.T) / s[None, :]
-    right = p.T @ r
-    return LowRankOperator(left, right)
+    return LowRankOperator(times_pinv(c, u), r)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch,
+from .errors import (InvalidInput, ZeroMatrixSketch, check_finite,
                      check_indices, check_int)
 # stable_cur_eval is not called here; the name stays because
 # bench/tracing.py installs its wrapper on normest.stable_cur_eval and
@@ -100,19 +100,13 @@ def estimate_cur_error(oracle, cols, r, s=5, seed=0, reuse=None):
     if r.ndim != 2 or r.shape[1] != xs.shape[1]:
         raise InvalidInput(f"row block shape {r.shape} does not match "
                            f"{xs.shape[1]} columns")
-    xs_norm = np.linalg.norm(xs)
-    if not np.isfinite(xs_norm):
-        raise NonFiniteSnapshot("matrix sketch holds non-finite entries")
+    xs_norm = check_finite("matrix sketch", np.linalg.norm(xs))
     if xs_norm == 0.0:
         raise ZeroMatrixSketch("matrix sketch is identically zero")
-    u = r[:, cols]
-    if not np.isfinite(u).all():
-        raise NonFiniteSnapshot("row block holds non-finite entries")
+    u = check_finite("row block", r[:, cols])
     # X[:, J] pinv(U), (s, i): the residual sketch is X minus it times R
     es = xs - times_pinv(xs[:, cols], u) @ r
-    rel = float(np.linalg.norm(es) / xs_norm)
-    if not np.isfinite(rel):
-        raise NonFiniteSnapshot("row block holds non-finite entries")
+    rel = float(check_finite("row block", np.linalg.norm(es) / xs_norm))
     return ErrorEstimate(rel_error=rel,
                          pack=SketchPack(embedding=emb, row_sketch=xs,
                                          residual_sketch=es))

@@ -184,11 +184,11 @@ class LowRankPlusSparseOracle(MatrixOracle):
     The sparse term is kept as one canonical CSR matrix (duplicates
     summed, columns sorted within a row) and that matrix's CSC copy,
     both built once. A block is the low-rank GEMM with only the stored
-    entries that fall inside it added in place: a row or submatrix read
-    walks the requested rows of the CSR form, a column read the
-    requested columns of the CSC form. So a block costs the GEMM plus
-    the stored entries of the rows or columns it names, and no dense
-    copy of S's part of it is made.
+    entries that fall inside it added in place, by one walk over the
+    requested rows of a CSR form: S's own for a row or submatrix read,
+    and for a column read the CSR view of S.T on the CSC copy's arrays.
+    So a block costs the GEMM plus the stored entries of the rows or
+    columns it names, and no dense copy of S's part of it is made.
 
     Parameters
     ----------
@@ -263,37 +263,37 @@ class LowRankPlusSparseOracle(MatrixOracle):
             y += self._csc_t @ x
         return y
 
-    def _add_sparse(self, out, rows, cols=None):
+    def _add_sparse(self, out, rows, cols=None, csr=None):
         """Add ``S[rows][:, cols]`` into ``out`` in place; None is every column.
 
+        ``csr`` is the canonical CSR form walked, S's own by default;
+        the CSR view of S.T reads columns of S instead, into ``out.T``.
         Only the stored entries of the requested rows are walked. Each
         (row, column) of the block meets at most one of them, as the CSR
         form is canonical, so the indexed addition never collides, also
         for repeated indices.
         """
-        ptr = self._csr.indptr
+        csr = self._csr if csr is None else csr
+        ptr = csr.indptr
         at_row, k = _ranges(ptr[rows], ptr[rows + 1] - ptr[rows])
-        at_col = self._csr.indices[k]
+        at_col = csr.indices[k]
         if cols is not None:
             # column c sits at argsort(cols)[first[c]:][:hits[c]], and
             # entry k lands at each of its column's positions
-            hits = np.bincount(cols, minlength=self.ncols)
+            hits = np.bincount(cols, minlength=csr.shape[1])
             first = np.cumsum(hits) - hits
             t, slot = _ranges(first[at_col], hits[at_col])
             at_row, k = at_row[t], k[t]
             at_col = np.argsort(cols, kind="stable")[slot]
-        out[at_row, at_col] += self._csr.data[k]
+        out[at_row, at_col] += csr.data[k]
         return out
 
     def _rows(self, idx):
         return self._add_sparse(self._us[idx, :] @ self.v.T, idx)
 
     def _cols(self, idx):
-        # the CSC twin of _add_sparse's row walk
         out = self._us @ self.v[idx, :].T
-        ptr = self._csc.indptr
-        at_col, k = _ranges(ptr[idx], ptr[idx + 1] - ptr[idx])
-        out[self._csc.indices[k], at_col] += self._csc.data[k]
+        self._add_sparse(out.T, idx, csr=self._csc_t)
         return out
 
     def _submatrix(self, rows, cols):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, NonFiniteSnapshot, check_int
+from .errors import InvalidInput, check_finite, check_int
 from .sketch import SketchPack, SparseSignEmbedding, derive_seed, row_sketch
 
 __all__ = ["RankEstimate", "estimate_rank"]
@@ -114,9 +114,7 @@ def estimate_rank(oracle, abs_tol, seed):
             elif g2.sketch_rows < 2 * s:
                 g2 = g2.grown(2 * s)
             y = (x @ g2.raw.T) / np.sqrt(2 * s)
-        if not np.isfinite(y).all():
-            raise NonFiniteSnapshot("rank sketch holds non-finite entries")
-        sig = np.linalg.svd(y, compute_uv=False)
+        sig = np.linalg.svd(check_finite("rank sketch", y), compute_uv=False)
         if sig[-1] < abs_tol or (left_exact and right_exact) or s >= s_top:
             break
         s = min(2 * s, s_top)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from adacur import linalg
+from adacur.driver import _extract_factors
 from adacur.errors import InvalidInput
 from adacur.linalg import (
     LowRankOperator,
@@ -23,6 +24,8 @@ from adacur.linalg import (
     times_pinv,
     truncated_svd,
 )
+from adacur.oracles import DenseOracle
+from adacur.pivoting import IndexSelection
 from conftest import interp_matrix
 
 
@@ -334,8 +337,8 @@ class TestStableCurEval:
         r = rng.standard_normal((6, 20))
         below = stable_cur_eval(c, np.diag([1, 1, 1, 1, 1, 1e-16]), r)
         above = stable_cur_eval(c, np.diag([1, 1, 1, 1, 1, 1e-14]), r)
-        assert below.rank == 5
-        assert above.rank == 6
+        np.testing.assert_array_equal(below.left[:, 5], 0.0)
+        np.testing.assert_array_equal(above.left[:, 5], c[:, 5] * 1e14)
 
     def test_tall_oversampled_rows(self, rng):
         # more sampled rows than columns: least-squares core still exact
@@ -347,6 +350,23 @@ class TestStableCurEval:
         op = stable_cur_eval(a[:, cols], a[np.ix_(rows, cols)], a[rows, :])
         err = np.linalg.norm(a - op.left @ op.right)
         assert err <= 1e-10 * np.linalg.norm(a)
+
+    def test_well_conditioned_tall_core_takes_qr(self, rng, monkeypatch):
+        # the operator's left factor is the product the estimator scores,
+        # times_pinv's QR path, for stored factors as for bare blocks
+        a = rng.standard_normal((60, 50))
+        rows = rng.permutation(60)[:11]
+        sel = IndexSelection(rows[:8], rng.choice(50, 8, replace=False),
+                             rows[8:])
+        c, u, r = a[:, sel.cols], a[np.ix_(rows, sel.cols)], a[rows, :]
+        want = svd_times_pinv(c, u)
+        monkeypatch.setattr("adacur.linalg.truncated_svd", None)
+        for op in (stable_cur_eval(c, u, r),
+                   _extract_factors(DenseOracle(a), sel).operator()):
+            assert op.rank == 11
+            np.testing.assert_array_equal(op.right, r)
+            assert (np.linalg.norm(op.left - want)
+                    <= 1e-10 * np.linalg.norm(want))
 
 
 def svd_times_pinv(x, u):
@@ -392,6 +412,12 @@ class TestTimesPinv:
         u = rng.standard_normal((6, 9))
         x = rng.standard_normal((4, 9))
         assert times_pinv(x, u).tobytes() == svd_times_pinv(x, u).tobytes()
+
+    @pytest.mark.parametrize("x", [np.ones((3, 6)), np.ones((3, 4)),
+                                   np.ones(5)], ids=["wide", "narrow", "1-d"])
+    def test_mismatched_shapes_rejected(self, x):
+        with pytest.raises(InvalidInput, match="as many columns"):
+            times_pinv(x, np.eye(5))
 
     @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 0), (0, 4)])
     def test_zero_or_empty_core_gives_zero(self, rng, shape):
