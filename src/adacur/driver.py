@@ -166,11 +166,13 @@ def _order_cross(rows, cols, g, rank_tol):
     """Order the cross ``g = A[rows, cols]``; return (rows, cols, rank).
 
     One strong rank-revealing QR of g orders the columns, and its R
-    diagonal gives the rank. LUPP of the column-ordered g orders the
-    rows; its first r pivots depend on the first r columns only, so they
-    are the skeleton rows of the r leading pivot columns.
+    diagonal gives the rank. The interchange test runs at the rank the
+    greedy R shows at ``rank_tol``, so the strong bounds hold for the
+    columns kept. LUPP of the column-ordered g orders the rows; its
+    first r pivots depend on the first r columns only, so they are the
+    skeleton rows of the r leading pivot columns.
     """
-    col_qr = srrqr(g)
+    col_qr = srrqr(g, rank_tol=rank_tol)
     rank = eps_rank_from_rdiag(col_qr.r, rank_tol)
     return rows[lu_pivots(g[:, col_qr.pivots])], cols[col_qr.pivots], rank
 

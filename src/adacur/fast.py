@@ -39,10 +39,10 @@ class FastConfig:
     ``oversample`` adds rows beyond that for factor quality. Nothing
     certifies this driver's error, and at the default 0 it misses the
     tolerance far more often: on ``make_synthetic_expm(n=200)`` at tol
-    1e-8 and buffer 5, over problem seeds 0-11, 61 of 1,212 steps
-    exceeded tol (worst 2.52 tol) at oversample 0 and none (worst 0.92
+    1e-8 and buffer 5, over problem seeds 0-11, 59 of 1,212 steps
+    exceeded tol (worst 2.89 tol) at oversample 0 and none (worst 0.96
     tol) at oversample 5, with one BLAS thread; four threads round
-    differently and give 63 (worst 3.95 tol) and none (worst 0.84 tol).
+    differently and give 65 (worst 3.95 tol) and 2 (worst 1.03 tol).
     The rank tolerance is 0.5 * tol / sqrt(n) against the core's
     R-factor diagonal. ``store_factors`` off skips factor extraction
     entirely; the per-step work is then just the core read, its strong

@@ -182,13 +182,15 @@ class LowRankPlusSparseOracle(MatrixOracle):
     """Oracle for ``U @ diag(sigma) @ V.T + S`` that never densifies.
 
     The sparse term is kept as one canonical CSR matrix (duplicates
-    summed, columns sorted within a row) and that matrix's CSC copy,
-    both built once. A block is the low-rank GEMM with only the stored
-    entries that fall inside it added in place, by one walk over the
-    requested rows of a CSR form: S's own for a row or submatrix read,
-    and for a column read the CSR view of S.T on the CSC copy's arrays.
-    So a block costs the GEMM plus the stored entries of the rows or
-    columns it names, and no dense copy of S's part of it is made.
+    summed, columns sorted within a row). Its CSC copy, and the CSR
+    view of S.T on that copy's arrays, are built once, on the first
+    column read or adjoint product, so an oracle read only by rows,
+    submatrices and forward products never converts. A block is the
+    low-rank GEMM with only the stored entries that fall inside it added
+    in place, by one walk over the requested rows of a CSR form: S's
+    own for a row or submatrix read, and the view of S.T for a column
+    read. So a block costs the GEMM plus the stored entries of the rows
+    or columns it names, and no dense copy of S's part of it is made.
 
     Parameters
     ----------
@@ -217,7 +219,7 @@ class LowRankPlusSparseOracle(MatrixOracle):
         self._set_sparse(s)
 
     def _set_sparse(self, s):
-        """Keep ``s`` (None is empty) as canonical CSR and its CSC copy."""
+        """Keep ``s`` (None is empty) as canonical CSR; no CSC copy yet."""
         if s is None:
             s = sp.csr_matrix(self.shape)
         if not sp.issparse(s):
@@ -227,8 +229,15 @@ class LowRankPlusSparseOracle(MatrixOracle):
         csr = s.tocsr(copy=True).astype(float, copy=False)
         csr.sum_duplicates()
         self._csr = csr
-        self._csc = csr.tocsc()
-        self._csc_t = self._csc.T  # A.T as a CSR view on _csc's arrays
+        self._csc = self._csr_t = None
+
+    @property
+    def _csc_t(self):
+        """S.T as a CSR view on S's CSC copy, both built on first use."""
+        if self._csc is None:
+            self._csc = self._csr.tocsc()
+            self._csr_t = self._csc.T
+        return self._csr_t
 
     def with_sparse(self, s):
         """Oracle for the same low-rank part plus the sparse term ``s``.
@@ -293,7 +302,8 @@ class LowRankPlusSparseOracle(MatrixOracle):
 
     def _cols(self, idx):
         out = self._us @ self.v[idx, :].T
-        self._add_sparse(out.T, idx, csr=self._csc_t)
+        if self.nnz:
+            self._add_sparse(out.T, idx, csr=self._csc_t)
         return out
 
     def _submatrix(self, rows, cols):

@@ -42,11 +42,21 @@ class IndexSelection:
         self.rows = check_indices("rows", self.rows)
         self.cols = check_indices("cols", self.cols)
         self.extra_rows = check_indices("extra_rows", self.extra_rows)
-        for name, idx in (("rows", self.rows), ("cols", self.cols),
-                          ("extra_rows", self.extra_rows)):
-            if idx.size and np.unique(idx).size != idx.size:
+        # one stable sort of rows then extra_rows: each repeated row
+        # index meets its equal as a neighbour, and the pair's origins
+        # tell a duplicate within either set from an overlap
+        both = np.concatenate([self.rows, self.extra_rows])
+        order = np.argsort(both, kind="stable")
+        tie = both[order[1:]] == both[order[:-1]]
+        in_rows = order < self.rows.size
+        lo, hi = in_rows[:-1], in_rows[1:]
+        cols = np.sort(self.cols)
+        for name, dup in (("rows", tie & lo & hi),
+                          ("cols", cols[1:] == cols[:-1]),
+                          ("extra_rows", tie & ~lo & ~hi)):
+            if dup.any():
                 raise InvalidInput(f"duplicate indices in {name}")
-        if np.intersect1d(self.rows, self.extra_rows).size:
+        if (tie & (lo != hi)).any():
             raise InvalidInput("extra_rows overlaps rows")
 
     @classmethod

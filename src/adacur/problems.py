@@ -250,10 +250,16 @@ def make_speed_problem(m=5000, n=1000, r=100, q=51, seed=0,
     nnz = max(1, int(round(m * n * density)))
 
     def draw_sparse(i):
+        """delta * X_i; its distinct flat positions, sorted, are already
+        in canonical CSR order."""
         g = np.random.default_rng(derive_seed(seed, 0x4A55, i))
         flat = g.choice(m * n, size=nnz, replace=False)
-        ij = np.unravel_index(flat, (m, n))
-        return sp.coo_matrix((g.standard_normal(nnz), ij), shape=(m, n)).tocsr()
+        vals = g.standard_normal(nnz)
+        order = np.argsort(flat)
+        row, col = np.divmod(flat[order], n)
+        ptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(np.bincount(row, minlength=m), out=ptr[1:])
+        return sp.csr_matrix((delta * vals[order], col, ptr), shape=(m, n))
 
     state = {"i": 0, "s": None}  # cumulative delta * sum_{j<=i} X_j
 
@@ -264,7 +270,7 @@ def make_speed_problem(m=5000, n=1000, r=100, q=51, seed=0,
             state["i"], state["s"] = 0, None
         s = state["s"] if state["s"] is not None else sp.csr_matrix((m, n))
         for j in range(state["i"] + 1, i + 1):
-            s = s + delta * draw_sparse(j)
+            s = s + draw_sparse(j)
         state["i"], state["s"] = i, s
         return s
 

@@ -255,15 +255,30 @@ class TestRefinementOrder:
                     min(j1.size, m - old_rows.size))]))
             np.testing.assert_array_equal(g, a[np.ix_(rows, cols)])
             np.testing.assert_array_equal(at["srrqr"][0], g)
-            qr = srrqr(g)
+            rank_tol = driver._rank_tol(cfg, n)
+            qr = srrqr(g, rank_tol=rank_tol)
             r = new.cols.size
-            assert r == eps_rank_from_rdiag(qr.r, driver._rank_tol(cfg, n))
+            assert r == eps_rank_from_rdiag(qr.r, rank_tol)
             np.testing.assert_array_equal(new.cols, cols[qr.pivots][:r])
             np.testing.assert_array_equal(
                 new.rows, rows[lu_pivots(g[:, qr.pivots])][:r])
             np.testing.assert_array_equal(
                 new.extra_rows, oversample_rows_multi(
                     lu_row_id(a[:, new.cols]), new.rows, cfg.oversample))
+
+    def test_cross_ordered_at_its_rank_tolerance(self, monkeypatch, rng):
+        # sRRQR tests the interchanges at the rank the cross keeps
+        seen = []
+
+        def spying(a, **kw):
+            seen.append(kw)
+            return srrqr(a, **kw)
+
+        monkeypatch.setattr(driver, "srrqr", spying)
+        g = rng.standard_normal((12, 10)) * np.logspace(0, -9, 10)
+        rank = driver._order_cross(np.arange(12), np.arange(10), g, 1e-5)[2]
+        assert seen == [{"rank_tol": 1e-5}]
+        assert rank == eps_rank_from_rdiag(srrqr(g, rank_tol=1e-5).r, 1e-5)
 
 
 class TestConstantSequence:

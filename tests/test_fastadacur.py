@@ -319,7 +319,7 @@ class TestExpandRefill:
     r0 + p on the EXPANDs to ranks 4 and 5, and 1 on the one to rank 6.
     """
 
-    B, P, M, N = 4, 2, 60, 40
+    B, P, M, N, TOL = 4, 2, 60, 40, 1e-8
 
     def kept(self, rows, r0, p):
         """Whether an EXPAND to rank r0 may keep ``rows`` at oversample p."""
@@ -335,7 +335,7 @@ class TestExpandRefill:
                                   lambda j: RecordingOracle(mats[j]),
                                   (self.M, self.N))
         res = fastadacur_run(seq, FastConfig(
-            tol=1e-8, buffer=self.B, oversample=p, seed=0,
+            tol=self.TOL, buffer=self.B, oversample=p, seed=0,
             store_factors=False))
         traces = [t for _, t in res]
         assert [t.rank for t in traces] == [3, 4, 5, 6, 6]
@@ -343,11 +343,16 @@ class TestExpandRefill:
             ["RECOMPUTE"] + ["EXPAND"] * 3 + ["TRUNCATE"]
         return seq, mats, traces
 
+    def core_pivots(self, core):
+        """A core's column order, by sRRQR at the driver's rank cut."""
+        rank_tol = driver._rank_tol(FastConfig(tol=self.TOL), self.N)
+        return srrqr(core, rank_tol=rank_tol).pivots
+
     def ordered_core_rows(self, seq, mats, j):
         """Step j's core rows in the order its cross ordering gives them."""
         rows, cols = seq.oracle(j).reads[0]
         core = mats[j][np.ix_(rows, cols)]
-        return rows[lu_pivots(core[:, srrqr(core).pivots])], rows, cols
+        return rows[lu_pivots(core[:, self.core_pivots(core)])], rows, cols
 
     @pytest.mark.parametrize("j", [1, 2])
     def test_spare_rows_kept_without_column_read(self, j):
@@ -374,7 +379,7 @@ class TestExpandRefill:
         assert [name for name, _ in orc.blocks] == ["col_block", "row_block"]
         core = mats[3][np.ix_(rows, cols)]
         np.testing.assert_array_equal(
-            orc.blocks[0][1], cols[srrqr(core).pivots][:r0])
+            orc.blocks[0][1], cols[self.core_pivots(core)][:r0])
         assert traces[3].entries_read == rows.size * cols.size + \
             self.M * r0 + (r0 + self.P) * self.N
         next_rows, next_cols = seq.oracle(4).reads[0]
@@ -424,7 +429,8 @@ class TestCoreFactorization:
         for j in range(1, len(seq)):
             rows, cols = seq.oracle(j).reads[0]
             core = mats[j][np.ix_(rows, cols)]
-            piv = srrqr(core).pivots
+            rank_tol = driver._rank_tol(cfg, ref.shape[1])
+            piv = srrqr(core, rank_tol=rank_tol).pivots
             sel, r0 = res[j][0].selection, res[j][1].rank
             np.testing.assert_array_equal(sel.cols, cols[piv][:r0])
             np.testing.assert_array_equal(

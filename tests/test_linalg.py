@@ -79,6 +79,14 @@ class TestCpqr:
             np.testing.assert_array_equal(fac.r, r)
             np.testing.assert_array_equal(fac.pivots, piv)
 
+    def test_r_is_the_factor_zeroed_below_its_diagonal(self, rng):
+        # bitwise, zeros' signs included, the upper part of dgeqp3's
+        # factor, whether R is LAPACK's array or copied out of it
+        for shape in [(10, 400), (400, 10), (25, 25), (113, 107)]:
+            a = rng.standard_normal(shape)
+            want = np.triu(lapack.dgeqp3(a)[0][:min(shape)])
+            assert cpqr(a).r.tobytes() == want.tobytes()
+
     def test_r_owns_its_memory(self, rng):
         # a kept factor must not pin the (m, n) LAPACK work array
         for shape in [(10, 400), (400, 10)]:
@@ -184,6 +192,21 @@ class TestLuRowId:
                                           lu_pivots(a[:, :j])[:j])
 
     @settings(max_examples=200, deadline=None)
+    @given(tall_blocks(), st.booleans())
+    def test_row_order_replays_the_interchanges(self, c, wide):
+        # the row order is dgetrf's interchanges applied one at a time,
+        # for rank-deficient, zero-column and wide inputs alike
+        a = c.T if wide else c
+        lu, perm = linalg._lupp(a)
+        want_lu, piv, _ = lapack.dgetrf(a)
+        rows = np.arange(a.shape[0])
+        for i, p in enumerate(piv):
+            rows[i], rows[p] = rows[p], rows[i]
+        assert perm.dtype == np.intp
+        np.testing.assert_array_equal(perm, rows)
+        np.testing.assert_array_equal(lu, want_lu)
+
+    @settings(max_examples=200, deadline=None)
     @given(tall_blocks())
     def test_row_id_property(self, c):
         assert_row_id(c, lu_row_id(c), rtol=1e-12)
@@ -256,6 +279,51 @@ class TestSrrqr:
         smin = np.linalg.svd(fac.r[:k, :k], compute_uv=False)[-1]
         sk = np.linalg.svd(kah, compute_uv=False)[k - 1]
         assert smin >= sk / np.sqrt(1.0 + f * f * k * (n - k)) * (1 - 1e-9)
+
+    @pytest.mark.parametrize("rank_tol", [1e-2, 1e-5, 1e-9])
+    def test_rank_tol_is_k_from_the_greedy_r(self, rng, rank_tol):
+        # the rank cut picks k from the R the greedy pass already holds
+        for trial in range(5):
+            a = rng.standard_normal((40, 30)) * np.logspace(0, -12, 30)
+            k = eps_rank_from_rdiag(cpqr(a).r, rank_tol)
+            got, want = srrqr(a, rank_tol=rank_tol), srrqr(a, k=k)
+            np.testing.assert_array_equal(got.pivots, want.pivots)
+            np.testing.assert_array_equal(got.r, want.r)
+            assert got.swaps == want.swaps
+
+    def test_k_and_rank_tol_together_rejected(self, rng):
+        with pytest.raises(InvalidInput, match="k or rank_tol"):
+            srrqr(rng.standard_normal((6, 5)), k=2, rank_tol=1e-3)
+
+    @pytest.mark.parametrize("rank_tol", [np.nan, -1e-3])
+    def test_bad_rank_tol_rejected(self, rng, rank_tol):
+        with pytest.raises(InvalidInput, match="rel_tol"):
+            srrqr(rng.standard_normal((6, 5)), rank_tol=rank_tol)
+
+    @pytest.mark.parametrize("theta, rank_tol", [(0.285, 1e-4), (0.285, 1e-6),
+                                                 (0.8, 1e-4), (0.8, 1e-6)])
+    def test_graded_matrix_bounds_at_the_rank_cut(self, theta, rank_tol):
+        # on Kahan matrices the greedy leading block at the cut breaks
+        # both bounds; the interchanges restore them at that k, also
+        # where the machine-precision rank is n and tests nothing
+        n, f = 50, 2.0
+        c, s = np.cos(theta), np.sin(theta)
+        kah = np.triu(-c * np.ones((n, n)), 1) + np.eye(n)
+        kah *= np.power(s, np.arange(n))[:, None]
+        k = eps_rank_from_rdiag(cpqr(kah).r, rank_tol)
+        assert 0 < k < n
+        sk = np.linalg.svd(kah, compute_uv=False)[k - 1]
+        floor = sk / np.sqrt(1.0 + f * f * k * (n - k))
+        greedy = cpqr(kah).r
+        assert np.abs(np.linalg.solve(greedy[:k, :k], greedy[:k, k:])).max() > f
+        assert np.linalg.svd(greedy[:k, :k], compute_uv=False)[-1] < floor
+        fac = srrqr(kah, f=f, rank_tol=rank_tol)
+        assert fac.swaps >= 1
+        assert_r_factor(fac, kah)
+        w = np.linalg.solve(fac.r[:k, :k], fac.r[:k, k:])
+        assert np.abs(w).max() <= f + 1e-9
+        smin = np.linalg.svd(fac.r[:k, :k], compute_uv=False)[-1]
+        assert smin >= floor * (1 - 1e-9)
 
     def test_full_rank_request_matches_cpqr_shape(self, rng):
         a = rng.standard_normal((12, 8))

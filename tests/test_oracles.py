@@ -96,6 +96,48 @@ class TestSparseReads:
         assert orc.col_block([]).shape == (8, 0)
         assert orc.submatrix([], [1, 1]).shape == (0, 2)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lazy_forms_read_as_eager_ones(self, build, seed):
+        # an oracle that builds S's CSC copy and the view of S.T only
+        # when a read needs them reads bitwise as one that built them
+        # up front, whatever the reads before that
+        rng = np.random.default_rng(seed)
+        m, n = rng.integers(5, 40, size=2)
+        nnz = rng.integers(0, 3 * m)
+        ij = (rng.integers(0, m, nnz), rng.integers(0, n, nnz))
+        coo = sp.coo_matrix((rng.standard_normal(nnz), ij), shape=(m, n))
+        lazy = build(coo, np.random.default_rng(seed), 3)
+        eager = build(coo, np.random.default_rng(seed), 3)
+        eager._csc_t
+        rows = rng.integers(0, m, 6)
+        x, y = rng.standard_normal((n, 2)), rng.standard_normal((m, 2))
+        reads = [("row_block", (rows,)), ("submatrix", (rows, [0, 0])),
+                 ("matmat", (x,)), ("col_block", ([],)),
+                 ("col_block", (rng.integers(0, n, 7),)),
+                 ("rmatmat", (y,)), ("col_block", ([n - 1, 0, n - 1],))]
+        for i in rng.permutation(len(reads)):
+            name, args = reads[i]
+            assert_bitwise(getattr(lazy, name)(*args),
+                           getattr(eager, name)(*args))
+
+    def test_csc_built_on_first_column_or_adjoint_read(self, build, rng):
+        s = sp.random(30, 20, density=0.2, random_state=3, format="csr")
+        for first in ("col_block", "rmatmat", "rmatvec"):
+            orc = build(s, rng, 2)
+            orc.row_block([4, 0])
+            orc.submatrix([1, 29], [3, 3])
+            orc.matmat(np.ones((20, 2)))
+            orc.matvec(np.ones(20))
+            assert orc._csc is None
+            arg = {"col_block": [5], "rmatmat": np.ones((30, 1)),
+                   "rmatvec": np.ones(30)}[first]
+            getattr(orc, first)(arg)
+            csc, view = orc._csc, orc._csc_t
+            assert np.shares_memory(view.data, csc.data)
+            orc.col_block([1, 2])
+            orc.rmatvec(np.ones(30))
+            assert orc._csc is csc and orc._csc_t is view
+
     def test_with_sparse_none_is_low_rank_alone(self, rng):
         m, n = 30, 11
         s = sp.random(m, n, density=0.2, random_state=2, format="csr")
@@ -104,9 +146,11 @@ class TestSparseReads:
         assert bare.nnz == 0 and orc.nnz == s.nnz
         assert_reads_match(bare, None, np.array([4, 4, 29]),
                            np.array([0, 10, 0]), rng)
-        # an absent term on an oracle without one shares its empty forms
+        # an absent term on an oracle without one shares its empty CSR
+        # form; no read of an empty term builds the CSC copy
         again = bare.with_sparse(None)
-        assert again._csr is bare._csr and again._csc is bare._csc
+        assert again._csr is bare._csr
+        assert bare._csc is None and again._csc is None
         assert again.counters is not bare.counters
         assert_reads_match(again, None, np.array([0, 29]), np.array([3]),
                            rng)

@@ -16,6 +16,17 @@ def rank_r_matrix(rng, m, n, r):
     return rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
 
 
+def first_selection_fault(rows, cols, extra):
+    """Reference for IndexSelection's checks on valid indices: np.unique
+    of each set in turn, then intersect1d; None when all pass."""
+    for name, idx in (("rows", rows), ("cols", cols), ("extra_rows", extra)):
+        if np.unique(idx).size != len(idx):
+            return f"duplicate indices in {name}"
+    if np.intersect1d(rows, extra).size:
+        return "extra_rows overlaps rows"
+    return None
+
+
 class TestIndexSelection:
     def test_all_rows_concatenates_extras(self):
         sel = IndexSelection(np.array([3, 1]), np.array([2]),
@@ -47,6 +58,19 @@ class TestIndexSelection:
         else:
             with pytest.raises(InvalidInput):
                 IndexSelection(rows, cols, extra)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.integers(0, 9), max_size=8),
+           cols=st.lists(st.integers(0, 9), max_size=8),
+           extra=st.lists(st.integers(0, 9), max_size=8))
+    def test_first_fault_named_as_by_per_set_checks(self, rows, cols, extra):
+        want = first_selection_fault(rows, cols, extra)
+        if want is None:
+            IndexSelection(rows, cols, extra)
+        else:
+            with pytest.raises(InvalidInput) as info:
+                IndexSelection(rows, cols, extra)
+            assert str(info.value) == want
 
     @pytest.mark.parametrize("bad", [[1.5], [True], [-1], [[1, 2]],
                                      np.array([2.0, 3.0])])

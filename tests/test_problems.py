@@ -17,6 +17,7 @@ from adacur.problems import (
     synthetic_expm_singvals,
     true_relative_error,
 )
+from adacur.sketch import derive_seed
 
 
 def dense_of(oracle):
@@ -199,6 +200,26 @@ class TestSpeedProblem:
         _ = seq.oracle(1)  # jump backwards, forcing a state rebuild
         a_again = seq.oracle(4).col_block(np.arange(100))
         np.testing.assert_array_equal(a_fwd, a_again)
+
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_terms_match_coo_construction(self, seed):
+        # each step's draw goes straight to canonical CSR; the cumulative
+        # terms are bitwise those built through COO -> CSR
+        m, n, q, delta, density = 300, 120, 12, 1e-3, 2e-3
+        seq = make_speed_problem(m=m, n=n, r=5, q=q, seed=seed, delta=delta,
+                                 density=density)
+        nnz = int(round(m * n * density))
+        want = sp.csr_matrix((m, n))
+        for j in range(1, q):
+            g = np.random.default_rng(derive_seed(seed, 0x4A55, j))
+            flat = g.choice(m * n, size=nnz, replace=False)
+            ij = np.unravel_index(flat, (m, n))
+            draw = sp.coo_matrix((g.standard_normal(nnz), ij), shape=(m, n))
+            want = want + delta * draw.tocsr()
+            got = seq.oracle(j)._csr
+            for field in ("data", "indices", "indptr"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_oracles_share_low_rank_factor(self):
         # each step's oracle owns only its sparse term and its counters;
