@@ -97,9 +97,10 @@ def _run(ns, seq, seed):
             for j, (fac, tr) in enumerate(results):
                 tr.true_rel_err = true_relative_error(seq.oracle(j), fac)
         return results
+    # the CLI writes traces only, so the certified drivers keep no factors
     cfg = AdaCurConfig(tol=ns.tol, err_samples=ns.err_samples,
                        oversample=ns.oversample, seed=seed,
-                       true_error=ns.true_error)
+                       true_error=ns.true_error, store_factors=False)
     run = adacur_run if ns.algo == "adacur" else recompute_baseline_run
     return run(seq, cfg)
 

@@ -62,7 +62,11 @@ class AdaCurConfig:
     ``true_error`` additionally records the exact relative error per
     step (reads the full matrix; for reporting only). With
     ``store_factors`` off the returned factors carry indices only,
-    which keeps long large runs from pinning memory.
+    which keeps long large runs from pinning memory. A REUSE step reads
+    R only; the C of its stored factors is read on first use of
+    ``factors.c`` or ``factors.operator()``, outside the step's
+    ``entries_read``, and until then the factors keep the step's
+    oracle. Neither flag changes a trace but for ``true_rel_err``.
     """
 
     tol: float
@@ -93,20 +97,29 @@ class StepTrace:
     entries_read: int = 0
 
 
-@dataclass
 class CURFactors:
     """Explicit CUR factors tied to an index selection.
 
     ``u`` equals ``c`` restricted to the selected (+extra) rows and
-    ``r`` restricted to the selected columns, elementwise. When a run
-    is configured not to store factors the three arrays are None and
-    only ``selection`` is meaningful.
+    ``r`` restricted to the selected columns, elementwise. Factors
+    built with an ``oracle`` and no ``c`` read C = A[:, cols] from it on
+    the first access of ``c`` (or of ``operator()``), write U into its
+    selected rows, keep it and drop the oracle; until then they keep
+    the oracle alive. When a run is configured not to store factors
+    the three arrays are None and only ``selection`` is meaningful.
     """
 
-    c: np.ndarray | None
-    u: np.ndarray | None
-    r: np.ndarray | None
-    selection: IndexSelection
+    def __init__(self, c, u, r, selection, oracle=None):
+        self._c, self.u, self.r, self.selection = c, u, r, selection
+        self._oracle = oracle
+
+    @property
+    def c(self):
+        if self._oracle is not None:
+            self._c = _with_cross(self._oracle.col_block(self.selection.cols),
+                                  self.selection, self.u)
+            self._oracle = None
+        return self._c
 
     @property
     def rank(self):
@@ -118,6 +131,12 @@ class CURFactors:
         if self.c is None:
             raise InvalidInput("factors were not stored for this step")
         return stable_cur_eval(self.c, self.u, self.r)
+
+
+def _with_cross(c, sel, u):
+    """``c`` with ``u`` written into its rows ``sel.all_rows``, in place."""
+    c[sel.all_rows, :] = u
+    return c
 
 
 # Share of the tolerance left to rank truncation: the rank tolerance is
@@ -141,25 +160,27 @@ def _grow(ids, row_id, count):
 
 
 def _extract_factors(oracle, sel, col_block=None, row_block=None):
-    """Fetch C and R for ``sel`` and slice U out of the shared entries.
+    """Fetch R for ``sel``, slice U out of it, and attach C.
 
-    U is taken from the fetched row block and written back into the
-    column block so the factor cross-consistency is exact even when an
+    U is taken from the fetched row block and written into the column
+    block so the factor cross-consistency is exact even when an
     oracle's row and column fetches round intermediate products
     differently. ``col_block`` is ``A[:, sel.cols]`` and ``row_block``
     is ``A[sel.all_rows, :]`` if the caller already fetched them; they
-    become C and R, and C is overwritten in place.
+    become C and R, and C is overwritten in place. Without
+    ``col_block`` C is not read here: the factors read it from
+    ``oracle`` on first use (see :class:`CURFactors`), so a step that
+    only scores them reads R alone.
     """
     m, n = oracle.shape
     if sel.is_empty:
         return CURFactors(np.zeros((m, 0)), np.zeros((0, 0)),
                           np.zeros((0, n)), sel)
-    rows = sel.all_rows
-    rfac = oracle.row_block(rows) if row_block is None else row_block
-    c = oracle.col_block(sel.cols) if col_block is None else col_block
+    rfac = oracle.row_block(sel.all_rows) if row_block is None else row_block
     u = rfac[:, sel.cols].copy()
-    c[rows, :] = u
-    return CURFactors(c, u, rfac, sel)
+    if col_block is None:
+        return CURFactors(None, u, rfac, sel, oracle)
+    return CURFactors(_with_cross(col_block, sel, u), u, rfac, sel)
 
 
 def _order_cross(rows, cols, g, rank_tol):
@@ -231,7 +252,8 @@ def _track(seq, cfg, step):
     loop meters each step's oracle reads and wall time, tallies h1
     (MINOR_MOD, TRUNCATE) and h2 (RECOMPUTE, EXPAND) from step 2 on,
     records exact errors when ``cfg.true_error`` asks for them, drops
-    the factor arrays unless ``cfg.store_factors`` keeps them, and
+    the factor arrays unless ``cfg.store_factors`` keeps them (both
+    after the step's reads are metered, so neither moves them), and
     attaches to any escaping exception the traces made so far as
     ``partial_trace`` and, unless it already names one, the index of
     the step that raised it as ``step``.
@@ -306,7 +328,8 @@ _DOUBLINGS = 4
 
 
 def _adaptive_step(oracle, cfg, j, sel):
-    """Reuse ``sel``, else refine it at growing sketches, else recompute."""
+    """Reuse ``sel``, which reads R alone, else refine it at growing
+    sketches, else recompute."""
     fac = _extract_factors(oracle, sel)
     est = _estimate(oracle, cfg, j, fac)
     if est is None:

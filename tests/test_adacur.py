@@ -1,6 +1,9 @@
 """Tests for the certified adaptive CUR driver."""
 
+import dataclasses
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from adacur.driver import (
 )
 from adacur.errors import InvalidInput, NonFiniteSnapshot
 from adacur.fast import FastConfig, fastadacur_run
-from adacur.linalg import eps_rank_from_rdiag, lu_pivots, lu_row_id, srrqr
+from adacur.linalg import (eps_rank_from_rdiag, lu_pivots, lu_row_id, srrqr,
+                           stable_cur_eval)
 from adacur.normest import estimate_cur_error
 from adacur.oracles import DenseOracle, ParamMatrixSequence
 from adacur.oversample import oversample_rows_multi
@@ -128,10 +132,11 @@ class TestScratchReads:
                                        + sel.all_rows.size * n)
 
 
-    def test_minor_mod_reads_c_and_r_once_more(self):
-        # the refined selection's factors are fetched once, for the
-        # estimate, and handed back: one C and one R read on top of the
-        # reused selection's, as on a REUSE step plus one
+    def test_reuse_reads_r_only_minor_mod_c_and_r_once_more(self):
+        # a REUSE step is scored from the sketch and R alone, and its
+        # stored factors read no C until it is used; the refined
+        # selection's factors are fetched once, for the estimate, and
+        # handed back: one C and one R read on top of the reused R
         base = make_synthetic_expm(n=60, q=11, seed=0)
         oracles = []
 
@@ -143,7 +148,7 @@ class TestScratchReads:
         res = adacur_run(seq, AdaCurConfig(tol=1e-8, oversample=3, seed=0))
         fetches = {(tr.action, orc.col_fetches, orc.row_fetches)
                    for orc, (_, tr) in zip(oracles[1:], res[1:])}
-        assert fetches == {("REUSE", 1, 1), ("MINOR_MOD", 2, 2)}
+        assert fetches == {("REUSE", 0, 1), ("MINOR_MOD", 1, 2)}
 
     def test_refinement_attempt_reads_one_column_and_one_row_block(
             self, monkeypatch):
@@ -390,6 +395,89 @@ class TestFactorLayout:
             assert fac.selection.cols.size == 5
             with pytest.raises(InvalidInput):
                 fac.operator()
+
+
+def weakly_held_sequence(base, refs):
+    """``base`` with no oracle cache, each built oracle weakly in ``refs``."""
+    def provider(j):
+        orc = DenseOracle(base.oracle(j).array)
+        refs.append(weakref.ref(orc))
+        return orc
+
+    return ParamMatrixSequence(base.params, provider, base.shape,
+                               cache_oracles=False)
+
+
+class TestLazyColumnBlock:
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    @pytest.mark.parametrize("run", [adacur_run, recompute_baseline_run],
+                             ids=["adacur", "baseline"])
+    def test_traces_do_not_depend_on_factors_or_true_error(self, problem,
+                                                           run):
+        # a benchmark compares a pass that keeps factors and exact errors
+        # with calls that keep neither, entries read included
+        seq, tol = _sequence(problem), PROBLEMS[problem][1]
+        runs = {(store, exact): run(seq, AdaCurConfig(
+                    tol=tol, oversample=3, seed=0, store_factors=store,
+                    true_error=exact))
+                for store in (True, False) for exact in (True, False)}
+
+        def plain(res):
+            return [dataclasses.replace(tr, true_rel_err=None)
+                    for _, tr in res]
+
+        for (_, exact), res in runs.items():
+            assert_traces_match(plain(res), plain(runs[False, False]))
+            assert all((tr.true_rel_err is not None) == exact
+                       for _, tr in res)
+        # a stored REUSE step's lazily read C, and the operator on it,
+        # are bitwise the eager column block with U written in
+        for j, (fac, _) in enumerate(runs[True, False]):
+            sel = fac.selection
+            if sel.is_empty:
+                continue
+            eager = seq.oracle(j).col_block(sel.cols)
+            eager[sel.all_rows] = fac.u
+            op = fac.operator()
+            np.testing.assert_array_equal(fac.c, eager)
+            want = stable_cur_eval(eager, fac.u, fac.r)
+            np.testing.assert_array_equal(op.left, want.left)
+            np.testing.assert_array_equal(op.right, want.right)
+
+    def test_lazy_factors_drop_oracle_after_first_read(self):
+        refs = []
+        seq = weakly_held_sequence(make_synthetic_expm(n=60, q=11, seed=0),
+                                   refs)
+        res = adacur_run(seq, AdaCurConfig(tol=1e-8, oversample=3, seed=0))
+        gc.collect()
+        reused = {j for j, (_, tr) in enumerate(res) if tr.action == "REUSE"}
+        assert reused
+        assert {j for j, ref in enumerate(refs) if ref()} == reused
+        # C is read on the first use, outside the step, and only then
+        for j in reused:
+            counters = refs[j]().counters
+            mark = counters.entries_read
+            assert res[j][0].c.shape == (60, res[j][1].rank)
+            assert res[j][0].c is res[j][0].c
+            assert counters.entries_read - mark == 60 * res[j][1].rank
+        gc.collect()
+        assert not any(ref() for ref in refs)
+
+    @pytest.mark.parametrize("run, cfg", [
+        (adacur_run, AdaCurConfig(tol=1e-8, oversample=3,
+                                  store_factors=False)),
+        (recompute_baseline_run, AdaCurConfig(tol=1e-8, oversample=3,
+                                              store_factors=False)),
+        (fastadacur_run, FastConfig(tol=1e-8, buffer=4,
+                                    store_factors=False)),
+    ], ids=["adacur", "baseline", "fastadacur"])
+    def test_run_without_factors_keeps_no_oracle(self, run, cfg):
+        refs = []
+        seq = weakly_held_sequence(make_synthetic_expm(n=60, q=11, seed=0),
+                                   refs)
+        res = run(seq, cfg)
+        gc.collect()
+        assert len(refs) == len(res) and not any(ref() for ref in refs)
 
 
 class TestAdaptivity:

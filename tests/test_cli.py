@@ -1,12 +1,16 @@
 """End-to-end tests of the command line entry point."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
+from adacur import cli
 from adacur.cli import main
 from adacur.fileio import read_trace_csv, write_matrix_market
+
+from conftest import assert_traces_match
 
 
 def run_cli(*args):
@@ -164,3 +168,25 @@ class TestOutputs:
         assert run_cli("--problem", "synthetic", "--n", "30", "--steps", "5",
                        "--algo", "recompute-baseline") == 0
         assert "recompute-baseline" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algo, name", [
+        ("adacur", "adacur_run"),
+        ("recompute-baseline", "recompute_baseline_run"),
+    ])
+    def test_certified_drivers_keep_no_factors(self, monkeypatch, capsys,
+                                               algo, name):
+        # the CLI writes traces only; keeping no factors leaves them as is
+        real, calls = getattr(cli, name), []
+
+        def recording(seq, cfg):
+            calls.append((seq, cfg, real(seq, cfg)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(cli, name, recording)
+        assert run_cli("--problem", "synthetic", "--n", "40", "--steps", "9",
+                       "--tol", "1e-6", "--algo", algo, "--true-error") == 0
+        (seq, cfg, res), = calls
+        assert not cfg.store_factors
+        assert all(fac.c is None for fac, _ in res)
+        kept = real(seq, dataclasses.replace(cfg, store_factors=True))
+        assert_traces_match([tr for _, tr in res], [tr for _, tr in kept])
