@@ -170,7 +170,10 @@ def _extract_factors(oracle, sel, col_block=None, row_block=None):
     become C and R, and C is overwritten in place. Without
     ``col_block`` C is not read here: the factors read it from
     ``oracle`` on first use (see :class:`CURFactors`), so a step that
-    only scores them reads R alone.
+    only scores them reads R alone. Two kinds of step pass None: a
+    REUSE step, which reads no column block, and a from-scratch step
+    of a run that keeps no factors, whose block became the LU factor
+    of its row ID.
     """
     m, n = oracle.shape
     if sel.is_empty:
@@ -309,15 +312,22 @@ def _scratch_step(oracle, cfg, j, reuse=None):
     """Recompute the indices from scratch and estimate the error.
 
     The extra rows are oversampled on the row ID the row pivots came
-    from, and the column block read for the pivots becomes C.
+    from, which is dropped once they are grown. A run that reads its
+    factors' arrays, to store them or to score their exact error, keeps
+    the column block read for the pivots as C. One that does neither
+    has it factored in place for the row ID, so C and its LU factor
+    never coexist, and the factors it drops would read C from the
+    oracle, as a REUSE step's do.
     """
     m, n = oracle.shape
+    keep = cfg.store_factors or cfg.true_error
     sel, c, row_id = rand_pivot_rankest(oracle, _rank_tol(cfg, n),
-                                        derive_seed(cfg.seed, j, 0x5C))
+                                        derive_seed(cfg.seed, j, 0x5C), keep)
     r = sel.rows.size
     if r:
         rows = _grow(sel.rows, row_id, min(cfg.oversample, m - r))
         sel = IndexSelection(rows[:r], sel.cols, rows[r:])
+    del row_id
     fac = _extract_factors(oracle, sel, c)
     est = _estimate(oracle, cfg, j, fac, reuse)
     return fac, "RECOMPUTE", 0.0 if est is None else est.rel_error

@@ -75,7 +75,9 @@ def fastadacur_run(seq, cfg):
     rows hold fewer than ceil(buffer/2) beyond r0+oversample or fewer
     than r0+buffer in all. So the row buffer may run down to half
     before it is refilled, and an EXPAND that keeps its rows reads no C
-    unless the factors need it. In the trace, h1 accumulates TRUNCATE
+    unless the factors need it. With ``store_factors`` off, a C read
+    for the rows is factored in place for its row ID, so C and its LU
+    factor are never both live. In the trace, h1 accumulates TRUNCATE
     and h2 EXPAND and RECOMPUTE actions from step 2 on; est_rel_err is
     always None. A non-finite entry in a block the step reads (the
     core, C or R) raises :class:`NonFiniteSnapshot`; one elsewhere goes
@@ -91,7 +93,8 @@ def fastadacur_run(seq, cfg):
         cblk = rblk = row_id = None
         if j_idx.size == 0:
             sel, cblk, row_id = rand_pivot_rankest(
-                oracle, _rank_tol(cfg, n), derive_seed(cfg.seed, 0xFA))
+                oracle, _rank_tol(cfg, n), derive_seed(cfg.seed, 0xFA),
+                keep=cfg.store_factors)
             i_idx, j_idx, r0 = sel.rows, sel.cols, sel.cols.size
             action = "RECOMPUTE"
         else:
@@ -114,9 +117,12 @@ def fastadacur_run(seq, cfg):
                     cblk = check_finite("column block",
                                         oracle.col_block(j_idx[:r0]))
             need_rows = min(r0 + b + p, m) - i_idx.size
-            if need_rows > 0 and cblk is not None:
+            if need_rows > 0 and (cblk is not None or row_id is not None):
                 if row_id is None:
-                    row_id = lu_row_id(cblk)
+                    # C becomes its own LU factor unless the factors
+                    # keep it
+                    row_id = lu_row_id(cblk, overwrite=not cfg.store_factors)
+                    cblk = cblk if cfg.store_factors else None
                 i_idx = _grow(i_idx, row_id, need_rows)
             # R, read once: its rows grow the columns, then it becomes
             # the factor. lu_row_id needs a tall block; past n rows the

@@ -185,13 +185,17 @@ def srrqr(a, f=2.0, k=None, rank_tol=None):
     return PivotedQR(r=r, pivots=perm, swaps=swaps)
 
 
-def _lupp(a):
+def _lupp(a, overwrite=False):
     """Packed dgetrf factors of a validated ``a``, and the row order.
 
     ``a[perm[:min(m, n)]] = L @ U``, L unit lower with |L_ij| <= 1. A
     zero pivot is not an error here, so LAPACK's ``info`` is not read.
+    ``overwrite`` lets dgetrf factor ``a`` in its own memory, which it
+    does when ``a`` is Fortran-contiguous; it is ignored for a read-only
+    ``a``, which f2py would write into all the same.
     """
-    lu, piv, _ = lapack.dgetrf(a)
+    lu, piv, _ = lapack.dgetrf(a, overwrite_a=overwrite
+                               and a.flags.writeable)
     # LAPACK applies its own row interchanges to 0..m-1, held exactly
     # as floats, in one call instead of a Python swap per pivot
     order = lapack.dlaswp(np.arange(a.shape[0], dtype=float)[:, None], piv)
@@ -221,7 +225,7 @@ class RowID:
         self.perm, self.lu = perm, lu
 
 
-def lu_row_id(c):
+def lu_row_id(c, overwrite=False):
     """Row interpolative decomposition of a tall block C (m, k) by LUPP.
 
     From ``C[perm] = [L1; L2] @ U``, ``C[perm[k:]] = t @ C[perm[:k]]``
@@ -230,11 +234,16 @@ def lu_row_id(c):
     keeps it small in practice (Dong and Martinsson, "Simpler is
     better", Adv. Comput. Math. 2023). Returns a :class:`RowID` after
     one dgetrf, skeleton rows first in its perm; t is never formed.
+
+    With ``overwrite`` a writeable Fortran-contiguous float C is
+    factored in place: its memory becomes the RowID's ``lu`` and C's
+    entries are lost, so a caller that keeps no C holds one m x k block,
+    not two. Any other C is copied and left as it was.
     """
     c = _validate_matrix(c)
     if c.shape[1] > c.shape[0]:
         raise InvalidInput(f"row ID needs a tall block, got shape {c.shape}")
-    lu, perm = _lupp(c)
+    lu, perm = _lupp(c, overwrite)
     return RowID(perm, lu)
 
 

@@ -51,7 +51,9 @@ class MatrixOracle:
 
     Subclasses implement the underscored hooks; the public methods
     validate arguments and maintain :attr:`counters`. Blocks are
-    returned as dense float arrays regardless of the backing storage.
+    returned as dense float arrays regardless of the backing storage;
+    the built-in oracles return column blocks Fortran-ordered, the
+    layout LAPACK factors in place.
     """
 
     def __init__(self, shape):
@@ -128,7 +130,11 @@ class MatrixOracle:
         return self._rows(idx)
 
     def col_block(self, idx):
-        """Return the dense column block ``A[:, idx]``."""
+        """Return the dense column block ``A[:, idx]``.
+
+        The built-in oracles return it Fortran-ordered, so a caller
+        that keeps no copy can LU-factor it in place.
+        """
         idx = check_indices("column indices", idx, self.ncols)
         self.counters.entries_read += idx.size * self.nrows
         return self._cols(idx)
@@ -161,7 +167,7 @@ class DenseOracle(MatrixOracle):
         return self.array[idx, :]
 
     def _cols(self, idx):
-        return self.array[:, idx]
+        return self.array.T[idx].T
 
     def _submatrix(self, rows, cols):
         return self.array[np.ix_(rows, cols)]
@@ -301,10 +307,11 @@ class LowRankPlusSparseOracle(MatrixOracle):
         return self._add_sparse(self._us[idx, :] @ self.v.T, idx)
 
     def _cols(self, idx):
-        out = self._us @ self.v[idx, :].T
+        # the block's transpose, C-ordered, so the block is Fortran-ordered
+        out_t = self.v[idx, :] @ self._us.T
         if self.nnz:
-            self._add_sparse(out.T, idx, csr=self._csc_t)
-        return out
+            self._add_sparse(out_t, idx, csr=self._csc_t)
+        return out_t.T
 
     def _submatrix(self, rows, cols):
         return self._add_sparse(self._us[rows, :] @ self.v[cols, :].T,

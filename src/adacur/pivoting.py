@@ -79,7 +79,8 @@ def rand_pivot(oracle, r, seed, presketch=None):
     Column pivots are the first r pivots of LU with partial pivoting of
     the transposed row sketch ``(G @ A).T``; those depend on its first
     r rows only. Row pivots are the first r pivots of LU with partial
-    pivoting of the selected columns ``A[:, cols]``.
+    pivoting of the selected columns ``A[:, cols]``, factored in place
+    as nothing else reads them.
 
     Parameters
     ----------
@@ -93,17 +94,19 @@ def rand_pivot(oracle, r, seed, presketch=None):
         first r rows are read. With no presketch r Gaussian rows are
         drawn, one adjoint matvec each.
     """
-    return _rand_pivot_block(oracle, r, seed, presketch)[0]
+    cols = _column_pivots(oracle, r, seed, presketch)
+    return _row_pivots(oracle, cols, keep=False)[0]
 
 
-def _rand_pivot_block(oracle, r, seed, presketch=None):
-    """:func:`rand_pivot` returning what :func:`rand_pivot_rankest` does."""
+def _column_pivots(oracle, r, seed, presketch):
+    """The first r LUPP pivots of the transposed row sketch, checked as
+    :func:`rand_pivot` states; an empty array for r = 0."""
     m, n = oracle.shape
     r = check_int("r", r, 0)
     if r > min(m, n):
         raise InvalidInput(f"r must lie in [0, {min(m, n)}], got {r}")
     if r == 0:
-        return IndexSelection.empty(), None, None
+        return np.empty(0, np.intp)
     if presketch is None:
         emb = GaussianEmbedding(r, m, derive_seed(seed, 0xAD01))
         presketch = row_sketch(emb, oracle)
@@ -113,29 +116,46 @@ def _rand_pivot_block(oracle, r, seed, presketch=None):
     if x.shape[0] < r:
         raise InvalidInput(
             f"presketch has {x.shape[0]} rows, fewer than r={r}")
-    # copies, so a selection does not keep the LU permutations alive
-    cols = lu_pivots(x[:r].T)[:r].copy()
+    # a copy, so the selection keeps neither the permutation nor the
+    # sketch alive
+    return lu_pivots(x[:r].T)[:r].copy()
+
+
+def _row_pivots(oracle, cols, keep):
+    """Selection, column block and row ID for the column pivots ``cols``.
+
+    The block ``A[:, cols]`` is read once and LU-factored for the row
+    pivots. Unless ``keep`` is set it is factored in place and None is
+    returned for it, so one m x k block is live, not two.
+    """
+    if cols.size == 0:
+        return IndexSelection.empty(), None, None
     c = oracle.col_block(cols)
-    row_id = lu_row_id(c)
-    return IndexSelection(rows=row_id.perm[:r].copy(), cols=cols), c, row_id
+    row_id = lu_row_id(c, overwrite=not keep)
+    sel = IndexSelection(rows=row_id.perm[:cols.size].copy(), cols=cols)
+    return sel, c if keep else None, row_id
 
 
-def rand_pivot_rankest(oracle, abs_tol, seed):
+def rand_pivot_rankest(oracle, abs_tol, seed, keep=True):
     """Rank-adaptive pivot selection fused with rank estimation.
 
     Runs :func:`estimate_rank` and feeds its accumulated row sketch
-    straight into :func:`rand_pivot`, so no second sketch of A is
-    drawn.
+    straight into :func:`rand_pivot`'s column pivoting, so no second
+    sketch of A is drawn. The sketch is released once the columns are
+    chosen, before their block is read.
 
     Returns ``(selection, col_block, row_id)``: the column block
     ``A[:, cols]`` read for the row pivots and its row interpolative
     decomposition ``lu_row_id(col_block)``, a :class:`linalg.RowID`
-    whose pivots those are.
-    From-scratch steps pass the block on to factor extraction and
-    ``row_id`` to oversampling, so each step reads its column block
-    once and factors it once. A zero-rank estimate yields an empty
-    selection and None for both.
+    whose pivots those are. From-scratch steps that keep factors pass
+    the block on to factor extraction; with ``keep`` off the block is
+    factored in place and None is returned for it, as its entries are
+    gone. Either way ``row_id`` goes to oversampling, so each step reads
+    its column block once and factors it once. A zero-rank estimate
+    yields an empty selection and None for both.
     """
     est = estimate_rank(oracle, abs_tol, derive_seed(seed, 0x11E5))
-    return _rand_pivot_block(oracle, est.rank, derive_seed(seed, 0x9B1D),
-                             presketch=est.row_sketch)
+    cols = _column_pivots(oracle, est.rank, derive_seed(seed, 0x9B1D),
+                          est.row_sketch)
+    del est   # the sketch is not read again; free it before C is read
+    return _row_pivots(oracle, cols, keep)

@@ -102,7 +102,7 @@ class GaussianEmbedding:
 
 # Nonzeros per column in each block of a sparse sign embedding.
 _BANDS = 8
-_BAND_INDEX = np.arange(_BANDS)[:, None]
+_BAND_INDEX = np.arange(_BANDS)
 
 
 def _block_span(j):
@@ -175,34 +175,40 @@ class SparseSignEmbedding:
         return self._raw
 
     def dense_rows(self, start, stop):
-        """Rows ``start:stop`` as a dense array, built from the words."""
+        """Rows ``start:stop`` as a dense array, built from the words.
+
+        The array is Fortran-ordered: it is built as its C-ordered
+        transpose, the operand ``row_sketch`` hands to the oracle's
+        adjoint product, which a sparse term then reads without a copy.
+        """
         dim = self.dim
-        out = np.zeros((stop - start, dim))
+        out_t = np.zeros((dim, stop - start))
+        cols = np.arange(dim)[:, None]
         for j, words in enumerate(self._words):
             lo, hi = _block_span(j)
             if hi <= start or lo >= stop:
                 continue
             w = (hi - lo) // _BANDS
             kind = _band_type(w)
-            # band-major, so that the scatter below walks the block row
-            # by row
-            vals = np.ascontiguousarray(words.astype("<u8", copy=False).view(
-                kind).reshape(dim, _BANDS).T)
+            # vals[k, b] is column k's word byte for band b: the order
+            # in which the block's transpose holds them
+            vals = words.astype("<u8", copy=False).view(kind).reshape(
+                dim, _BANDS)
             entry = (vals >> (8 * kind.itemsize - 1)).astype(float)
             entry *= -2.0 * np.sqrt(w)
             entry += np.sqrt(w)
             inside = start <= lo and hi <= stop
-            block = (out[lo - start:hi - start] if inside
-                     else np.zeros((hi - lo, dim)))
-            bands = block.reshape(_BANDS, w, dim)
+            block_t = (out_t[:, lo - start:hi - start] if inside
+                       else np.zeros((dim, hi - lo)))
+            bands = block_t.reshape(dim, _BANDS, w)
             if w == 1:    # the first two blocks: one row per band
-                bands[:, 0] = entry
+                bands[:, :, 0] = entry
             else:
-                bands[_BAND_INDEX, vals & (w - 1), np.arange(dim)] = entry
+                bands[cols, _BAND_INDEX, vals & (w - 1)] = entry
             if not inside:
                 a, z = max(lo, start), min(hi, stop)
-                out[a - start:z - start] = block[a - lo:z - lo]
-        return out
+                out_t[:, a - start:z - start] = block_t[:, a - lo:z - lo]
+        return out_t.T
 
     def grown(self, rows):
         """Same-seed embedding with more rows; old rows kept.

@@ -11,6 +11,13 @@ CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden_traces.py --diff
     PYTHONPATH=src python tests/test_golden_traces.py --write
+
+The cases keep factors (and adacur's record exact errors), so each is
+also replayed factor-free, with ``store_factors`` and ``true_error``
+off, where from-scratch steps factor their column block in place. That
+replay must match the file in every field but ``true_rel_err``, except
+that fastadacur may read fewer entries where it no longer reads C and
+R for its factors (see :func:`compare`); ``--diff`` reports it too.
 """
 
 import json
@@ -48,56 +55,88 @@ def _sequence(problem):
     return PROBLEMS[problem][0]()
 
 
-def run_case(case):
-    """Trace of one ``problem/driver/seed`` case, without ``wall_ms``."""
+def run_case(case, factors=True):
+    """Trace of one ``problem/driver/seed`` case, without ``wall_ms``.
+
+    With ``factors`` off the run stores no factors and records no exact
+    errors, and ``true_rel_err`` is dropped too.
+    """
     problem, driver, seed = case.split("/")
     _, tol = PROBLEMS[problem]
     if driver == "fastadacur":
-        cfg = FastConfig(tol=tol, buffer=4, oversample=2, seed=int(seed))
+        cfg = FastConfig(tol=tol, buffer=4, oversample=2, seed=int(seed),
+                         store_factors=factors)
         run = fastadacur_run
     else:
         cfg = AdaCurConfig(tol=tol, oversample=3, seed=int(seed),
-                           true_error=True)
+                           true_error=factors, store_factors=factors)
         run = adacur_run if driver == "adacur" else recompute_baseline_run
-    traces = []
-    for _, tr in run(_sequence(problem), cfg):
-        row = asdict(tr)
-        del row["wall_ms"]
-        traces.append(row)
-    return traces
+    drop = ("wall_ms",) if factors else ("wall_ms", "true_rel_err")
+    seq = _sequence(problem)
+    return [_without(asdict(tr), drop) for _, tr in run(seq, cfg)]
 
 
-def differences(got, want):
-    """``(step, field, got, want)`` for every field that does not match."""
+def _without(row, keys):
+    return {k: v for k, v in row.items() if k not in keys}
+
+
+def compare(golden, case, factors=True):
+    """``(got, want, differences)`` of a run of ``case`` and the file.
+
+    The factor-free replay is compared without ``true_rel_err``.
+    fastadacur reads C and R for its factors only when it keeps them,
+    on TRUNCATE steps and on EXPAND steps that keep their rows, so
+    there its factor-free ``entries_read`` may be lower; on RECOMPUTE
+    steps, which read both either way, it must match.
+    """
+    got, want = run_case(case, factors), golden[case]
+    if not factors:
+        want = [_without(w, ("true_rel_err",)) for w in want]
+    fewer_reads = not factors and case.split("/")[1] == "fastadacur"
+    return got, want, differences(got, want, fewer_reads)
+
+
+def differences(got, want, fewer_reads=False):
+    """``(step, field, got, want)`` for every field that does not match.
+
+    With ``fewer_reads`` a step other than a RECOMPUTE may read fewer
+    entries than ``want``.
+    """
     if len(got) != len(want):
         return [(None, "steps", len(got), len(want))]
     out = []
     for g, w in zip(got, want):
         for key, value in w.items():
-            same = (math.isclose(g.get(key), value, rel_tol=1e-12)
-                    if isinstance(value, float) else g.get(key) == value)
+            if isinstance(value, float):
+                same = math.isclose(g.get(key), value, rel_tol=1e-12)
+            elif (fewer_reads and key == "entries_read"
+                  and w["action"] != "RECOMPUTE"):
+                same = g.get(key) <= value
+            else:
+                same = g.get(key) == value
             if not same:
                 out.append((w["step"], key, g.get(key), value))
     return out
 
 
-def diff_report(golden):
+def diff_report(golden, factors=True):
     """Print what moved from ``golden`` per case; the count of cases.
 
     Per case: the largest relative change of each float field that
     moved, and which int or string fields moved, if any. A last line
-    gives each float field's largest change over all cases.
+    gives each float field's largest change over all cases. With
+    ``factors`` off the factor-free replay is compared.
     """
+    mode = "" if factors else " (factor-free)"
     changed = 0
     overall = {}
     for case in CASES:
-        got, want = run_case(case), golden[case]
-        diffs = differences(got, want)
+        got, want, diffs = compare(golden, case, factors)
         if not diffs:
             continue
         changed += 1
         if diffs[0][0] is None:
-            print(f"{case}: {len(got)} steps != {len(want)}")
+            print(f"{case}{mode}: {len(got)} steps != {len(want)}")
             continue
         floats, exact = {}, set()
         for _, key, g, w in diffs:
@@ -112,8 +151,8 @@ def diff_report(golden):
                  for key, rel in sorted(floats.items())]
         parts.append("int/str fields moved: " + ", ".join(sorted(exact))
                      if exact else "no int or str field moved")
-        print(f"{case}: {'; '.join(parts)}")
-    print(f"{changed} of {len(CASES)} cases differ from {GOLDEN.name}")
+        print(f"{case}{mode}: {'; '.join(parts)}")
+    print(f"{changed} of {len(CASES)} cases{mode} differ from {GOLDEN.name}")
     if overall:
         print("largest float changes: " + ", ".join(
             f"{key} {rel:.3g}" for key, rel in sorted(overall.items())))
@@ -131,15 +170,24 @@ def test_golden_file_covers_every_case(golden):
 
 @pytest.mark.parametrize("case", CASES)
 def test_trace_matches_golden(golden, case):
-    got = run_case(case)
-    assert all(g.keys() == w.keys() for g, w in zip(got, golden[case]))
-    diffs = differences(got, golden[case])
+    assert_matches(*compare(golden, case))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_factor_free_trace_matches_golden(golden, case):
+    assert_matches(*compare(golden, case, factors=False))
+
+
+def assert_matches(got, want, diffs):
+    assert all(g.keys() == w.keys() for g, w in zip(got, want))
     assert not diffs, "step {} {}: {!r} != {!r}".format(*diffs[0])
 
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--diff"]:
-        sys.exit(1 if diff_report(json.loads(GOLDEN.read_text())) else 0)
+        golden = json.loads(GOLDEN.read_text())
+        moved = [diff_report(golden, factors) for factors in (True, False)]
+        sys.exit(1 if any(moved) else 0)
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: {sys.argv[0]} --diff | --write")
     GOLDEN.parent.mkdir(exist_ok=True)

@@ -150,6 +150,29 @@ class TestLuRowId:
         lu_row_id(c)
         np.testing.assert_array_equal(c, before)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (40, 1), (60, 7), (9, 9)])
+    def test_overwrite_factors_a_fortran_block_in_place(self, rng, shape):
+        c = np.asfortranarray(rng.standard_normal(shape))
+        want = lu_row_id(c.copy(order="F"))
+        got = lu_row_id(c, overwrite=True)
+        assert np.shares_memory(got.lu, c)
+        assert got.lu.tobytes() == want.lu.tobytes()
+        np.testing.assert_array_equal(got.perm, want.perm)
+
+    @pytest.mark.parametrize("layout", ["C", "read-only"])
+    def test_overwrite_leaves_other_blocks_untouched(self, rng, layout):
+        # a C-ordered block is copied by f2py; a read-only one would be
+        # written into, so it is never offered for overwriting
+        c = rng.standard_normal((30, 5))
+        if layout == "read-only":
+            c = np.asfortranarray(c)
+            c.flags.writeable = False
+        before = c.copy()
+        got = lu_row_id(c, overwrite=True)
+        np.testing.assert_array_equal(c, before)
+        assert not np.shares_memory(got.lu, c)
+        assert got.lu.tobytes() == lu_row_id(before).lu.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, rng, bad):
         c = rng.standard_normal((10, 3))

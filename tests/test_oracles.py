@@ -3,7 +3,8 @@
 Every block and product of a LowRankPlusSparseOracle, and of a
 SparseOracle (its rank-0 case), must be bitwise equal to the low-rank
 formula plus the densified sparse term, whatever the sparse input's
-format, duplicates or the repetition of the requested indices.
+format, duplicates or the repetition of the requested indices. Column
+blocks of every built-in oracle are Fortran-ordered.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from adacur.errors import InvalidInput
-from adacur.oracles import LowRankPlusSparseOracle, SparseOracle
+from adacur.oracles import DenseOracle, LowRankPlusSparseOracle, SparseOracle
 
 
 def factors(rng, m, n, r):
@@ -198,3 +199,24 @@ class TestSparseReads:
         orc = SparseOracle(sp.eye(5, 3, format="csc"))
         assert orc.u.shape == (5, 0) and orc.v.shape == (3, 0)
         assert orc.sigma.shape == (0,) and orc.nnz == 3
+
+
+class TestColumnBlockLayout:
+    """Column blocks come Fortran-ordered, so LU can factor them in place."""
+
+    @pytest.mark.parametrize("cols", [[4], [7, 0, 7, 3, 0], list(range(11))])
+    def test_sparse_term_oracles(self, build, rng, cols):
+        s = sp.random(40, 11, density=0.3, random_state=6, format="csr")
+        orc = build(s, rng, 3)
+        cols = np.array(cols)
+        blk = orc.col_block(cols)
+        assert blk.flags.f_contiguous
+        assert_bitwise(blk, (orc.u * orc.sigma) @ orc.v[cols].T
+                       + s[:, cols].toarray())
+
+    @pytest.mark.parametrize("cols", [[4], [7, 0, 7, 3, 0], list(range(11))])
+    def test_dense_oracle(self, rng, cols):
+        a = rng.standard_normal((40, 11))
+        blk = DenseOracle(a).col_block(np.array(cols))
+        assert blk.flags.f_contiguous
+        assert_bitwise(blk, a[:, cols])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adacur import pivoting
 from adacur.errors import InvalidInput
 from adacur.linalg import lu_row_id, stable_cur_eval
 from adacur.oracles import DenseOracle
@@ -118,6 +119,22 @@ class TestRandPivot:
         assert (not np.array_equal(s1.rows, s2.rows)
                 or not np.array_equal(s1.cols, s2.cols))
 
+    def test_factors_its_column_block_in_place(self, rng, monkeypatch):
+        # rand_pivot returns no C, so its block becomes its LU factor
+        calls = []
+
+        def spy(c, overwrite=False):
+            row_id = lu_row_id(c, overwrite)
+            calls.append((overwrite, np.shares_memory(row_id.lu, c)))
+            return row_id
+
+        monkeypatch.setattr(pivoting, "lu_row_id", spy)
+        orc = DenseOracle(rank_r_matrix(rng, 50, 40, 6))
+        sketch = rng.standard_normal((12, 50)) @ orc.array
+        rand_pivot(orc, 6, seed=3)
+        rand_pivot(orc, 4, seed=3, presketch=sketch)
+        assert calls == [(True, True), (True, True)]
+
     def test_draws_only_the_sketch_rows_it_reads(self, rng):
         orc = DenseOracle(rank_r_matrix(rng, 50, 40, 6))
         rand_pivot(orc, 6, seed=3)
@@ -198,6 +215,22 @@ class TestRandPivotRankest:
         np.testing.assert_array_equal(c, a[:, sel.cols])
         np.testing.assert_array_equal(row_id.perm[:2], sel.rows)
         assert row_id.lu.shape == (50, 2)
+
+    def test_keep_off_factors_the_block_in_place(self, rng):
+        # the same selection and row ID, with no C returned: the block
+        # read for the row pivots became the LU factor
+        a = rank_r_matrix(rng, 60, 40, 5)
+        sel, c, row_id = rand_pivot_rankest(DenseOracle(a), 1e-8, seed=2)
+        orc = DenseOracle(a)
+        got, none, got_id = rand_pivot_rankest(orc, 1e-8, seed=2, keep=False)
+        assert none is None
+        np.testing.assert_array_equal(c, a[:, sel.cols])
+        np.testing.assert_array_equal(got.rows, sel.rows)
+        np.testing.assert_array_equal(got.cols, sel.cols)
+        np.testing.assert_array_equal(got_id.perm, row_id.perm)
+        assert got_id.lu.tobytes() == row_id.lu.tobytes()
+        assert got_id.lu.flags.f_contiguous
+        assert orc.counters.entries_read == 60 * 5
 
     def test_zero_matrix_gives_empty_selection(self):
         sel, c, row_id = rand_pivot_rankest(DenseOracle(np.zeros((20, 20))),

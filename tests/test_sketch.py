@@ -13,6 +13,29 @@ from adacur.sketch import (GaussianEmbedding, SketchPack, SparseSignEmbedding,
 EMBEDDINGS = [GaussianEmbedding, SparseSignEmbedding]
 
 
+def reference_rows(emb):
+    """Dense rows of a SparseSignEmbedding, one column and band at a
+    time: block j's word k, read as bytes of the band type, gives band
+    b's row (low bits) and sign (top bit) in byte b."""
+    out = np.zeros((emb.sketch_rows, emb.dim))
+    lo = 0
+    for j, words in enumerate(emb._words):
+        hi = 2 * lo if j > 1 else 8 * (j + 1)
+        w = (hi - lo) // 8
+        kind = np.dtype("<u1" if w <= 128 else "<u2" if w <= 32768
+                        else "<u4")
+        vals = words.astype("<u8").view(kind).reshape(emb.dim, 8)
+        top = 8 * kind.itemsize - 1
+        for k in range(emb.dim):
+            for b in range(8):
+                row = lo + b * w + int(vals[k, b]) % w
+                sign = -1.0 if int(vals[k, b]) >> top else 1.0
+                if row < emb.sketch_rows:
+                    out[row, k] = sign * np.sqrt(w)
+        lo = hi
+    return out
+
+
 def normalized(sketch_rows, dim, seed):
     """Embedding scaled by 1/sqrt(sketch_rows), norm-preserving in mean."""
     emb = GaussianEmbedding(sketch_rows, dim, seed)
@@ -201,6 +224,32 @@ class TestSparseSignEmbedding:
             np.testing.assert_array_equal(
                 np.count_nonzero(bands, axis=1), np.ones((8, 50)))
             assert set(np.abs(bands[bands != 0])) == {np.sqrt(w)}
+
+    def test_dense_rows_are_the_words_densified(self):
+        # rows built column by column from the words, as the class
+        # docstring defines them; built transposed, so that the adjoint
+        # product gets a C-ordered operand
+        e = SparseSignEmbedding(300, 40, seed=2)
+        want = reference_rows(e)
+        for start, stop in [(0, 300), (0, 8), (3, 40), (100, 257),
+                            (16, 32), (299, 300)]:
+            got = e.dense_rows(start, stop)
+            assert got.T.flags.c_contiguous
+            np.testing.assert_array_equal(got, want[start:stop])
+
+    def test_row_sketch_hands_a_c_ordered_operand(self, rng):
+        seen = []
+
+        class Spy(DenseOracle):
+            def _rmatmat(self, x):
+                seen.append(x.flags.c_contiguous)
+                return super()._rmatmat(x)
+
+        emb = SparseSignEmbedding(24, 30, seed=1)
+        row_sketch(emb, Spy(rng.standard_normal((30, 5))))
+        SketchPack(emb, np.zeros((24, 5))).grown(
+            Spy(rng.standard_normal((30, 5))), 64)
+        assert seen == [True, True]
 
     def test_dense_rows_slice_raw(self):
         e = SparseSignEmbedding(300, 40, seed=2)
