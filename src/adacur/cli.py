@@ -89,15 +89,18 @@ def _build_sequence(ns):
 
 
 def _run(ns, seq, seed):
+    # the CLI writes traces only, so the drivers keep factors only to
+    # score fastadacur's exact errors; factors kept otherwise would
+    # hold every step's oracle
     if ns.algo == "fastadacur":
         cfg = FastConfig(tol=ns.tol, buffer=ns.buffer,
-                         oversample=ns.oversample, seed=seed)
+                         oversample=ns.oversample, seed=seed,
+                         store_factors=ns.true_error)
         results = fastadacur_run(seq, cfg)
         if ns.true_error:
             for j, (fac, tr) in enumerate(results):
                 tr.true_rel_err = true_relative_error(seq.oracle(j), fac)
         return results
-    # the CLI writes traces only, so the certified drivers keep no factors
     cfg = AdaCurConfig(tol=ns.tol, err_samples=ns.err_samples,
                        oversample=ns.oversample, seed=seed,
                        true_error=ns.true_error, store_factors=False)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, ZeroMatrixSketch, check_int
+from .errors import InvalidInput, ZeroMatrixSketch, check_finite, check_int
 from .linalg import (cpqr, eps_rank_from_rdiag, lu_pivots, lu_row_id, srrqr,
                      stable_cur_eval)
 from .normest import estimate_cur_error
@@ -60,13 +60,13 @@ class AdaCurConfig:
     with ``err_samples`` doubled, up to four times, before the step
     recomputes.
     ``true_error`` additionally records the exact relative error per
-    step (reads the full matrix; for reporting only). With
-    ``store_factors`` off the returned factors carry indices only,
-    which keeps long large runs from pinning memory. A REUSE step reads
-    R only; the C of its stored factors is read on first use of
+    step (reads the full matrix; for reporting only). A step reads the
+    R of its factors for its estimate; their C is read on first use of
     ``factors.c`` or ``factors.operator()``, outside the step's
     ``entries_read``, and until then the factors keep the step's
-    oracle. Neither flag changes a trace but for ``true_rel_err``.
+    oracle. With ``store_factors`` off the returned factors carry
+    indices only, which keeps long large runs from pinning memory or
+    oracles. Neither flag changes a trace but for ``true_rel_err``.
     """
 
     tol: float
@@ -98,27 +98,45 @@ class StepTrace:
 
 
 class CURFactors:
-    """Explicit CUR factors tied to an index selection.
+    """CUR factors of an index selection, read from its oracle on use.
 
-    ``u`` equals ``c`` restricted to the selected (+extra) rows and
-    ``r`` restricted to the selected columns, elementwise. Factors
-    built with an ``oracle`` and no ``c`` read C = A[:, cols] from it on
-    the first access of ``c`` (or of ``operator()``), write U into its
-    selected rows, keep it and drop the oracle; until then they keep
-    the oracle alive. When a run is configured not to store factors
-    the three arrays are None and only ``selection`` is meaningful.
+    R = A[all_rows, :] is read on the first access of ``r`` or ``u``,
+    and U is sliced out of it. C = A[:, cols] is read on the first
+    access of ``c`` or ``operator()``, U is written into its selected
+    rows, and the oracle is dropped; until then the factors keep it
+    alive. So ``u`` equals ``c`` restricted to the selected (+extra)
+    rows and ``r`` restricted to the selected columns, elementwise,
+    even where an oracle's row and column reads round differently. A
+    block read with a NaN or inf in it raises
+    :class:`NonFiniteSnapshot` naming the block. Factors built with no
+    oracle, as a run that stores no factors returns them, carry
+    ``selection`` only: the three arrays are None.
     """
 
-    def __init__(self, c, u, r, selection, oracle=None):
-        self._c, self.u, self.r, self.selection = c, u, r, selection
-        self._oracle = oracle
+    def __init__(self, selection, oracle=None):
+        self.selection, self._oracle = selection, oracle
+        self._c = self._u = self._r = None
+
+    @property
+    def r(self):
+        if self._r is None and self._oracle is not None:
+            self._r = check_finite("row block", self._oracle.row_block(
+                self.selection.all_rows))
+        return self._r
+
+    @property
+    def u(self):
+        if self._u is None and self.r is not None:
+            self._u = self.r[:, self.selection.cols].copy()
+        return self._u
 
     @property
     def c(self):
         if self._oracle is not None:
-            self._c = _with_cross(self._oracle.col_block(self.selection.cols),
-                                  self.selection, self.u)
-            self._oracle = None
+            u, sel = self.u, self.selection
+            c = check_finite("column block", self._oracle.col_block(sel.cols))
+            c[sel.all_rows, :] = u
+            self._c, self._oracle = c, None
         return self._c
 
     @property
@@ -131,12 +149,6 @@ class CURFactors:
         if self.c is None:
             raise InvalidInput("factors were not stored for this step")
         return stable_cur_eval(self.c, self.u, self.r)
-
-
-def _with_cross(c, sel, u):
-    """``c`` with ``u`` written into its rows ``sel.all_rows``, in place."""
-    c[sel.all_rows, :] = u
-    return c
 
 
 # Share of the tolerance left to rank truncation: the rank tolerance is
@@ -157,33 +169,6 @@ def _grow(ids, row_id, count):
     if count <= 0:
         return ids
     return np.concatenate([ids, oversample_rows_multi(row_id, ids, count)])
-
-
-def _extract_factors(oracle, sel, col_block=None, row_block=None):
-    """Fetch R for ``sel``, slice U out of it, and attach C.
-
-    U is taken from the fetched row block and written into the column
-    block so the factor cross-consistency is exact even when an
-    oracle's row and column fetches round intermediate products
-    differently. ``col_block`` is ``A[:, sel.cols]`` and ``row_block``
-    is ``A[sel.all_rows, :]`` if the caller already fetched them; they
-    become C and R, and C is overwritten in place. Without
-    ``col_block`` C is not read here: the factors read it from
-    ``oracle`` on first use (see :class:`CURFactors`), so a step that
-    only scores them reads R alone. Two kinds of step pass None: a
-    REUSE step, which reads no column block, and a from-scratch step
-    of a run that keeps no factors, whose block became the LU factor
-    of its row ID.
-    """
-    m, n = oracle.shape
-    if sel.is_empty:
-        return CURFactors(np.zeros((m, 0)), np.zeros((0, 0)),
-                          np.zeros((0, n)), sel)
-    rfac = oracle.row_block(sel.all_rows) if row_block is None else row_block
-    u = rfac[:, sel.cols].copy()
-    if col_block is None:
-        return CURFactors(None, u, rfac, sel, oracle)
-    return CURFactors(_with_cross(col_block, sel, u), u, rfac, sel)
 
 
 def _order_cross(rows, cols, g, rank_tol):
@@ -210,9 +195,9 @@ def refine_indices(oracle, sel, pack, cfg):
     step works on that block: ``|J1|`` new rows grow by :func:`_grow`
     on its row ID (of its first m columns if it is wide), the enlarged
     cross is its row slice and is ordered by :func:`_order_cross` and
-    truncated to the revealed rank, the kept columns become C, and
-    ``oversample`` extra rows grow on C's row ID as a recompute grows
-    them. The error is re-estimated reusing the pack's matrix sketch.
+    truncated to the revealed rank, and ``oversample`` extra rows grow
+    on the kept columns' row ID as a recompute grows them. The error is
+    re-estimated reusing the pack's matrix sketch.
 
     Returns the refined selection's :class:`CURFactors`, the new error
     estimate, and whether the estimate meets the tolerance. The
@@ -232,14 +217,16 @@ def refine_indices(oracle, sel, pack, cfg):
     cols = np.concatenate([sel.cols, j1])
     blk = oracle.col_block(cols)
     rows = _grow(rows, lu_row_id(blk[:, :m]), min(j1.size, m - rows.size))
-    # order column positions in blk, so the kept ones slice C out of it
+    # order column positions in blk, so the kept ones slice out of it
     rows, pos, rank = _order_cross(rows, np.arange(cols.size), blk[rows],
                                    _rank_tol(cfg, n))
-    rows, c = rows[:rank], blk[:, pos[:rank]]
+    rows = rows[:rank]
     if rank:
-        rows = _grow(rows, lu_row_id(c), min(cfg.oversample, m - rank))
+        # the kept columns' copy is factored in place for their row ID
+        rows = _grow(rows, lu_row_id(blk[:, pos[:rank]], overwrite=True),
+                     min(cfg.oversample, m - rank))
     sel_new = IndexSelection(rows[:rank], cols[pos[:rank]], rows[rank:])
-    fac = _extract_factors(oracle, sel_new, c)
+    fac = CURFactors(sel_new, oracle)
     est = estimate_cur_error(oracle, sel_new.cols, fac.r, reuse=pack)
     return fac, est, est.rel_error <= cfg.tol
 
@@ -254,12 +241,12 @@ def _track(seq, cfg, step):
     ``step(j, oracle)`` returns ``(factors, action, est_rel_err)``. This
     loop meters each step's oracle reads and wall time, tallies h1
     (MINOR_MOD, TRUNCATE) and h2 (RECOMPUTE, EXPAND) from step 2 on,
-    records exact errors when ``cfg.true_error`` asks for them, drops
-    the factor arrays unless ``cfg.store_factors`` keeps them (both
-    after the step's reads are metered, so neither moves them), and
-    attaches to any escaping exception the traces made so far as
-    ``partial_trace`` and, unless it already names one, the index of
-    the step that raised it as ``step``.
+    records exact errors when ``cfg.true_error`` asks for them, keeps
+    only the factors' selection unless ``cfg.store_factors`` keeps
+    their arrays (both after the step's reads are metered, so neither
+    moves them), and attaches to any escaping exception the traces made
+    so far as ``partial_trace`` and, unless it already names one, the
+    index of the step that raised it as ``step``.
     """
     if len(seq) == 0:
         raise InvalidInput("sequence is empty")
@@ -287,7 +274,7 @@ def _track(seq, cfg, step):
                               matvecs=matvecs, wall_ms=wall_ms,
                               entries_read=entries)
             if not cfg.store_factors:
-                fac = CURFactors(None, None, None, fac.selection)
+                fac = CURFactors(fac.selection)
             results.append((fac, trace))
     except Exception as exc:
         if getattr(exc, "step", None) is None:
@@ -311,24 +298,21 @@ def _estimate(oracle, cfg, j, fac, reuse=None):
 def _scratch_step(oracle, cfg, j, reuse=None):
     """Recompute the indices from scratch and estimate the error.
 
-    The extra rows are oversampled on the row ID the row pivots came
-    from, which is dropped once they are grown. A run that reads its
-    factors' arrays, to store them or to score their exact error, keeps
-    the column block read for the pivots as C. One that does neither
-    has it factored in place for the row ID, so C and its LU factor
-    never coexist, and the factors it drops would read C from the
-    oracle, as a REUSE step's do.
+    The column block read for the row pivots is factored in place for
+    their row ID, so it and its LU factor never coexist. The extra rows
+    are oversampled on that row ID, which is dropped once they are
+    grown; the factors read C from the oracle on first use, as every
+    step's do.
     """
     m, n = oracle.shape
-    keep = cfg.store_factors or cfg.true_error
-    sel, c, row_id = rand_pivot_rankest(oracle, _rank_tol(cfg, n),
-                                        derive_seed(cfg.seed, j, 0x5C), keep)
+    sel, row_id = rand_pivot_rankest(oracle, _rank_tol(cfg, n),
+                                     derive_seed(cfg.seed, j, 0x5C))
     r = sel.rows.size
     if r:
         rows = _grow(sel.rows, row_id, min(cfg.oversample, m - r))
         sel = IndexSelection(rows[:r], sel.cols, rows[r:])
     del row_id
-    fac = _extract_factors(oracle, sel, c)
+    fac = CURFactors(sel, oracle)
     est = _estimate(oracle, cfg, j, fac, reuse)
     return fac, "RECOMPUTE", 0.0 if est is None else est.rel_error
 
@@ -340,13 +324,13 @@ _DOUBLINGS = 4
 def _adaptive_step(oracle, cfg, j, sel):
     """Reuse ``sel``, which reads R alone, else refine it at growing
     sketches, else recompute."""
-    fac = _extract_factors(oracle, sel)
+    fac = CURFactors(sel, oracle)
     est = _estimate(oracle, cfg, j, fac)
     if est is None:
         # a zero matrix is exact with no indices; dropping a non-empty
         # selection counts as a recomputation
         action = "REUSE" if sel.is_empty else "RECOMPUTE"
-        return _extract_factors(oracle, IndexSelection.empty()), action, 0.0
+        return CURFactors(IndexSelection.empty(), oracle), action, 0.0
     if est.rel_error <= cfg.tol:
         return fac, "REUSE", est.rel_error
     if not sel.is_empty:

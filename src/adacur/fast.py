@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import (CURFactors, _check_config, _extract_factors, _grow,
-                     _order_cross, _rank_tol, _track)
+from .driver import (CURFactors, _check_config, _grow, _order_cross,
+                     _rank_tol, _track)
 from .errors import check_finite, warn_caller
 # srrqr and oversampling (both names) are called in the driver module
 # only; bench/tracing.py wraps them here too and requires the attributes.
@@ -44,9 +44,9 @@ class FastConfig:
     tol) at oversample 5, with one BLAS thread; four threads round
     differently and give 65 (worst 3.95 tol) and 2 (worst 1.03 tol).
     The rank tolerance is 0.5 * tol / sqrt(n) against the core's
-    R-factor diagonal. ``store_factors`` off skips factor extraction
-    entirely; the per-step work is then just the core read, its strong
-    rank-revealing QR and one LU factorization.
+    R-factor diagonal. ``store_factors`` off returns indices only, as
+    for the certified drivers; it changes no trace, since the factors
+    read C and R on first use, outside the step.
     """
 
     tol: float
@@ -74,14 +74,16 @@ def fastadacur_run(seq, cfg):
     row ID of C = A[:, cols], at every RECOMPUTE and at an EXPAND whose
     rows hold fewer than ceil(buffer/2) beyond r0+oversample or fewer
     than r0+buffer in all. So the row buffer may run down to half
-    before it is refilled, and an EXPAND that keeps its rows reads no C
-    unless the factors need it. With ``store_factors`` off, a C read
-    for the rows is factored in place for its row ID, so C and its LU
-    factor are never both live. In the trace, h1 accumulates TRUNCATE
-    and h2 EXPAND and RECOMPUTE actions from step 2 on; est_rel_err is
-    always None. A non-finite entry in a block the step reads (the
-    core, C or R) raises :class:`NonFiniteSnapshot`; one elsewhere goes
-    unseen.
+    before it is refilled, and an EXPAND that keeps its rows reads no C.
+    A C read for the rows is factored in place for its row ID, so C and
+    its LU factor are never both live. The factors read their own C and
+    R on first use, outside the step, as the certified drivers' do, so
+    no trace field depends on ``store_factors``. In the trace, h1
+    accumulates TRUNCATE and h2 EXPAND and RECOMPUTE actions from step
+    2 on; est_rel_err is always None. A non-finite entry in a block the
+    step reads (the core, C or R) raises :class:`NonFiniteSnapshot` at
+    the step, and one in a block only the factors read raises on that
+    read; one elsewhere goes unseen.
     """
     b, p = cfg.buffer, cfg.oversample
     i_idx = j_idx = np.array([], dtype=np.intp)
@@ -90,11 +92,10 @@ def fastadacur_run(seq, cfg):
     def step(j, oracle):
         nonlocal i_idx, j_idx, r
         m, n = oracle.shape
-        cblk = rblk = row_id = None
+        row_id = None
         if j_idx.size == 0:
-            sel, cblk, row_id = rand_pivot_rankest(
-                oracle, _rank_tol(cfg, n), derive_seed(cfg.seed, 0xFA),
-                keep=cfg.store_factors)
+            sel, row_id = rand_pivot_rankest(oracle, _rank_tol(cfg, n),
+                                             derive_seed(cfg.seed, 0xFA))
             i_idx, j_idx, r0 = sel.rows, sel.cols, sel.cols.size
             action = "RECOMPUTE"
         else:
@@ -112,32 +113,24 @@ def fastadacur_run(seq, cfg):
                                 "dimensions")
                 # the rows are refilled, through C, only once half the
                 # row buffer beyond r0 + p is spent or they would no
-                # longer cover the r0 + b columns; until then no C read
+                # longer cover the r0 + b columns; until then no C read.
+                # C becomes its own LU factor
                 if i_idx.size - r0 < max(b, p + (b + 1) // 2):
                     cblk = check_finite("column block",
                                         oracle.col_block(j_idx[:r0]))
+                    row_id = lu_row_id(cblk, overwrite=True)
             need_rows = min(r0 + b + p, m) - i_idx.size
-            if need_rows > 0 and (cblk is not None or row_id is not None):
-                if row_id is None:
-                    # C becomes its own LU factor unless the factors
-                    # keep it
-                    row_id = lu_row_id(cblk, overwrite=not cfg.store_factors)
-                    cblk = cblk if cfg.store_factors else None
+            if need_rows > 0 and row_id is not None:
                 i_idx = _grow(i_idx, row_id, need_rows)
-            # R, read once: its rows grow the columns, then it becomes
-            # the factor. lu_row_id needs a tall block; past n rows the
-            # first n give a square one, whose basis is all of R^n
+            # R's rows grow the columns. lu_row_id needs a tall block;
+            # past n rows the first n give a square one, whose basis is
+            # all of R^n
             rblk = check_finite("row block", oracle.row_block(i_idx[:r0 + p]))
             need_cols = min(r0 + b, n) - j_idx.size
             if need_cols > 0:
                 j_idx = _grow(j_idx, lu_row_id(rblk[:n].T), need_cols)
         r = r0
         fac_sel = IndexSelection(i_idx[:r], j_idx[:r], i_idx[r:r + p])
-        if not cfg.store_factors:
-            return CURFactors(None, None, None, fac_sel), action, None
-        fac = _extract_factors(oracle, fac_sel, cblk, rblk)
-        check_finite("column block", fac.c)
-        check_finite("row block", fac.r)
-        return fac, action, None
+        return CURFactors(fac_sel, oracle), action, None
 
     return _track(seq, cfg, step)

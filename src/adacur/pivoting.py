@@ -95,7 +95,7 @@ def rand_pivot(oracle, r, seed, presketch=None):
         drawn, one adjoint matvec each.
     """
     cols = _column_pivots(oracle, r, seed, presketch)
-    return _row_pivots(oracle, cols, keep=False)[0]
+    return _row_pivots(oracle, cols)[0]
 
 
 def _column_pivots(oracle, r, seed, presketch):
@@ -121,22 +121,20 @@ def _column_pivots(oracle, r, seed, presketch):
     return lu_pivots(x[:r].T)[:r].copy()
 
 
-def _row_pivots(oracle, cols, keep):
-    """Selection, column block and row ID for the column pivots ``cols``.
+def _row_pivots(oracle, cols):
+    """Selection and row ID for the column pivots ``cols``.
 
-    The block ``A[:, cols]`` is read once and LU-factored for the row
-    pivots. Unless ``keep`` is set it is factored in place and None is
-    returned for it, so one m x k block is live, not two.
+    The block ``A[:, cols]`` is read once and LU-factored in place for
+    the row pivots, so one m x k block is live, not two.
     """
     if cols.size == 0:
-        return IndexSelection.empty(), None, None
-    c = oracle.col_block(cols)
-    row_id = lu_row_id(c, overwrite=not keep)
-    sel = IndexSelection(rows=row_id.perm[:cols.size].copy(), cols=cols)
-    return sel, c if keep else None, row_id
+        return IndexSelection.empty(), None
+    row_id = lu_row_id(oracle.col_block(cols), overwrite=True)
+    return IndexSelection(rows=row_id.perm[:cols.size].copy(),
+                          cols=cols), row_id
 
 
-def rand_pivot_rankest(oracle, abs_tol, seed, keep=True):
+def rand_pivot_rankest(oracle, abs_tol, seed):
     """Rank-adaptive pivot selection fused with rank estimation.
 
     Runs :func:`estimate_rank` and feeds its accumulated row sketch
@@ -144,18 +142,16 @@ def rand_pivot_rankest(oracle, abs_tol, seed, keep=True):
     sketch of A is drawn. The sketch is released once the columns are
     chosen, before their block is read.
 
-    Returns ``(selection, col_block, row_id)``: the column block
-    ``A[:, cols]`` read for the row pivots and its row interpolative
-    decomposition ``lu_row_id(col_block)``, a :class:`linalg.RowID`
-    whose pivots those are. From-scratch steps that keep factors pass
-    the block on to factor extraction; with ``keep`` off the block is
-    factored in place and None is returned for it, as its entries are
-    gone. Either way ``row_id`` goes to oversampling, so each step reads
-    its column block once and factors it once. A zero-rank estimate
-    yields an empty selection and None for both.
+    Returns ``(selection, row_id)``: ``row_id`` is the row
+    interpolative decomposition of the column block ``A[:, cols]``, a
+    :class:`linalg.RowID` whose pivots the selection's rows are. The
+    block is read once and factored in place, so its entries are gone
+    and only the LU factor is live. From-scratch steps hand ``row_id``
+    to oversampling, so each reads its column block once and factors
+    it once. A zero-rank estimate yields an empty selection and None.
     """
     est = estimate_rank(oracle, abs_tol, derive_seed(seed, 0x11E5))
     cols = _column_pivots(oracle, est.rank, derive_seed(seed, 0x9B1D),
                           est.row_sketch)
     del est   # the sketch is not read again; free it before C is read
-    return _row_pivots(oracle, cols, keep)
+    return _row_pivots(oracle, cols)

@@ -410,17 +410,26 @@ def weakly_held_sequence(base, refs):
 
 class TestLazyColumnBlock:
     @pytest.mark.parametrize("problem", PROBLEMS)
-    @pytest.mark.parametrize("run", [adacur_run, recompute_baseline_run],
-                             ids=["adacur", "baseline"])
+    @pytest.mark.parametrize("run", [adacur_run, recompute_baseline_run,
+                                     fastadacur_run],
+                             ids=["adacur", "baseline", "fastadacur"])
+    @pytest.mark.filterwarnings("ignore:tracked index sets clamped")
     def test_traces_do_not_depend_on_factors_or_true_error(self, problem,
                                                            run):
         # a benchmark compares a pass that keeps factors and exact errors
         # with calls that keep neither, entries read included
         seq, tol = _sequence(problem), PROBLEMS[problem][1]
-        runs = {(store, exact): run(seq, AdaCurConfig(
-                    tol=tol, oversample=3, seed=0, store_factors=store,
-                    true_error=exact))
-                for store in (True, False) for exact in (True, False)}
+
+        def config(store, exact):
+            if run is fastadacur_run:
+                return FastConfig(tol=tol, buffer=4, oversample=3, seed=0,
+                                  store_factors=store)
+            return AdaCurConfig(tol=tol, oversample=3, seed=0,
+                                store_factors=store, true_error=exact)
+
+        exacts = (False,) if run is fastadacur_run else (True, False)
+        runs = {(store, exact): run(seq, config(store, exact))
+                for store in (True, False) for exact in exacts}
 
         def plain(res):
             return [dataclasses.replace(tr, true_rel_err=None)
@@ -430,8 +439,9 @@ class TestLazyColumnBlock:
             assert_traces_match(plain(res), plain(runs[False, False]))
             assert all((tr.true_rel_err is not None) == exact
                        for _, tr in res)
-        # a stored REUSE step's lazily read C, and the operator on it,
-        # are bitwise the eager column block with U written in
+        assert all(fac.r is None for fac, _ in runs[False, False])
+        # stored factors' lazily read C, and the operator on it, are
+        # bitwise the column block with U written in
         for j, (fac, _) in enumerate(runs[True, False]):
             sel = fac.selection
             if sel.is_empty:
@@ -444,22 +454,29 @@ class TestLazyColumnBlock:
             np.testing.assert_array_equal(op.left, want.left)
             np.testing.assert_array_equal(op.right, want.right)
 
-    def test_lazy_factors_drop_oracle_after_first_read(self):
+    @pytest.mark.parametrize("run, cfg", [
+        (adacur_run, AdaCurConfig(tol=1e-8, oversample=3, seed=0)),
+        (recompute_baseline_run, AdaCurConfig(tol=1e-8, oversample=3,
+                                              seed=0)),
+        (fastadacur_run, FastConfig(tol=1e-8, buffer=4, oversample=3,
+                                    seed=0)),
+    ], ids=["adacur", "baseline", "fastadacur"])
+    def test_lazy_factors_drop_oracle_after_first_read(self, run, cfg):
         refs = []
         seq = weakly_held_sequence(make_synthetic_expm(n=60, q=11, seed=0),
                                    refs)
-        res = adacur_run(seq, AdaCurConfig(tol=1e-8, oversample=3, seed=0))
+        res = run(seq, cfg)
         gc.collect()
-        reused = {j for j, (_, tr) in enumerate(res) if tr.action == "REUSE"}
-        assert reused
-        assert {j for j, ref in enumerate(refs) if ref()} == reused
+        # every stored step's factors keep its oracle until C is read
+        assert len(refs) == len(res) and all(ref() for ref in refs)
         # C is read on the first use, outside the step, and only then
-        for j in reused:
+        for j, (fac, tr) in enumerate(res):
+            fac.r  # the certified drivers' steps read R; fastadacur's not
             counters = refs[j]().counters
             mark = counters.entries_read
-            assert res[j][0].c.shape == (60, res[j][1].rank)
-            assert res[j][0].c is res[j][0].c
-            assert counters.entries_read - mark == 60 * res[j][1].rank
+            assert fac.c.shape == (60, tr.rank)
+            assert fac.c is fac.c
+            assert counters.entries_read - mark == 60 * tr.rank
         gc.collect()
         assert not any(ref() for ref in refs)
 

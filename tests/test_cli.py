@@ -169,13 +169,16 @@ class TestOutputs:
                        "--algo", "recompute-baseline") == 0
         assert "recompute-baseline" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("algo, name", [
-        ("adacur", "adacur_run"),
-        ("recompute-baseline", "recompute_baseline_run"),
+    @pytest.mark.parametrize("algo, name, exact", [
+        ("adacur", "adacur_run", True),
+        ("recompute-baseline", "recompute_baseline_run", True),
+        ("fastadacur", "fastadacur_run", False),
     ])
     def test_certified_drivers_keep_no_factors(self, monkeypatch, capsys,
-                                               algo, name):
-        # the CLI writes traces only; keeping no factors leaves them as is
+                                               algo, name, exact):
+        # the CLI writes traces only; keeping no factors leaves them as
+        # is. fastadacur keeps them only to score exact errors, which the
+        # certified drivers score inside their step loop
         real, calls = getattr(cli, name), []
 
         def recording(seq, cfg):
@@ -183,8 +186,9 @@ class TestOutputs:
             return calls[-1][2]
 
         monkeypatch.setattr(cli, name, recording)
+        flags = ("--true-error",) if exact else ()
         assert run_cli("--problem", "synthetic", "--n", "40", "--steps", "9",
-                       "--tol", "1e-6", "--algo", algo, "--true-error") == 0
+                       "--tol", "1e-6", "--algo", algo, *flags) == 0
         (seq, cfg, res), = calls
         assert not cfg.store_factors
         assert all(fac.c is None for fac, _ in res)

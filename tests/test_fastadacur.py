@@ -199,19 +199,6 @@ class TestReadBudget:
         assert (r, p_eff) == (20, 5)
         assert tr.entries_read == m * r + (r + p_eff) * n
 
-    def test_skipping_factors_reads_less(self):
-        seq = make_synthetic_expm(n=60, q=9, seed=0)
-        full = fastadacur_run(seq, FastConfig(tol=1e-6, buffer=3, seed=0))
-        slim = fastadacur_run(seq, FastConfig(tol=1e-6, buffer=3, seed=0,
-                                              store_factors=False))
-        reads_full = sum(t.entries_read for _, t in full)
-        reads_slim = sum(t.entries_read for _, t in slim)
-        assert reads_slim < reads_full
-        for fac, _ in slim:
-            assert fac.c is None
-            with pytest.raises(InvalidInput):
-                fac.operator()
-
 
 class TestFactors:
     def test_cross_consistency_bitwise(self):
@@ -258,32 +245,64 @@ class TestFactors:
             fastadacur_run(seq, FastConfig(tol=1e-6, buffer=2, seed=0))
         assert len(info.value.partial_trace) == 2
 
-    @pytest.mark.parametrize("place", ["core", "row block"])
-    def test_non_finite_snapshot_names_step(self, place):
+    @pytest.mark.parametrize("place, step", [("core", 3), ("row block", 2)])
+    def test_non_finite_snapshot_names_step(self, place, step):
         # a NaN in a block the step reads is bad data at that step, not
-        # a bad argument; the clean run gives the step-3 core read and
-        # selection, which a NaN outside the core leaves as they are
-        ref = make_synthetic_expm(n=40, q=6, seed=0)
-        mats = [ref.oracle(j).array for j in range(len(ref))]
-        cfg = FastConfig(tol=1e-6, buffer=3, oversample=2, seed=0)
-        clean = ParamMatrixSequence(ref.params,
-                                    lambda j: RecordingOracle(mats[j]),
-                                    ref.shape)
-        sel = fastadacur_run(clean, cfg)[3][0].selection
-        rows, cols = clean.oracle(3).reads[0]
-        bad = mats[3].copy()
+        # a bad argument; the clean run gives the step's core read and
+        # selection, which a NaN outside the core leaves as they are.
+        # Step 2 is an EXPAND, which reads R to grow the columns
+        clean, cfg, res, (rows, cols) = clean_run_and_core(step)
+        sel = res[step][0].selection
+        bad = clean.oracle(step).array.copy()
         if place == "core":
             bad[rows[0], cols[0]] = np.nan
         else:
             bad[sel.rows[0], np.setdiff1d(np.arange(40), cols)[0]] = np.nan
-        sick = ParamMatrixSequence(
-            ref.params, lambda j: DenseOracle(bad if j == 3 else mats[j]),
-            ref.shape)
         with pytest.raises(NonFiniteSnapshot) as info:
-            fastadacur_run(sick, cfg)
-        assert info.value.step == 3
-        assert str(info.value).startswith("step 3: ")
-        assert [t.step for t in info.value.partial_trace] == [0, 1, 2]
+            fastadacur_run(sequence_with(clean, step, bad), cfg)
+        assert info.value.step == step
+        assert str(info.value).startswith(f"step {step}: ")
+        assert [t.step for t in info.value.partial_trace] == list(range(step))
+
+    @pytest.mark.parametrize("block", ["row block", "column block"])
+    def test_non_finite_factor_block_raises_on_first_read(self, block):
+        # step 3 is a TRUNCATE, which reads its core alone: a NaN outside
+        # the core passes the step and raises where the factors read it
+        clean, cfg, res, (rows, cols) = clean_run_and_core(3)
+        sel = res[3][0].selection
+        bad = clean.oracle(3).array.copy()
+        if block == "row block":
+            bad[sel.rows[0], np.setdiff1d(np.arange(40), cols)[0]] = np.nan
+        else:
+            bad[np.setdiff1d(np.arange(40), rows)[0], sel.cols[0]] = np.nan
+        sick = fastadacur_run(sequence_with(clean, 3, bad), cfg)
+        fac, tr = sick[3]
+        assert tr.action == "TRUNCATE"
+        assert_traces_match([t for _, t in sick], [t for _, t in res])
+        if block == "column block":
+            assert np.isfinite(fac.r).all()
+        with pytest.raises(NonFiniteSnapshot, match=block):
+            fac.c if block == "column block" else fac.r
+
+
+def clean_run_and_core(step):
+    """Sequence, config and run of the non-finite tests' clean case, and
+    the ``(rows, cols)`` of ``step``'s core read."""
+    ref = make_synthetic_expm(n=40, q=6, seed=0)
+    mats = [ref.oracle(j).array for j in range(len(ref))]
+    cfg = FastConfig(tol=1e-6, buffer=3, oversample=2, seed=0)
+    clean = ParamMatrixSequence(ref.params, lambda j: RecordingOracle(mats[j]),
+                                ref.shape)
+    res = fastadacur_run(clean, cfg)
+    return clean, cfg, res, clean.oracle(step).reads[0]
+
+
+def sequence_with(clean, step, bad):
+    """``clean`` with ``bad`` as its snapshot at ``step``."""
+    return ParamMatrixSequence(
+        clean.params,
+        lambda j: DenseOracle(bad if j == step else clean.oracle(j).array),
+        clean.shape)
 
 
 class RecordingOracle(DenseOracle):

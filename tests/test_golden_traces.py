@@ -14,10 +14,9 @@ CHANGES.md:
 
 The cases keep factors (and adacur's record exact errors), so each is
 also replayed factor-free, with ``store_factors`` and ``true_error``
-off, where from-scratch steps factor their column block in place. That
-replay must match the file in every field but ``true_rel_err``, except
-that fastadacur may read fewer entries where it no longer reads C and
-R for its factors (see :func:`compare`); ``--diff`` reports it too.
+off. Factors read their blocks on first use, outside the step, so that
+replay must match the file in every field but ``true_rel_err``;
+``--diff`` reports it too.
 """
 
 import json
@@ -84,24 +83,15 @@ def compare(golden, case, factors=True):
     """``(got, want, differences)`` of a run of ``case`` and the file.
 
     The factor-free replay is compared without ``true_rel_err``.
-    fastadacur reads C and R for its factors only when it keeps them,
-    on TRUNCATE steps and on EXPAND steps that keep their rows, so
-    there its factor-free ``entries_read`` may be lower; on RECOMPUTE
-    steps, which read both either way, it must match.
     """
     got, want = run_case(case, factors), golden[case]
     if not factors:
         want = [_without(w, ("true_rel_err",)) for w in want]
-    fewer_reads = not factors and case.split("/")[1] == "fastadacur"
-    return got, want, differences(got, want, fewer_reads)
+    return got, want, differences(got, want)
 
 
-def differences(got, want, fewer_reads=False):
-    """``(step, field, got, want)`` for every field that does not match.
-
-    With ``fewer_reads`` a step other than a RECOMPUTE may read fewer
-    entries than ``want``.
-    """
+def differences(got, want):
+    """``(step, field, got, want)`` for every field that does not match."""
     if len(got) != len(want):
         return [(None, "steps", len(got), len(want))]
     out = []
@@ -109,9 +99,6 @@ def differences(got, want, fewer_reads=False):
         for key, value in w.items():
             if isinstance(value, float):
                 same = math.isclose(g.get(key), value, rel_tol=1e-12)
-            elif (fewer_reads and key == "entries_read"
-                  and w["action"] != "RECOMPUTE"):
-                same = g.get(key) <= value
             else:
                 same = g.get(key) == value
             if not same:

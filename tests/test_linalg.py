@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from adacur import linalg
-from adacur.driver import _extract_factors
+from adacur.driver import CURFactors
 from adacur.errors import InvalidInput
 from adacur.linalg import (
     LowRankOperator,
@@ -453,7 +453,7 @@ class TestStableCurEval:
         want = svd_times_pinv(c, u)
         monkeypatch.setattr("adacur.linalg.truncated_svd", None)
         for op in (stable_cur_eval(c, u, r),
-                   _extract_factors(DenseOracle(a), sel).operator()):
+                   CURFactors(sel, DenseOracle(a)).operator()):
             assert op.rank == 11
             np.testing.assert_array_equal(op.right, r)
             assert (np.linalg.norm(op.left - want)

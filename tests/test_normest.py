@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adacur.driver import _extract_factors
+from adacur.driver import CURFactors
 from adacur.errors import InvalidInput, NonFiniteSnapshot, ZeroMatrixSketch
 from adacur.linalg import stable_cur_eval
 from adacur.normest import estimate_cur_error
@@ -53,7 +53,7 @@ class TestEstimateCurError:
         sel = IndexSelection(np.array([0]), np.array([0]),
                              np.array([], dtype=np.intp))
         with pytest.raises(ZeroMatrixSketch):
-            estimate_cur_error(orc, sel.cols, _extract_factors(orc, sel).r,
+            estimate_cur_error(orc, sel.cols, CURFactors(sel, orc).r,
                                s=5, seed=0)
 
     @pytest.mark.parametrize("s", [0, -1, 2.5, True, "5"])
@@ -190,13 +190,13 @@ class TestEstimateCurError:
 
 
 class TestCurOperatorFromOracle:
-    """The operator the drivers score: ``_extract_factors(...).operator()``."""
+    """The operator the drivers score: ``CURFactors(sel, orc).operator()``."""
 
     def test_reproduces_exact_rank(self, rng):
         a = flat_rank_r(rng, 40, 35, 7)
         orc = DenseOracle(a)
         sel = rand_pivot(orc, 7, seed=0)
-        op = _extract_factors(orc, sel).operator()
+        op = CURFactors(sel, orc).operator()
         err = np.linalg.norm(a - op.left @ op.right)
         assert err <= 1e-10 * np.linalg.norm(a)
 
@@ -204,7 +204,7 @@ class TestCurOperatorFromOracle:
         a = flat_rank_r(rng, 45, 40, 9)
         orc = DenseOracle(a)
         sel = undersized_selection(rand_pivot(orc, 9, seed=1), 5, 2)
-        op = _extract_factors(orc, sel).operator()
+        op = CURFactors(sel, orc).operator()
         direct = (np.linalg.norm(a - op.left @ op.right)
                   / np.linalg.norm(a))
         np.testing.assert_allclose(true_relative_error(orc, op), direct,

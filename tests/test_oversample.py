@@ -222,9 +222,9 @@ def scratch_block(name):
     """A[:, J] and its row ID, as a from-scratch driver step makes them."""
     make, tol, seed = BLOCKS[name]
     orc = make().oracle(0)
-    sel, c, row_id = rand_pivot_rankest(
+    sel, row_id = rand_pivot_rankest(
         orc, _rank_tol(AdaCurConfig(tol=tol), orc.ncols), seed)
-    return orc, sel, c, row_id
+    return orc, sel, orc.col_block(sel.cols), row_id
 
 
 class TestInterpolativeBasis:

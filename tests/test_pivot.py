@@ -210,33 +210,27 @@ class TestRandPivot:
 class TestRandPivotRankest:
     def test_rank_two(self, rng):
         a = rank_r_matrix(rng, 50, 40, 2)
-        sel, c, row_id = rand_pivot_rankest(DenseOracle(a), 1e-8, seed=0)
+        sel, row_id = rand_pivot_rankest(DenseOracle(a), 1e-8, seed=0)
         assert len(sel.rows) == 2 and len(sel.cols) == 2
-        np.testing.assert_array_equal(c, a[:, sel.cols])
         np.testing.assert_array_equal(row_id.perm[:2], sel.rows)
         assert row_id.lu.shape == (50, 2)
 
-    def test_keep_off_factors_the_block_in_place(self, rng):
-        # the same selection and row ID, with no C returned: the block
-        # read for the row pivots became the LU factor
+    def test_factors_the_block_in_place(self, rng):
+        # the block read once for the row pivots became the LU factor,
+        # bitwise the row ID of a copy of A[:, J]
         a = rank_r_matrix(rng, 60, 40, 5)
-        sel, c, row_id = rand_pivot_rankest(DenseOracle(a), 1e-8, seed=2)
         orc = DenseOracle(a)
-        got, none, got_id = rand_pivot_rankest(orc, 1e-8, seed=2, keep=False)
-        assert none is None
-        np.testing.assert_array_equal(c, a[:, sel.cols])
-        np.testing.assert_array_equal(got.rows, sel.rows)
-        np.testing.assert_array_equal(got.cols, sel.cols)
-        np.testing.assert_array_equal(got_id.perm, row_id.perm)
-        assert got_id.lu.tobytes() == row_id.lu.tobytes()
-        assert got_id.lu.flags.f_contiguous
+        sel, row_id = rand_pivot_rankest(orc, 1e-8, seed=2)
+        want = lu_row_id(a[:, sel.cols])
+        np.testing.assert_array_equal(row_id.perm, want.perm)
+        assert row_id.lu.tobytes() == want.lu.tobytes()
+        assert row_id.lu.flags.f_contiguous
         assert orc.counters.entries_read == 60 * 5
 
     def test_zero_matrix_gives_empty_selection(self):
-        sel, c, row_id = rand_pivot_rankest(DenseOracle(np.zeros((20, 20))),
-                                            1e-8, seed=0)
-        assert sel.is_empty
-        assert c is None and row_id is None
+        sel, row_id = rand_pivot_rankest(DenseOracle(np.zeros((20, 20))),
+                                         1e-8, seed=0)
+        assert sel.is_empty and row_id is None
 
     def test_single_sketch_pass(self, rng):
         # pivoting reuses the rank estimator's sketch: the adjoint matvec
