@@ -21,7 +21,7 @@ from .linalg import (LowRankOperator, cpqr, eps_rank_from_rdiag, srrqr,
 from .normest import ErrorEstimate, estimate_cur_error
 from .oracles import (DenseOracle, LowRankPlusSparseOracle, MatrixOracle,
                       OracleCounters, ParamMatrixSequence, SparseOracle)
-from .oversample import oversample_rows, oversample_rows_multi
+from .oversample import oversample_rows
 from .pivoting import IndexSelection, rand_pivot, rand_pivot_rankest
 from .problems import (make_adversarial, make_schrodinger,
                        make_speed_problem, make_synthetic_expm,
@@ -45,7 +45,7 @@ __all__ = [
     "ErrorEstimate", "estimate_cur_error",
     "DenseOracle", "LowRankPlusSparseOracle", "MatrixOracle",
     "OracleCounters", "ParamMatrixSequence", "SparseOracle",
-    "oversample_rows", "oversample_rows_multi",
+    "oversample_rows",
     "IndexSelection", "rand_pivot", "rand_pivot_rankest",
     "make_adversarial", "make_schrodinger", "make_speed_problem",
     "make_synthetic_expm", "synthetic_expm_singvals", "true_relative_error",

@@ -250,30 +250,30 @@ def _parse_param(tok, lineno):
     return value
 
 
-def write_matrix_market(path, a, fmt=None):
+def write_matrix_market(path, a):
     """Write a matrix as real general Matrix Market.
 
-    Dense input defaults to array format (values written column by
-    column), sparse input to coordinate format with all stored entries
-    kept, explicit zeros included. Values use shortest round-trip
-    decimals, so a read of the written file reproduces them exactly.
+    A sparse input is written in coordinate format with all stored
+    entries kept, explicit zeros included, and a dense one in array
+    format (values written column by column). Values use shortest
+    round-trip decimals, so a read of the written file reproduces them
+    exactly. Anything but a 2-d matrix with positive dimensions raises
+    :class:`InvalidInput` before the file is opened.
     """
-    if fmt is None:
-        fmt = "coordinate" if sp.issparse(a) else "array"
-    if fmt not in ("array", "coordinate"):
-        raise InvalidInput(f"unknown format {fmt!r}")
+    fmt = "coordinate" if sp.issparse(a) else "array"
+    a = a.tocoo() if sp.issparse(a) else np.asarray(a, dtype=float)
+    if a.ndim != 2 or min(a.shape) <= 0:
+        raise InvalidInput(
+            f"matrix must be 2-d with positive dimensions, got shape {a.shape}")
     # %r of a Python float is its shortest round-trip repr
     if fmt == "array":
-        dense = np.asarray(a.toarray() if sp.issparse(a) else a, dtype=float)
-        m, n = dense.shape
-        size = f"{m} {n}"
-        body = map("%r\n".__mod__, dense.ravel(order="F").tolist())
+        size = "%d %d" % a.shape
+        body = map("%r\n".__mod__, a.ravel(order="F").tolist())
     else:
-        coo = sp.coo_matrix(a)
-        size = f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}"
+        size = "%d %d %d" % (*a.shape, a.nnz)
         body = map("%d %d %r\n".__mod__,
-                   zip((coo.row + 1).tolist(), (coo.col + 1).tolist(),
-                       coo.data.astype(float).tolist()))
+                   zip((a.row + 1).tolist(), (a.col + 1).tolist(),
+                       a.data.astype(float).tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(f"%%MatrixMarket matrix {fmt} real general\n{size}\n")
         f.write("".join(body))

@@ -86,8 +86,8 @@ def estimate_cur_error(oracle, cols, r, s=5, seed=0, reuse=None):
         entry. A non-finite entry anywhere in A makes its column of the
         sketch non-finite, so this also catches those outside R.
     """
-    m = oracle.nrows
-    cols = check_indices("cols", cols, oracle.ncols)
+    m, n = oracle.shape
+    cols = check_indices("cols", cols, n)
     if reuse is not None:
         emb = reuse.embedding
         if emb.dim != m:

@@ -47,7 +47,7 @@ class OracleCounters:
 
 
 class MatrixOracle:
-    """Metered access to an m-by-n matrix.
+    """Metered access to an m-by-n matrix, whose size is ``shape``.
 
     Subclasses implement the underscored hooks; the public methods
     validate arguments and maintain :attr:`counters`. Blocks are
@@ -62,14 +62,6 @@ class MatrixOracle:
             raise InvalidInput("oracle dimensions must be positive")
         self.shape = (int(m), int(n))
         self.counters = OracleCounters()
-
-    @property
-    def nrows(self):
-        return self.shape[0]
-
-    @property
-    def ncols(self):
-        return self.shape[1]
 
     # -- hooks ---------------------------------------------------------
 
@@ -94,39 +86,41 @@ class MatrixOracle:
     def matvec(self, x):
         """Return ``A @ x`` for a single vector x of length n."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.ncols,):
-            raise InvalidInput(f"matvec expects a vector of length {self.ncols}")
+        n = self.shape[1]
+        if x.shape != (n,):
+            raise InvalidInput(f"matvec expects a vector of length {n}")
         self.counters.matvecs += 1
         return self._matmat(x.reshape(-1, 1)).ravel()
 
     def rmatvec(self, x):
         """Return ``A.T @ x`` for a single vector x of length m."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.nrows,):
-            raise InvalidInput(f"rmatvec expects a vector of length {self.nrows}")
+        m = self.shape[0]
+        if x.shape != (m,):
+            raise InvalidInput(f"rmatvec expects a vector of length {m}")
         self.counters.rmatvecs += 1
         return self._rmatmat(x.reshape(-1, 1)).ravel()
 
     def matmat(self, x):
         """Return ``A @ X``; counts one matvec per column of X."""
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[0] != self.ncols:
-            raise InvalidInput(f"matmat expects shape ({self.ncols}, k)")
+        if x.ndim != 2 or x.shape[0] != self.shape[1]:
+            raise InvalidInput(f"matmat expects shape ({self.shape[1]}, k)")
         self.counters.matvecs += x.shape[1]
         return self._matmat(x)
 
     def rmatmat(self, x):
         """Return ``A.T @ X``; counts one adjoint matvec per column."""
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[0] != self.nrows:
-            raise InvalidInput(f"rmatmat expects shape ({self.nrows}, k)")
+        if x.ndim != 2 or x.shape[0] != self.shape[0]:
+            raise InvalidInput(f"rmatmat expects shape ({self.shape[0]}, k)")
         self.counters.rmatvecs += x.shape[1]
         return self._rmatmat(x)
 
     def row_block(self, idx):
         """Return the dense row block ``A[idx, :]``."""
-        idx = check_indices("row indices", idx, self.nrows)
-        self.counters.entries_read += idx.size * self.ncols
+        idx = check_indices("row indices", idx, self.shape[0])
+        self.counters.entries_read += idx.size * self.shape[1]
         return self._rows(idx)
 
     def col_block(self, idx):
@@ -135,14 +129,14 @@ class MatrixOracle:
         The built-in oracles return it Fortran-ordered, so a caller
         that keeps no copy can LU-factor it in place.
         """
-        idx = check_indices("column indices", idx, self.ncols)
-        self.counters.entries_read += idx.size * self.nrows
+        idx = check_indices("column indices", idx, self.shape[1])
+        self.counters.entries_read += idx.size * self.shape[0]
         return self._cols(idx)
 
     def submatrix(self, rows, cols):
         """Return the dense submatrix ``A[np.ix_(rows, cols)]``."""
-        rows = check_indices("row indices", rows, self.nrows)
-        cols = check_indices("column indices", cols, self.ncols)
+        rows = check_indices("row indices", rows, self.shape[0])
+        cols = check_indices("column indices", cols, self.shape[1])
         self.counters.entries_read += rows.size * cols.size
         return self._submatrix(rows, cols)
 
@@ -373,7 +367,7 @@ class ParamMatrixSequence:
 
     def oracle(self, j):
         """Oracle for step j; cached when ``cache_oracles`` is set."""
-        j = int(j)
+        j = check_int("step index", j)
         if not 0 <= j < len(self):
             raise InvalidInput(f"step index {j} out of range [0, {len(self)})")
         if self.cache_oracles and j in self._cache:

@@ -29,7 +29,7 @@ from scipy.linalg import blas, lapack
 from .errors import InvalidInput, check_indices, check_int
 from .linalg import RowID, cpqr
 
-__all__ = ["oversample_rows", "oversample_rows_multi"]
+__all__ = ["oversample_rows"]
 
 
 class _InterpBasis:
@@ -139,5 +139,5 @@ def oversample_rows(row_id, rows, p):
 
 
 # The name the drivers call, and bench/tracing.py wraps there and in
-# fast; it goes with the tracer's imports.
+# fast; not exported, and it goes with the tracer's imports.
 oversample_rows_multi = oversample_rows

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, check_indices, check_int
+from .errors import InvalidInput, check_finite, check_indices, check_int
 # cpqr is no longer called here; the name stays because bench/tracing.py
 # installs its cpqr wrapper on pivoting.cpqr and requires the attribute.
 from .linalg import cpqr, lu_pivots, lu_row_id  # noqa: F401
@@ -73,14 +73,14 @@ class IndexSelection:
         return self.rows.size == 0 and self.cols.size == 0
 
 
-def rand_pivot(oracle, r, seed, presketch=None):
+def rand_pivot(oracle, r, seed):
     """Select r column and r row pivots from a Gaussian sketch.
 
     Column pivots are the first r pivots of LU with partial pivoting of
-    the transposed row sketch ``(G @ A).T``; those depend on its first
-    r rows only. Row pivots are the first r pivots of LU with partial
-    pivoting of the selected columns ``A[:, cols]``, factored in place
-    as nothing else reads them.
+    the transposed row sketch ``(G @ A).T``, for r Gaussian rows G drawn
+    from ``seed``, one adjoint matvec each. Row pivots are the first r
+    pivots of LU with partial pivoting of the selected columns
+    ``A[:, cols]``, factored in place as nothing else reads them.
 
     Parameters
     ----------
@@ -88,34 +88,31 @@ def rand_pivot(oracle, r, seed, presketch=None):
     r : int
         Number of pivots, 0 <= r <= min(m, n).
     seed : int
-        Used only when sketch rows have to be drawn.
-    presketch : ndarray, optional
-        An existing row sketch of A, shape (s, n) with s >= r. Only its
-        first r rows are read. With no presketch r Gaussian rows are
-        drawn, one adjoint matvec each.
+
+    Raises
+    ------
+    InvalidInput
+        If r is not an integer in [0, min(m, n)].
+    NonFiniteSnapshot
+        If the sketch holds a NaN or infinite entry, as it does when
+        A holds one.
     """
-    cols = _column_pivots(oracle, r, seed, presketch)
-    return _row_pivots(oracle, cols)[0]
-
-
-def _column_pivots(oracle, r, seed, presketch):
-    """The first r LUPP pivots of the transposed row sketch, checked as
-    :func:`rand_pivot` states; an empty array for r = 0."""
     m, n = oracle.shape
     r = check_int("r", r, 0)
     if r > min(m, n):
         raise InvalidInput(f"r must lie in [0, {min(m, n)}], got {r}")
     if r == 0:
+        return IndexSelection.empty()
+    emb = GaussianEmbedding(r, m, derive_seed(seed, 0xAD01))
+    x = check_finite("pivot sketch", row_sketch(emb, oracle))
+    return _row_pivots(oracle, _column_pivots(x, r))[0]
+
+
+def _column_pivots(x, r):
+    """The first r LUPP pivots of the transposed row sketch ``x.T``,
+    which depend on its first r rows only; an empty array for r = 0."""
+    if r == 0:
         return np.empty(0, np.intp)
-    if presketch is None:
-        emb = GaussianEmbedding(r, m, derive_seed(seed, 0xAD01))
-        presketch = row_sketch(emb, oracle)
-    x = np.asarray(presketch, dtype=float)
-    if x.ndim != 2 or x.shape[1] != n:
-        raise InvalidInput("presketch must have shape (s, n)")
-    if x.shape[0] < r:
-        raise InvalidInput(
-            f"presketch has {x.shape[0]} rows, fewer than r={r}")
     # a copy, so the selection keeps neither the permutation nor the
     # sketch alive
     return lu_pivots(x[:r].T)[:r].copy()
@@ -137,10 +134,11 @@ def _row_pivots(oracle, cols):
 def rand_pivot_rankest(oracle, abs_tol, seed):
     """Rank-adaptive pivot selection fused with rank estimation.
 
-    Runs :func:`estimate_rank` and feeds its accumulated row sketch
-    straight into :func:`rand_pivot`'s column pivoting, so no second
-    sketch of A is drawn. The sketch is released once the columns are
-    chosen, before their block is read.
+    Runs :func:`estimate_rank` and takes the column pivots from the
+    first ``rank`` rows of its accumulated row sketch, as
+    :func:`rand_pivot` does from its own, so no second sketch of A is
+    drawn. The sketch is released once the columns are chosen, before
+    their block is read.
 
     Returns ``(selection, row_id)``: ``row_id`` is the row
     interpolative decomposition of the column block ``A[:, cols]``, a
@@ -151,7 +149,6 @@ def rand_pivot_rankest(oracle, abs_tol, seed):
     it once. A zero-rank estimate yields an empty selection and None.
     """
     est = estimate_rank(oracle, abs_tol, derive_seed(seed, 0x11E5))
-    cols = _column_pivots(oracle, est.rank, derive_seed(seed, 0x9B1D),
-                          est.row_sketch)
+    cols = _column_pivots(est.row_sketch, est.rank)
     del est   # the sketch is not read again; free it before C is read
     return _row_pivots(oracle, cols)

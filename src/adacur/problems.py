@@ -286,23 +286,22 @@ def make_speed_problem(m=5000, n=1000, r=100, q=51, seed=0,
 
 # -- exact error measurement --------------------------------------------
 
-def true_relative_error(oracle, approx, block_rows=256):
+def true_relative_error(oracle, approx):
     """Exact ``|A - approx|_F / |A|_F`` accumulated over row blocks.
 
     ``approx`` is a LowRankOperator or anything with an ``operator()``
     method returning one (CUR factors). Reads the full matrix once in
-    blocks of ``block_rows`` rows; meant for validation, not for the
-    algorithms' cost budgets.
+    blocks of 256 rows; meant for validation, not for the algorithms'
+    cost budgets.
     """
-    check_int("block_rows", block_rows, 1)
     op = approx.operator() if hasattr(approx, "operator") else approx
     m, n = oracle.shape
     if op.shape != (m, n):
         raise InvalidInput(f"operator shape {op.shape} != oracle {oracle.shape}")
     num_sq = 0.0
     den_sq = 0.0
-    for start in range(0, m, block_rows):
-        idx = np.arange(start, min(start + block_rows, m))
+    for start in range(0, m, 256):
+        idx = np.arange(start, min(start + 256, m))
         blk = oracle.row_block(idx)
         den_sq += float(np.sum(blk * blk))
         resid = blk - op.row_block(idx)

@@ -238,9 +238,9 @@ def row_sketch(embedding, oracle):
     The embedding acts on the row space: one adjoint matvec per sketch
     row, which the oracle's counters record.
     """
-    if embedding.dim != oracle.nrows:
-        raise InvalidInput(
-            f"embedding dim {embedding.dim} != oracle rows {oracle.nrows}")
+    m = oracle.shape[0]
+    if embedding.dim != m:
+        raise InvalidInput(f"embedding dim {embedding.dim} != oracle rows {m}")
     return oracle.rmatmat(embedding.dense_rows(0, embedding.sketch_rows).T).T
 
 

@@ -20,7 +20,7 @@ from adacur.linalg import (eps_rank_from_rdiag, lu_pivots, lu_row_id, srrqr,
                            stable_cur_eval)
 from adacur.normest import estimate_cur_error
 from adacur.oracles import DenseOracle, ParamMatrixSequence
-from adacur.oversample import oversample_rows_multi
+from adacur.oversample import oversample_rows
 from adacur.problems import (
     make_adversarial,
     make_schrodinger,
@@ -255,7 +255,7 @@ class TestRefinementOrder:
             (rows, g), = at["order"]
             old_rows = old.all_rows
             np.testing.assert_array_equal(rows, np.concatenate([
-                old_rows, oversample_rows_multi(
+                old_rows, oversample_rows(
                     lu_row_id(a[:, cols[:m]]), old_rows,
                     min(j1.size, m - old_rows.size))]))
             np.testing.assert_array_equal(g, a[np.ix_(rows, cols)])
@@ -268,7 +268,7 @@ class TestRefinementOrder:
             np.testing.assert_array_equal(
                 new.rows, rows[lu_pivots(g[:, qr.pivots])][:r])
             np.testing.assert_array_equal(
-                new.extra_rows, oversample_rows_multi(
+                new.extra_rows, oversample_rows(
                     lu_row_id(a[:, new.cols]), new.rows, cfg.oversample))
 
     def test_cross_ordered_at_its_rank_tolerance(self, monkeypatch, rng):

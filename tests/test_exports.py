@@ -1,10 +1,11 @@
 """Every name in a package module's ``__all__`` must exist, every name
-a module imports must be used or exported, and the driver configs have
-exactly the fields listed here."""
+a module imports must be used or exported, and the driver configs and
+public functions have exactly the fields and parameters listed here."""
 
 import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -67,3 +68,42 @@ CONFIG_FIELDS = {
 def test_config_fields_pinned(config):
     got = tuple(field.name for field in dataclasses.fields(config))
     assert got == CONFIG_FIELDS[config]
+
+
+# Each parameter of a public function is an option every caller can
+# pass; a new one has to be added here, so that it is argued for in
+# review, as a config field is.
+PUBLIC_PARAMETERS = {
+    "adacur_run": ("seq", "cfg"),
+    "recompute_baseline_run": ("seq", "cfg"),
+    "refine_indices": ("oracle", "sel", "pack", "cfg"),
+    "fastadacur_run": ("seq", "cfg"),
+    "load_sequence_dir": ("path",),
+    "read_matrix_market": ("path",),
+    "read_trace_csv": ("path",),
+    "write_matrix_market": ("path", "a"),
+    "write_trace_csv": ("traces", "path"),
+    "cpqr": ("a",),
+    "eps_rank_from_rdiag": ("r", "rel_tol"),
+    "srrqr": ("a", "f", "k", "rank_tol"),
+    "stable_cur_eval": ("c", "u", "r"),
+    "estimate_cur_error": ("oracle", "cols", "r", "s", "seed", "reuse"),
+    "oversample_rows": ("row_id", "rows", "p"),
+    "rand_pivot": ("oracle", "r", "seed"),
+    "rand_pivot_rankest": ("oracle", "abs_tol", "seed"),
+    "make_adversarial": ("seed", "q"),
+    "make_schrodinger": ("n", "q", "seed", "t_end", "zero_potential"),
+    "make_speed_problem": ("m", "n", "r", "q", "seed", "delta", "density"),
+    "make_synthetic_expm": ("n", "q", "seed"),
+    "synthetic_expm_singvals": ("n", "t"),
+    "true_relative_error": ("oracle", "approx"),
+    "estimate_rank": ("oracle", "abs_tol", "seed"),
+    "derive_seed": ("parts",),
+}
+
+
+def test_public_parameters_pinned():
+    got = {name: tuple(inspect.signature(obj).parameters)
+           for name in adacur.__all__
+           if inspect.isfunction(obj := getattr(adacur, name))}
+    assert got == PUBLIC_PARAMETERS

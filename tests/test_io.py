@@ -60,6 +60,16 @@ class TestMatrixMarket:
         write_matrix_market(s, sp.eye(3, format="csr"))
         assert "coordinate" in open(s).readline()
 
+    @pytest.mark.parametrize("a", [
+        np.ones(3), np.ones((2, 2, 2)), np.float64(1.0), np.ones((0, 3)),
+        np.ones((3, 0)), sp.csr_matrix((0, 3)), sp.csr_matrix((3, 0))])
+    def test_degenerate_shape_rejected_before_writing(self, tmp_path, a):
+        # a file that read_matrix_market would reject is never written
+        path = tmp_path / "bad.mtx"
+        with pytest.raises(InvalidInput, match="positive dimensions"):
+            write_matrix_market(path, a)
+        assert not path.exists()
+
     def test_bad_value_reports_line(self, tmp_path):
         path = str(tmp_path / "bad.mtx")
         with open(path, "w") as f:
@@ -528,6 +538,18 @@ class TestParamMatrixSequence:
         seq = ParamMatrixSequence([0.0, 1.0], lambda j: np.eye(2), (2, 2))
         with pytest.raises(InvalidInput, match="ndarray at step 1"):
             seq.oracle(1)
+
+    @pytest.mark.parametrize("j", [1.5, True, "2", np.float64(1.0)])
+    def test_non_integer_step_index_rejected(self, j):
+        seq = ParamMatrixSequence([0.0, 1.0, 2.0],
+                                  lambda j: DenseOracle(np.eye(2)), (2, 2))
+        with pytest.raises(InvalidInput, match="^step index must be"):
+            seq.oracle(j)
+
+    def test_numpy_step_index_accepted(self):
+        seq = ParamMatrixSequence([0.0, 1.0, 2.0],
+                                  lambda j: DenseOracle(j * np.eye(2)), (2, 2))
+        assert seq.oracle(np.int64(2)).array[0, 0] == 2.0
 
 
 class TestTraceCsv:

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adacur import pivoting
-from adacur.errors import InvalidInput
+from adacur.errors import InvalidInput, NonFiniteSnapshot
 from adacur.linalg import lu_row_id, stable_cur_eval
 from adacur.oracles import DenseOracle
-from adacur.oversample import oversample_rows_multi
+from adacur.oversample import oversample_rows
 from adacur.pivoting import IndexSelection, rand_pivot, rand_pivot_rankest
 
 
@@ -130,9 +130,8 @@ class TestRandPivot:
 
         monkeypatch.setattr(pivoting, "lu_row_id", spy)
         orc = DenseOracle(rank_r_matrix(rng, 50, 40, 6))
-        sketch = rng.standard_normal((12, 50)) @ orc.array
         rand_pivot(orc, 6, seed=3)
-        rand_pivot(orc, 4, seed=3, presketch=sketch)
+        rand_pivot(orc, 4, seed=3)
         assert calls == [(True, True), (True, True)]
 
     def test_draws_only_the_sketch_rows_it_reads(self, rng):
@@ -140,19 +139,10 @@ class TestRandPivot:
         rand_pivot(orc, 6, seed=3)
         assert orc.counters.rmatvecs == 6
 
-    def test_nan_in_column_block_rejected(self, rng):
-        # a finite presketch selects the columns; the block read for the
-        # row pivots carries the NaN
-        a = rank_r_matrix(rng, 50, 40, 6)
-        sketch = rng.standard_normal((12, 50)) @ a
-        a[7, :] = np.nan
-        with pytest.raises(InvalidInput, match="non-finite"):
-            rand_pivot(DenseOracle(a), 6, seed=3, presketch=sketch)
-
     def test_nan_in_sketch_rejected(self, rng):
         a = rank_r_matrix(rng, 50, 40, 6)
         a[7, 3] = np.nan
-        with pytest.raises(InvalidInput, match="non-finite"):
+        with pytest.raises(NonFiniteSnapshot, match="pivot sketch"):
             rand_pivot(DenseOracle(a), 6, seed=3)
 
     @settings(max_examples=40, deadline=None)
@@ -166,24 +156,14 @@ class TestRandPivot:
         orc = DenseOracle(rank_r_matrix(gen, m, n, r))
         sel = rand_pivot(orc, r, seed=seed)
         p = min(extra, m - r)
-        more = oversample_rows_multi(lu_row_id(orc.col_block(sel.cols)),
-                                     sel.rows, p)
+        more = oversample_rows(lu_row_id(orc.col_block(sel.cols)),
+                               sel.rows, p)
         assert more.size == p
         for idx in (sel.rows, sel.cols, more):
             assert np.unique(idx).size == idx.size == (r if idx is not more
                                                        else p)
         assert np.intersect1d(sel.rows, more).size == 0
         IndexSelection(sel.rows, sel.cols, more)
-
-    def test_short_presketch_rejected(self, rng):
-        # a presketch must hold the r rows the column pivots come from;
-        # a short one is an error, not padded with fresh draws
-        a = rank_r_matrix(rng, 50, 40, 6)
-        orc = DenseOracle(a)
-        sketch = rng.standard_normal((5, 50)) @ a
-        with pytest.raises(InvalidInput, match="fewer than r=6"):
-            rand_pivot(orc, 6, seed=3, presketch=sketch)
-        assert orc.counters.rmatvecs == 0
 
     @pytest.mark.parametrize("r", [2.7, True, -1, 41, "3"])
     def test_bad_count_rejected(self, rng, r):
@@ -197,14 +177,6 @@ class TestRandPivot:
         got, want = rand_pivot(orc, np.int32(4), 3), rand_pivot(orc, 4, 3)
         np.testing.assert_array_equal(got.rows, want.rows)
         np.testing.assert_array_equal(got.cols, want.cols)
-
-    def test_presketch_avoids_new_matvecs(self, rng):
-        a = rank_r_matrix(rng, 50, 40, 6)
-        orc = DenseOracle(a)
-        sketch = orc.rmatmat(rng.standard_normal((50, 12))).T
-        before = orc.counters.rmatvecs
-        rand_pivot(orc, 6, seed=3, presketch=sketch)
-        assert orc.counters.rmatvecs == before
 
 
 class TestRandPivotRankest:
