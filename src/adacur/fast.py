@@ -76,9 +76,10 @@ def fastadacur_run(seq, cfg):
     than r0+buffer in all. So the row buffer may run down to half
     before it is refilled, and an EXPAND that keeps its rows reads no C.
     A C read for the rows is factored in place for its row ID, so C and
-    its LU factor are never both live. The factors read their own C and
-    R on first use, outside the step, as the certified drivers' do, so
-    no trace field depends on ``store_factors``. In the trace, h1
+    its LU factor are never both live, and the row ID is dropped once
+    the rows have grown, before R is read. The factors read their own C
+    and R on first use, outside the step, as the certified drivers' do,
+    so no trace field depends on ``store_factors``. In the trace, h1
     accumulates TRUNCATE and h2 EXPAND and RECOMPUTE actions from step
     2 on; est_rel_err is always None. A non-finite entry in a block the
     step reads (the core, C or R) raises :class:`NonFiniteSnapshot` at
@@ -122,6 +123,7 @@ def fastadacur_run(seq, cfg):
             need_rows = min(r0 + b + p, m) - i_idx.size
             if need_rows > 0 and row_id is not None:
                 i_idx = _grow(i_idx, row_id, need_rows)
+            row_id = None   # C's LU factor is not read again; free it
             # R's rows grow the columns. lu_row_id needs a tall block;
             # past n rows the first n give a square one, whose basis is
             # all of R^n

@@ -85,12 +85,26 @@ def cpqr(a):
     -------
     PivotedQR
     """
+    return _cpqr(a, overwrite=False)
+
+
+def _cpqr(a, overwrite):
+    """:func:`cpqr`; with ``overwrite``, a writeable Fortran-contiguous
+    float ``a`` is factored in its own memory and its entries are lost.
+
+    Any other ``a`` is copied once, Fortran-ordered, and the copy is
+    factored, so ``a`` is left as it was. The workspace query writes
+    nothing, so it reads the array to be factored without a copy, which
+    f2py makes of any input not offered for overwriting.
+    """
     a = _validate_matrix(a)
     m, n = a.shape
-    lwork = int(lapack.dgeqp3(a, lwork=-1)[3][0])
+    if not (overwrite and a.flags.f_contiguous and a.flags.writeable):
+        a = np.array(a, order="F")
+    lwork = int(lapack.dgeqp3(a, lwork=-1, overwrite_a=True)[3][0])
     if (lwork - 2 * n) // (n + 1) >= min(m, n):
         lwork = 3 * n + 1
-    qr, piv = lapack.dgeqp3(a, lwork=lwork)[:2]
+    qr, piv = lapack.dgeqp3(a, lwork=lwork, overwrite_a=True)[:2]
     k = min(m, n)
     # a tall factor's leading rows are copied out, so that R does not
     # keep the whole factor alive

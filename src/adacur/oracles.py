@@ -182,10 +182,12 @@ class LowRankPlusSparseOracle(MatrixOracle):
     """Oracle for ``U @ diag(sigma) @ V.T + S`` that never densifies.
 
     The sparse term is kept as one canonical CSR matrix (duplicates
-    summed, columns sorted within a row). Its CSC copy, and the CSR
-    view of S.T on that copy's arrays, are built once, on the first
-    column read or adjoint product, so an oracle read only by rows,
-    submatrices and forward products never converts. A block is the
+    summed, columns sorted within a row). Adjoint products read S.T as
+    the CSC view on those arrays, made with the term, which sums each
+    entry of the result over S's rows in the order a CSR form of S.T
+    would. S's CSC copy, and the CSR view of S.T on that copy's arrays,
+    are built once, on the first column read, so an oracle read only by
+    rows, submatrices and products never converts. A block is the
     low-rank GEMM with only the stored entries that fall inside it added
     in place, by one walk over the requested rows of a CSR form: S's
     own for a row or submatrix read, and the view of S.T for a column
@@ -228,7 +230,7 @@ class LowRankPlusSparseOracle(MatrixOracle):
             raise InvalidInput("sparse term shape mismatch")
         csr = s.tocsr(copy=True).astype(float, copy=False)
         csr.sum_duplicates()
-        self._csr = csr
+        self._csr, self._adjoint = csr, csr.T    # S.T as a CSC view
         self._csc = self._csr_t = None
 
     @property
@@ -269,7 +271,7 @@ class LowRankPlusSparseOracle(MatrixOracle):
     def _rmatmat(self, x):
         y = self.v @ (self._us.T @ x)
         if self.nnz:
-            y += self._csc_t @ x
+            y += self._adjoint @ x
         return y
 
     def _add_sparse(self, out, rows, cols=None, csr=None):

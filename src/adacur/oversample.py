@@ -17,8 +17,9 @@ elsewhere, and L L.T = I + T.T T, Q = B inv(L).T is orthonormal and
 spans range(C). |T| stays small, so I + T.T T is well conditioned. T
 itself is never formed: the Gram comes from L2.T L2 and two k-by-k
 solves with L1, a projection applies inv(L1) to its k-by-p right-hand
-side before one product with L2, and only the few rows of Q the
-selection needs are formed.
+side before products with ranges of L2's rows, each written straight
+into the rows it asks for, and only the few rows of Q the selection
+needs are formed. The greedy pick factors that projection in place.
 
 Column oversampling is the same operation on the row ID of A[I, :].T.
 """
@@ -27,9 +28,22 @@ import numpy as np
 from scipy.linalg import blas, lapack
 
 from .errors import InvalidInput, check_indices, check_int
-from .linalg import RowID, cpqr
+from .linalg import RowID, _cpqr
 
 __all__ = ["oversample_rows"]
+
+
+def cpqr(a):
+    """:func:`linalg.cpqr` of ``a``, factored in a's own memory when it
+    is a writeable Fortran-contiguous float array, whose entries are
+    then lost. Its one caller, :func:`_pick`, hands it a projection
+    made for the pick alone; bench/tracing.py times this name as
+    ``linalg.cpqr``."""
+    return _cpqr(a, overwrite=True)
+
+
+# Entries of one range's product in a projection, 32 kB.
+_SPAN = 1 << 12
 
 
 class _InterpBasis:
@@ -66,14 +80,37 @@ class _InterpBasis:
         return blas.dtrsm(1.0, self.lt, b, side=1)
 
     def project(self, idx, v):
-        """Q[idx] @ v, as B[idx] @ (inv(L).T v) without forming B[idx]."""
-        k = self.k
+        """Q[idx] @ v for distinct ``idx``, as B[idx] @ (inv(L).T v).
+
+        B's rows are taken in pivot order, L2's a range of rows at a
+        time into one buffer, and each range is scattered straight into
+        the rows of the result that idx gives it, its other rows into a
+        spare last row; so neither B @ (inv(L).T v) nor B[idx] is
+        formed. The result is a C-ordered view: its transpose is the
+        Fortran-ordered operand dgeqp3 factors in place.
+        """
+        k, m = self.k, self.m
         w = blas.dtrsm(1.0, self.lt, v)            # (k, p)
-        bw = np.empty((self.m, w.shape[1]))        # B @ w, in pivot order
-        bw[:k] = w
-        np.matmul(self.l2, blas.dtrsm(1.0, self.l1, w, lower=1, diag=1),
-                  out=bw[k:])
-        return bw[self.pos[idx]]
+        z = blas.dtrsm(1.0, self.l1, w, lower=1, diag=1)
+        out = np.empty((idx.size + 1, w.shape[1]))
+        at = np.full(m, idx.size, np.intp)         # pivot position -> row
+        at[self.pos[idx]] = np.arange(idx.size)
+        out[at[:k]] = w
+        # one column is a GEMV, whose rounding depends on how BLAS
+        # threads split its rows: it is taken whole, no larger than the
+        # result. A short tail joins the range before it, as a one-row
+        # product would take GEMV too
+        p = w.shape[1]
+        span = max(_SPAN // p, 2) if p > 1 else m
+        buf = np.empty((min(span + span // 2, m - k), p))
+        lo = k
+        while lo < m:
+            hi = m if m - lo < span + span // 2 else lo + span
+            part = buf[:hi - lo]
+            np.matmul(self.l2[lo - k:hi - k], z, out=part)
+            out[at[lo:hi]] = part
+            lo = hi
+        return out[:-1]
 
 
 def _unchosen(m, rows):
@@ -92,7 +129,7 @@ def _pick(basis, rows, unchosen, p):
     _, _, vt = np.linalg.svd(basis.rows(rows), full_matrices=True)
     v_trail = vt[-p:, :].T                        # (k, p)
     q_rest = basis.project(unchosen, v_trail)     # (len(unchosen), p)
-    piv = cpqr(q_rest.T).pivots[:p]
+    piv = cpqr(q_rest.T).pivots[:p]               # q_rest factored in place
     return unchosen[piv]
 
 

@@ -231,9 +231,11 @@ def make_speed_problem(m=5000, n=1000, r=100, q=51, seed=0,
     O((m + n) r + nnz) and the full matrix is never formed.
 
     Oracles are built on demand and share one premultiplied low-rank
-    factor; the cumulative sparse term is advanced incrementally for
-    sequential access. The sequence does not cache oracles (a full
-    cache of cumulative sparse terms would be quadratic in q).
+    factor; the cumulative sparse term is kept as sorted positions and
+    values, advanced incrementally for sequential access, and one CSR
+    matrix is built from it per step. The sequence does not cache
+    oracles (a full cache of cumulative sparse terms would be quadratic
+    in q).
     """
     m, n, r = check_int("m", m, 1), check_int("n", n, 1), check_int("r", r, 1)
     q, seed = check_int("q", q, 1), check_int("seed", seed)
@@ -249,30 +251,39 @@ def make_speed_problem(m=5000, n=1000, r=100, q=51, seed=0,
     sigma = np.logspace(0.0, -8.0, r)
     nnz = max(1, int(round(m * n * density)))
 
-    def draw_sparse(i):
-        """delta * X_i; its distinct flat positions, sorted, are already
-        in canonical CSR order."""
+    def draw(i):
+        """Sorted distinct flat positions of X_i, and delta * X_i there."""
         g = np.random.default_rng(derive_seed(seed, 0x4A55, i))
         flat = g.choice(m * n, size=nnz, replace=False)
         vals = g.standard_normal(nnz)
         order = np.argsort(flat)
-        row, col = np.divmod(flat[order], n)
-        ptr = np.zeros(m + 1, dtype=np.intp)
-        np.cumsum(np.bincount(row, minlength=m), out=ptr[1:])
-        return sp.csr_matrix((delta * vals[order], col, ptr), shape=(m, n))
+        return flat[order], delta * vals[order]
 
-    state = {"i": 0, "s": None}  # cumulative delta * sum_{j<=i} X_j
+    # cumulative delta * sum_{j<=i} X_j, as sorted flat positions and values
+    state = {"i": 0, "pos": np.empty(0, np.intp), "val": np.empty(0)}
 
     def cumulative(i):
         if i == 0:
             return None
-        if state["s"] is None or state["i"] > i:
-            state["i"], state["s"] = 0, None
-        s = state["s"] if state["s"] is not None else sp.csr_matrix((m, n))
+        if state["i"] > i:
+            state.update(i=0, pos=np.empty(0, np.intp), val=np.empty(0))
+        pos, val = state["pos"], state["val"]
         for j in range(state["i"] + 1, i + 1):
-            s = s + draw_sparse(j)
-        state["i"], state["s"] = i, s
-        return s
+            new_pos, new_val = draw(j)
+            pos, at = np.unique(np.concatenate([pos, new_pos]),
+                                return_inverse=True)
+            # summed in order, a + b where the draw meets a stored entry
+            # and a + 0.0 elsewhere, exact zeros dropped: scipy's sum of
+            # the two CSR matrices, bit for bit
+            val = np.bincount(at, weights=np.concatenate([val, new_val]),
+                              minlength=pos.size)
+            keep = val != 0.0
+            pos, val = pos[keep], val[keep]
+        state.update(i=i, pos=pos, val=val)
+        row, col = np.divmod(pos, n)
+        ptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(np.bincount(row, minlength=m), out=ptr[1:])
+        return sp.csr_matrix((val, col, ptr), shape=(m, n))
 
     low_rank = LowRankPlusSparseOracle(u, sigma, v)
 

@@ -113,11 +113,14 @@ def estimate_rank(oracle, abs_tol, seed):
                 g2 = SparseSignEmbedding(2 * s, n, seed_right)
             elif g2.sketch_rows < 2 * s:
                 g2 = g2.grown(2 * s)
-            y = (x @ g2.raw.T) / np.sqrt(2 * s)
+            # G2's dense rows live for this product only, not while the
+            # left sketch grows
+            y = (x @ g2.dense_rows(0, 2 * s).T) / np.sqrt(2 * s)
         sig = np.linalg.svd(check_finite("rank sketch", y), compute_uv=False)
         if sig[-1] < abs_tol or (left_exact and right_exact) or s >= s_top:
             break
         s = min(2 * s, s_top)
+        x = y = None   # the next round's sketch replaces this one's
 
     return RankEstimate(rank=int(np.count_nonzero(sig > abs_tol)),
                         sketch_size=x.shape[0], row_sketch=x,

@@ -148,8 +148,8 @@ class SparseSignEmbedding:
     One raw Philox word per column and block holds all eight bands: the
     low bits of each byte give the row within the band, its top bit the
     sign (bands wider than 128 rows take 16 or 32 bits, so two or four
-    words). Only these words are stored; :attr:`raw` densifies once, on
-    first access, and :meth:`dense_rows` densifies the rows asked for.
+    words). Only these words are stored; :attr:`raw` densifies every row
+    on each access, and :meth:`dense_rows` the rows asked for.
     """
 
     sketch_rows: int
@@ -157,7 +157,6 @@ class SparseSignEmbedding:
     seed: int
     _words: list = field(default=None, repr=False, compare=False)
     _state: dict = field(default=None, repr=False, compare=False)
-    _raw: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         _check_shape(self)
@@ -169,10 +168,8 @@ class SparseSignEmbedding:
 
     @property
     def raw(self):
-        """The dense entries, shape (sketch_rows, dim)."""
-        if self._raw is None:
-            self._raw = self.dense_rows(0, self.sketch_rows)
-        return self._raw
+        """The dense entries, shape (sketch_rows, dim), formed anew."""
+        return self.dense_rows(0, self.sketch_rows)
 
     def dense_rows(self, start, stop):
         """Rows ``start:stop`` as a dense array, built from the words.
@@ -215,21 +212,16 @@ class SparseSignEmbedding:
 
         Resumes the Philox stream where this embedding's draw stopped
         and draws only the blocks not yet drawn, which equals a fresh
-        draw of ``rows`` rows bit for bit. If :attr:`raw` was formed
-        here, the new embedding's is too, densifying only the new rows.
-        This embedding is left unchanged.
+        draw of ``rows`` rows bit for bit. This embedding is left
+        unchanged.
         """
         rows = _check_growth(self, rows)
         bitgen = np.random.Philox(self.seed)
         bitgen.state = self._state
         words = self._words + _draw_blocks(bitgen, len(self._words),
                                            _blocks_for(rows), self.dim)
-        emb = SparseSignEmbedding(rows, self.dim, self.seed, _words=words,
-                                  _state=bitgen.state)
-        if self._raw is not None:
-            emb._raw = np.vstack([self._raw,
-                                  emb.dense_rows(self.sketch_rows, rows)])
-        return emb
+        return SparseSignEmbedding(rows, self.dim, self.seed, _words=words,
+                                   _state=bitgen.state)
 
 
 def row_sketch(embedding, oracle):

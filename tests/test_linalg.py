@@ -1,5 +1,6 @@
 """Tests for the pivoting factorizations and stable CUR evaluation."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -91,6 +92,39 @@ class TestCpqr:
         # a kept factor must not pin the (m, n) LAPACK work array
         for shape in [(10, 400), (400, 10)]:
             assert cpqr(rng.standard_normal(shape)).r.base is None
+
+    def test_in_place_factor_equals_factor_of_copy(self, rng):
+        # the private route factors a Fortran-ordered input in its own
+        # memory, bitwise as the public one factors a copy
+        for shape in [(10, 400), (400, 10), (25, 25)]:
+            a = np.asfortranarray(rng.standard_normal(shape))
+            want = cpqr(a)
+            got = linalg._cpqr(a, overwrite=True)
+            assert got.r.tobytes() == want.r.tobytes()
+            np.testing.assert_array_equal(got.pivots, want.pivots)
+            assert np.shares_memory(got.r, a) == (shape[0] <= shape[1])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_public_cpqr_leaves_input_unchanged(self, rng, order):
+        for shape in [(10, 400), (400, 10)]:
+            a = np.array(rng.standard_normal(shape), order=order)
+            before = a.copy()
+            fac = cpqr(a)
+            assert a.tobytes() == before.tobytes()
+            assert not np.shares_memory(fac.r, a)
+
+    def test_workspace_query_copies_nothing(self, rng):
+        # oversampling's greedy pick: a copy of the 10 x 4900 operand for
+        # the workspace query alone would more than double the peak
+        a = np.asfortranarray(rng.standard_normal((10, 4900)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            linalg._cpqr(a, overwrite=True)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * a.nbytes
 
 
 def assert_row_id(c, row_id, rtol):

@@ -121,23 +121,23 @@ class TestSparseReads:
             assert_bitwise(getattr(lazy, name)(*args),
                            getattr(eager, name)(*args))
 
-    def test_csc_built_on_first_column_or_adjoint_read(self, build, rng):
+    def test_csc_built_on_first_column_read(self, build, rng):
         s = sp.random(30, 20, density=0.2, random_state=3, format="csr")
-        for first in ("col_block", "rmatmat", "rmatvec"):
-            orc = build(s, rng, 2)
-            orc.row_block([4, 0])
-            orc.submatrix([1, 29], [3, 3])
-            orc.matmat(np.ones((20, 2)))
-            orc.matvec(np.ones(20))
-            assert orc._csc is None
-            arg = {"col_block": [5], "rmatmat": np.ones((30, 1)),
-                   "rmatvec": np.ones(30)}[first]
-            getattr(orc, first)(arg)
-            csc, view = orc._csc, orc._csc_t
-            assert np.shares_memory(view.data, csc.data)
-            orc.col_block([1, 2])
-            orc.rmatvec(np.ones(30))
-            assert orc._csc is csc and orc._csc_t is view
+        orc = build(s, rng, 2)
+        orc.row_block([4, 0])
+        orc.submatrix([1, 29], [3, 3])
+        orc.matmat(np.ones((20, 2)))
+        orc.matvec(np.ones(20))
+        orc.rmatmat(np.ones((30, 2)))
+        orc.rmatvec(np.ones(30))
+        assert orc._csc is None
+        assert np.shares_memory(orc._adjoint.data, orc._csr.data)
+        orc.col_block([5])
+        csc, view = orc._csc, orc._csc_t
+        assert np.shares_memory(view.data, csc.data)
+        orc.col_block([1, 2])
+        orc.rmatvec(np.ones(30))
+        assert orc._csc is csc and orc._csc_t is view
 
     def test_with_sparse_none_is_low_rank_alone(self, rng):
         m, n = 30, 11

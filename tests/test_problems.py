@@ -203,23 +203,32 @@ class TestSpeedProblem:
 
     @pytest.mark.parametrize("seed", [0, 6])
     def test_terms_match_coo_construction(self, seed):
-        # each step's draw goes straight to canonical CSR; the cumulative
-        # terms are bitwise those built through COO -> CSR
+        # the cumulative terms are bitwise the sums of scipy CSR matrices
+        # of the draws built through COO, read forward and after
+        # backward steps that restart the accumulation
         m, n, q, delta, density = 300, 120, 12, 1e-3, 2e-3
         seq = make_speed_problem(m=m, n=n, r=5, q=q, seed=seed, delta=delta,
                                  density=density)
         nnz = int(round(m * n * density))
-        want = sp.csr_matrix((m, n))
+        want = [sp.csr_matrix((m, n))]
         for j in range(1, q):
             g = np.random.default_rng(derive_seed(seed, 0x4A55, j))
             flat = g.choice(m * n, size=nnz, replace=False)
             ij = np.unravel_index(flat, (m, n))
             draw = sp.coo_matrix((g.standard_normal(nnz), ij), shape=(m, n))
-            want = want + delta * draw.tocsr()
+            want.append(want[-1] + delta * draw.tocsr())
+        for j in [*range(1, q), 5, 2, 9, 9, 1, q - 1, 0, 3]:
             got = seq.oracle(j)._csr
             for field in ("data", "indices", "indptr"):
-                a, b = getattr(got, field), getattr(want, field)
+                a, b = getattr(got, field), getattr(want[j], field)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_zero_term_stores_nothing(self):
+        # exact zeros are dropped from the cumulative term, as scipy's
+        # sum of CSR matrices drops them
+        seq = make_speed_problem(m=40, n=30, r=3, q=3, seed=0, delta=0.0,
+                                 density=0.05)
+        assert seq.oracle(2).nnz == 0
 
     def test_oracles_share_low_rank_factor(self):
         # each step's oracle owns only its sparse term and its counters;

@@ -256,7 +256,8 @@ class TestSparseSignEmbedding:
         for start, stop in [(0, 300), (3, 40), (100, 257), (16, 32)]:
             np.testing.assert_array_equal(e.dense_rows(start, stop),
                                           e.raw[start:stop])
-        assert e.raw is e.raw
+        # the dense form is not kept: each access forms it anew
+        assert e.raw is not e.raw
 
     def test_norm_preserved_in_mean(self, rng):
         # unit-variance entries: E ||Sx||^2 / s = ||x||^2 at every s,
